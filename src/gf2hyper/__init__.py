@@ -61,7 +61,6 @@ from .commutant import (
     complementary_automorphism_pair,
     enumerate_automorphisms,
     exchange_generator,
-    sample_automorphisms,
     shift_automorphism,
 )
 from .classify import (

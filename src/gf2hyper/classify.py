@@ -2,10 +2,9 @@
 
 Hyperinvariance is decided against a commutant basis only: a subspace is
 closed under addition, so stability under a spanning set already gives
-stability under the whole algebra.  Characteristic verdicts are exact
-either by exhausting the unit group under a cap or by checking a
-generating set of it; sampling is available but always flagged as an
-incomplete verdict.
+stability under the whole algebra.  Characteristic verdicts likewise
+check a generating set of the unit group: stability under the
+generators gives stability under every product of them.
 """
 
 from __future__ import annotations
@@ -14,14 +13,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .errors import CapExceeded, DimensionMismatch, InadmissibleTuple, NotCharacteristic
-from .commutant import (
-    automorphism_generators,
-    commutant_basis,
-    enumerate_automorphisms,
-    sample_automorphisms,
-    UNIT_ENUM_CAP,
-)
+from .errors import DimensionMismatch, InadmissibleTuple, NotCharacteristic
+from .commutant import automorphism_generators, commutant_basis
 from .gf2 import Gf2Matrix, Gf2Vector, Subspace
 from .nilpotent import (
     GeneratorTuple,
@@ -29,8 +22,6 @@ from .nilpotent import (
     class_span,
     cyclic_subspace,
 )
-
-DEFAULT_SAMPLE_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -62,17 +53,12 @@ class AdmissibleTuple:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """The four predicate verdicts for one subspace.
-
-    ``characteristic_complete`` is False only for sampled verdicts; every
-    other path is exact.
-    """
+    """The four predicate verdicts for one subspace."""
 
     subspace: Subspace
     invariant: bool
     marked: bool
     characteristic: bool
-    characteristic_complete: bool
     hyperinvariant: bool
     invariance_witness: Witness | None = None
     characteristic_witness: Witness | None = None
@@ -117,44 +103,18 @@ def is_hyperinvariant(
 
 
 def is_characteristic(
-    f: NilpotentOperator,
-    s: Subspace,
-    cap: int = UNIT_ENUM_CAP,
-    method: str = "auto",
-) -> tuple[bool, bool, Witness | None]:
+    f: NilpotentOperator, s: Subspace
+) -> tuple[bool, Witness | None]:
     """Stability under every automorphism commuting with f.
 
-    Returns (verdict, complete, witness).  ``method``:
-
-    * ``auto`` - enumerate the unit group when 2^dim fits the cap,
-      otherwise check a generating set; both are exact.
-    * ``enumerate`` - exhaustive only; degrades to sampling above the
-      cap, with complete=False.
-    * ``generators`` - generating-set check, exact at any size.
-    * ``sample`` - random units only, complete=False.
+    Tested against a generating set of the unit group; closure under
+    composition extends the verdict to the whole group, at any size.
     """
     bad = invariance_witness(f, s)
     if bad is not None:
-        return False, True, bad
-    c = commutant_basis(f)
-    if method == "auto":
-        method = "enumerate" if (1 << c.dim) <= cap else "generators"
-    if method == "enumerate":
-        try:
-            units = enumerate_automorphisms(c, cap)
-        except CapExceeded:
-            method = "sample"
-        else:
-            bad = _stability_witness(units.elements, s)
-            return bad is None, True, bad
-    if method == "generators":
-        bad = _stability_witness(automorphism_generators(f), s)
-        return bad is None, True, bad
-    if method == "sample":
-        units = sample_automorphisms(c, DEFAULT_SAMPLE_BUDGET)
-        bad = _stability_witness(units.elements, s)
-        return bad is None, False, bad
-    raise ValueError(f"unknown method {method!r}")
+        return False, bad
+    bad = _stability_witness(automorphism_generators(f), s)
+    return bad is None, bad
 
 
 def is_marked(f: NilpotentOperator, s: Subspace) -> bool:
@@ -233,7 +193,7 @@ def largest_hyperinvariant_inside(
     subspace it contains.
     """
     if verify:
-        ok, _, _ = is_characteristic(f, s)
+        ok, _ = is_characteristic(f, s)
         if not ok:
             raise NotCharacteristic("input subspace is not characteristic")
     acc = Subspace.zero(f.dim)
@@ -242,12 +202,7 @@ def largest_hyperinvariant_inside(
     return acc
 
 
-def classify(
-    f: NilpotentOperator,
-    s: Subspace,
-    cap: int = UNIT_ENUM_CAP,
-    method: str = "auto",
-) -> ClassificationReport:
+def classify(f: NilpotentOperator, s: Subspace) -> ClassificationReport:
     """Evaluate all four predicates and enforce their interdependencies."""
     bad = invariance_witness(f, s)
     if bad is not None:
@@ -256,24 +211,21 @@ def classify(
             invariant=False,
             marked=False,
             characteristic=False,
-            characteristic_complete=True,
             hyperinvariant=False,
             invariance_witness=bad,
         )
     marked = is_marked(f, s)
-    char, complete, char_witness = is_characteristic(f, s, cap, method)
+    char, char_witness = is_characteristic(f, s)
     hyper, hyper_witness = is_hyperinvariant(f, s)
-    if complete:
-        if hyper != (char and marked):
-            raise AssertionError(
-                "hyperinvariant must coincide with characteristic-and-marked"
-            )
+    if hyper != (char and marked):
+        raise AssertionError(
+            "hyperinvariant must coincide with characteristic-and-marked"
+        )
     return ClassificationReport(
         subspace=s,
         invariant=True,
         marked=marked,
         characteristic=char,
-        characteristic_complete=complete,
         hyperinvariant=hyper,
         characteristic_witness=char_witness,
         hyperinvariance_witness=hyper_witness,

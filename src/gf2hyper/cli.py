@@ -2,7 +2,8 @@
 
 stdout carries data only; diagnostics go to stderr.  Exit codes are
 stable: 0 success, 2 parse error, 3 invalid operator, 4 dimension
-mismatch, 5 enumeration cap exceeded, 1 failed verification suite.
+mismatch, 5 subspace enumeration cap exceeded, 1 failed verification
+suite.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .classify import (
     is_hyperinvariant,
     is_invariant,
 )
-from .commutant import UNIT_ENUM_CAP, commutant_basis, enumerate_automorphisms
+from .commutant import automorphism_group_order, commutant_basis
 from .errors import (
     CapExceeded,
     DimensionMismatch,
@@ -149,7 +150,7 @@ class AnalysisDocument:
     elementary_divisors: tuple[int, ...]
     ulm_sequence: tuple[int, ...]
     commutant_dimension: int
-    automorphism_count: int | None
+    automorphism_count: int
     shoda_holds: bool
     shoda_witness: ShodaWitnessDocument | None
     lattice_census: LatticeCensusDocument | None
@@ -213,14 +214,8 @@ def _read_subspace(path: str) -> Subspace:
     return parse_subspace(text)
 
 
-def build_analysis(
-    f: NilpotentOperator, cap: int = UNIT_ENUM_CAP, census: bool = False
-) -> AnalysisDocument:
+def build_analysis(f: NilpotentOperator, census: bool = False) -> AnalysisDocument:
     ulm = ulm_sequence(f)
-    c = commutant_basis(f)
-    aut_count = None
-    if (1 << c.dim) <= cap:
-        aut_count = len(enumerate_automorphisms(c, cap))
     found = counterexample(f)
     witness_doc = ShodaWitnessDocument.from_witness(found[1]) if found else None
     census_doc = None
@@ -230,9 +225,7 @@ def build_analysis(
             if not is_invariant(f, s):
                 continue
             inv += 1
-            verdict, complete, _ = is_characteristic(f, s, cap=cap)
-            assert complete
-            char += verdict
+            char += is_characteristic(f, s)[0]
             hyper += is_hyperinvariant(f, s)[0]
         census_doc = LatticeCensusDocument(inv, char, hyper, char - hyper)
     return AnalysisDocument(
@@ -240,8 +233,8 @@ def build_analysis(
         nilpotency_index=f.index,
         elementary_divisors=elementary_divisors(ulm),
         ulm_sequence=ulm.d,
-        commutant_dimension=c.dim,
-        automorphism_count=aut_count,
+        commutant_dimension=commutant_basis(f).dim,
+        automorphism_count=automorphism_group_order(f),
         shoda_holds=found is not None,
         shoda_witness=witness_doc,
         lattice_census=census_doc,
@@ -250,7 +243,7 @@ def build_analysis(
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     f = validate_nilpotent(_read_matrix(args.matrix))
-    doc = build_analysis(f, cap=args.cap, census=args.census)
+    doc = build_analysis(f, census=args.census)
     if args.json:
         print(doc.to_json())
         return 0
@@ -258,10 +251,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     print("elementary divisors:", " ".join(map(str, doc.elementary_divisors)))
     print("ulm sequence:", " ".join(map(str, doc.ulm_sequence)))
     print("commutant dimension:", doc.commutant_dimension)
-    if doc.automorphism_count is None:
-        print("automorphisms: not enumerated (above cap)")
-    else:
-        print(f"automorphisms: {doc.automorphism_count} (exhaustive)")
+    print(f"automorphisms: {doc.automorphism_count} (group-order formula)")
     if doc.shoda_witness is None:
         print("characteristic non-hyperinvariant subspaces: NONE")
     else:
@@ -290,14 +280,15 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         raise DimensionMismatch(
             f"subspace lives in GF(2)^{s.ambient_dim}, operator in GF(2)^{f.dim}"
         )
-    report = classify(f, s, cap=args.cap)
+    report = classify(f, s)
     if args.json:
         obj = {
             "subspace": _subspace_to_obj(report.subspace),
             "invariant": report.invariant,
             "marked": report.marked,
             "characteristic": report.characteristic,
-            "characteristic_complete": report.characteristic_complete,
+            # every verdict is exact; the key stays as part of the JSON contract
+            "characteristic_complete": True,
             "hyperinvariant": report.hyperinvariant,
         }
         for key, witness in (
@@ -323,8 +314,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             str(report.hyperinvariant).lower(),
         )
     )
-    if not report.characteristic_complete:
-        print("note: characteristic verdict is sampled, not exhaustive")
     for label, witness in (
         ("invariance", report.invariance_witness),
         ("characteristic", report.characteristic_witness),
@@ -400,8 +389,7 @@ def _lattice_nodes(
         if which == "inv":
             nodes.append(s)
         else:
-            ok, complete, _ = is_characteristic(f, s, method="generators")
-            assert complete
+            ok, _ = is_characteristic(f, s)
             if ok:
                 nodes.append(s)
     nodes.sort(key=lambda s: (s.dim, s.rows))
@@ -454,6 +442,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gf2hyper",
@@ -468,14 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="matrix file: 'n_rows n_cols' then 0/1 rows")
     p.add_argument("--json", action="store_true")
     p.add_argument("--census", action="store_true", help="count subspace classes")
-    p.add_argument("--cap", type=int, default=UNIT_ENUM_CAP)
     p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("classify", help="four-predicate report for a subspace")
     p.add_argument("matrix")
     p.add_argument("subspace", help="basis rows in the matrix file format")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--cap", type=int, default=UNIT_ENUM_CAP)
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser(
@@ -496,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=["paper", "census", "oracle"], required=True)
-    p.add_argument("--max-dim", type=int, default=None)
+    p.add_argument("--max-dim", type=_positive_int, default=None)
     p.set_defaults(handler=_cmd_verify)
 
     return parser

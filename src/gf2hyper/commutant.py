@@ -1,17 +1,16 @@
 """The algebra of operators commuting with f and its unit group.
 
 The commutant is computed exactly as the kernel of the linear map
-g -> gf - fg on n^2 unknowns.  Units (the commuting automorphisms) are
-available three ways: exhaustive enumeration under a cap, uniform
-sampling, and a small generating set that is complete for the whole
-unit group and therefore supports exact characteristic-subspace tests
-even when enumeration is hopeless.
+g -> gf - fg on n^2 unknowns.  The unit group (the commuting
+automorphisms) is described by a small generating set, which supports
+exact characteristic-subspace tests at any size, and its order comes
+from a closed formula.  Exhaustive enumeration under a cap remains as
+the oracle both are checked against.
 """
 
 from __future__ import annotations
 
 import functools
-import random
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -65,10 +64,9 @@ class CommutantBasis:
 
 @dataclass(frozen=True)
 class AutomorphismSet:
-    """Invertible commuting operators; complete means exhaustive."""
+    """Every invertible commuting operator, from exhaustive enumeration."""
 
     elements: tuple[Gf2Matrix, ...] = field(repr=False)
-    complete: bool = True
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -133,39 +131,7 @@ def enumerate_automorphisms(c: CommutantBasis, cap: int = UNIT_ENUM_CAP) -> Auto
         if candidate.rank() == n:
             units.append(candidate)
     units.sort(key=flatten_matrix)
-    return AutomorphismSet(tuple(units), complete=True)
-
-
-def sample_automorphisms(
-    c: CommutantBasis, samples: int, seed: int = 0
-) -> AutomorphismSet:
-    """Uniform random commutant elements filtered for invertibility.
-
-    Always reported incomplete, even if the sample happens to cover the
-    whole unit group.
-    """
-    rng = random.Random(seed)
-    n = c.operator.dim
-    seen = set()
-    units = []
-    for _ in range(samples):
-        mask = rng.getrandbits(c.dim) if c.dim else 0
-        rows = [0] * n
-        m = mask
-        while m:
-            k = (m & -m).bit_length() - 1
-            m &= m - 1
-            for i, row in enumerate(c.basis[k].rows):
-                rows[i] ^= row
-        candidate = Gf2Matrix(tuple(rows), n)
-        key = flatten_matrix(candidate)
-        if key in seen:
-            continue
-        seen.add(key)
-        if candidate.rank() == n:
-            units.append(candidate)
-    units.sort(key=flatten_matrix)
-    return AutomorphismSet(tuple(units), complete=False)
+    return AutomorphismSet(tuple(units))
 
 
 def automorphism_from_images(
@@ -189,7 +155,8 @@ def automorphism_from_images(
     target = chain_matrix(f, make_generator_tuple(f, images))
     source = chain_matrix(f, u)
     alpha = target @ source.inverse()
-    assert alpha @ f.mat == f.mat @ alpha
+    if alpha @ f.mat != f.mat @ alpha:
+        raise AssertionError("automorphism from images does not commute with f")
     return alpha
 
 
@@ -296,8 +263,10 @@ def complementary_automorphism_pair(
         images.append(Gf2Vector(bits, f.dim))
     beta = automorphism_from_images(f, u, images)
     gamma = beta + Gf2Matrix.identity(f.dim)
-    assert gamma.is_invertible()
-    assert gamma @ f.mat == f.mat @ gamma
+    if not gamma.is_invertible():
+        raise AssertionError("complementary map is not invertible")
+    if gamma @ f.mat != f.mat @ gamma:
+        raise AssertionError("complementary map does not commute with f")
     return beta, gamma
 
 

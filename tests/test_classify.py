@@ -10,6 +10,8 @@ from gf2hyper import (
     NotCharacteristic,
     Subspace,
     classify,
+    commutant_basis,
+    enumerate_automorphisms,
     enumerate_subspaces,
     generator_tuple,
     hyperinvariant_lattice,
@@ -47,11 +49,11 @@ def test_is_hyperinvariant_golden(golden, golden_x, e):
 
 
 def test_is_characteristic_golden(golden, golden_x, e):
-    verdict, complete, witness = is_characteristic(golden, golden_x)
-    assert verdict and complete and witness is None
+    verdict, witness = is_characteristic(golden, golden_x)
+    assert verdict and witness is None
     line = Subspace.span([e[0]], 4)
-    verdict, complete, witness = is_characteristic(golden, line)
-    assert not verdict and complete
+    verdict, witness = is_characteristic(golden, line)
+    assert not verdict
     assert witness is not None
     assert witness.matrix.is_invertible()
     assert witness.matrix @ golden.mat == golden.mat @ witness.matrix
@@ -61,27 +63,32 @@ def test_is_characteristic_golden(golden, golden_x, e):
     assert is_characteristic(golden, Subspace.full(4))[0]
 
 
-def test_is_characteristic_methods_agree(golden):
-    for s in enumerate_subspaces(4):
-        if not is_invariant(golden, s):
-            continue
-        by_enum = is_characteristic(golden, s, method="enumerate")
-        by_gens = is_characteristic(golden, s, method="generators")
-        by_auto = is_characteristic(golden, s)
-        assert by_enum[0] == by_gens[0] == by_auto[0]
-        assert by_enum[1] and by_gens[1] and by_auto[1]
-
-
-def test_is_characteristic_sampled_flagged_incomplete(golden, golden_x):
-    verdict, complete, _ = is_characteristic(golden, golden_x, method="sample")
-    assert verdict
-    assert not complete
-
-
-def test_is_characteristic_enumerate_degrades_to_sampling(golden, golden_x):
-    verdict, complete, _ = is_characteristic(golden, golden_x, cap=8, method="enumerate")
-    assert verdict
-    assert not complete
+def test_is_characteristic_methods_agree():
+    # oracle: stability under every unit of the commutant, enumerated
+    shapes = 0
+    for n in range(1, 6):
+        for sizes in partitions(n):
+            f = jordan_operator(sizes)
+            c = commutant_basis(f)
+            if c.dim > 14:
+                continue
+            shapes += 1
+            units = enumerate_automorphisms(c).elements
+            for s in enumerate_subspaces(n):
+                if not is_invariant(f, s):
+                    continue
+                stable = all(
+                    s.contains_bits(g.apply_bits(r)) for g in units for r in s.rows
+                )
+                verdict, witness = is_characteristic(f, s)
+                assert verdict == stable, (sizes, s.rows)
+                if not verdict:
+                    g = witness.matrix
+                    assert g.is_invertible()
+                    assert g @ f.mat == f.mat @ g
+                    assert s.contains(witness.vector)
+                    assert not s.contains(g.apply(witness.vector))
+    assert shapes == 15
 
 
 def test_is_marked(golden, golden_x):
@@ -173,7 +180,7 @@ def test_classify_golden(golden, golden_x, e):
     report = classify(golden, golden_x)
     assert report.invariant
     assert not report.marked
-    assert report.characteristic and report.characteristic_complete
+    assert report.characteristic
     assert not report.hyperinvariant
     assert report.invariance_witness is None
     assert report.hyperinvariance_witness is not None

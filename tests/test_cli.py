@@ -30,7 +30,7 @@ def test_analyze_human(golden_file, capsys):
     assert "elementary divisors: 1 3" in out
     assert "ulm sequence: 1 0 1" in out
     assert "commutant dimension: 6" in out
-    assert "automorphisms: 16 (exhaustive)" in out
+    assert "automorphisms: 16 (group-order formula)" in out
     assert "EXIST (block sizes 1 < 3)" in out
 
 
@@ -233,11 +233,31 @@ def test_verify_oracle_small(capsys):
     assert "FAIL" not in out
 
 
-def test_analyze_small_cap_skips_enumeration(golden_file, capsys):
-    assert main(["analyze", golden_file, "--json", "--cap", "8"]) == 0
+def test_verify_rejects_max_dim_below_one(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "census", "--max-dim", "0"])
+    assert info.value.code == 2
+    assert "--max-dim" in capsys.readouterr().err
+
+
+def test_analyze_and_classify_take_no_cap(golden_file, x_file):
+    for argv in (
+        ["analyze", golden_file, "--cap", "8"],
+        ["classify", golden_file, x_file, "--cap", "8"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+
+
+def test_analyze_counts_units_beyond_enumeration(tmp_path, capsys):
+    # the 5x5 zero operator: commutant dimension 25, unit group GL(5, 2)
+    p = tmp_path / "zero5.txt"
+    p.write_text("5 5\n" + "0 0 0 0 0\n" * 5)
+    assert main(["analyze", str(p), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["automorphism_count"] is None
-    assert doc["commutant_dimension"] == 6
+    assert doc["commutant_dimension"] == 25
+    assert doc["automorphism_count"] == 9999360
 
 
 def test_verify_suites_all_green_at_full_depth(capsys):

@@ -20,7 +20,6 @@ from gf2hyper import (
     enumerate_automorphisms,
     exchange_generator,
     generator_tuple,
-    sample_automorphisms,
     shift_automorphism,
     validate_nilpotent,
 )
@@ -74,7 +73,6 @@ def test_commutant_elements_commute_and_multiply_into_span(golden):
 def test_enumerate_automorphisms_golden(golden):
     units = enumerate_automorphisms(commutant_basis(golden))
     assert len(units) == 16
-    assert units.complete
     for g in units.elements:
         assert g.is_invertible()
         assert g @ golden.mat == golden.mat @ g
@@ -106,14 +104,6 @@ def test_unit_group_closed_under_product_and_inverse():
             assert flatten_matrix(g.inverse()) in keys
         for g, h in itertools.product(units.elements, repeat=2):
             assert flatten_matrix(g @ h) in keys
-
-
-def test_sample_automorphisms_is_incomplete_subset(golden):
-    c = commutant_basis(golden)
-    sampled = sample_automorphisms(c, samples=64, seed=1)
-    assert not sampled.complete
-    full = {flatten_matrix(g) for g in enumerate_automorphisms(c).elements}
-    assert {flatten_matrix(g) for g in sampled.elements} <= full
 
 
 def test_images_bijection_golden(golden):
