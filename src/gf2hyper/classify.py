@@ -10,7 +10,6 @@ generators gives stability under every product of them.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InadmissibleTuple, NotCharacteristic
@@ -21,6 +20,7 @@ from .nilpotent import (
     NilpotentOperator,
     class_span,
     cyclic_subspace,
+    generator_tuple,
 )
 
 
@@ -164,23 +164,30 @@ def monotone_shift_condition(
     return all(x <= y for x, y in zip(co, co[1:]))
 
 
+def _monotone_shifts(exponents: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every shift tuple passing monotone_shift_condition.
+
+    After shift r at exponent t, the next shift at exponent t' lies in
+    [r, r + t' - t]: the lower bound keeps the shifts nondecreasing and
+    the upper bound the co-shifts, so no tuple is built and then dropped.
+    """
+    tuples = [(0,)]  # a virtual shift 0 at exponent 0 starts every tuple
+    for t, t_next in zip((0,) + exponents, exponents):
+        tuples = [r + (s,) for r in tuples for s in range(r[-1], r[-1] + t_next - t + 1)]
+    return [r[1:] for r in tuples]
+
+
 @functools.lru_cache(maxsize=None)
 def hyperinvariant_lattice(f: NilpotentOperator) -> tuple[Subspace, ...]:
-    """Closure of the power kernels and images under sum and intersection.
+    """Every hyperinvariant subspace, sorted by dimension and basis.
 
-    Worklist fixed point with canonical-form dedup; finitely many
-    subspaces guarantee termination.
+    These are exactly the spans of the monotone-shifted chains (Fillmore,
+    Herrero and Longstaff, LAA 17, 1977), one per monotone shift tuple.
     """
-    nodes = set(f.kernel_chain) | set(f.image_chain)
-    while True:
-        fresh = set()
-        for a, b in itertools.combinations(nodes, 2):
-            for c in (a.sum(b), a.intersect(b)):
-                if c not in nodes:
-                    fresh.add(c)
-        if not fresh:
-            break
-        nodes |= fresh
+    u = generator_tuple(f)
+    nodes = {
+        shifted_chain_span(f, u, AdmissibleTuple(r)) for r in _monotone_shifts(u.exponents)
+    }
     return tuple(sorted(nodes, key=lambda s: (s.dim, s.rows)))
 
 

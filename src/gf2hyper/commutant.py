@@ -1,16 +1,16 @@
 """The algebra of operators commuting with f and its unit group.
 
-The commutant is computed exactly as the kernel of the linear map
-g -> gf - fg on n^2 unknowns.  The unit group (the commuting
-automorphisms) is described by a small generating set, which supports
-exact characteristic-subspace tests at any size, and its order comes
-from a closed formula.  Exhaustive enumeration under a cap remains as
-the oracle both are checked against.
+Both come from the generator tuple.  The elementary chain maps, each
+sending one Jordan chain onto a shifted copy of another, are a basis of
+the commutant; the identity plus each one, bar the chain projections,
+generates the unit group (the commuting automorphisms), whose order has
+a closed formula.  Capped exhaustive enumeration is the oracle for both.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -73,33 +73,47 @@ class AutomorphismSet:
 
 
 @functools.lru_cache(maxsize=None)
-def commutant_basis(f: NilpotentOperator) -> CommutantBasis:
-    """Solve gf - fg = 0 over GF(2) on the n^2 matrix entries.
+def _chain_maps(f: NilpotentOperator) -> tuple[tuple[int, int, int, Gf2Matrix], ...]:
+    """The elementary chain maps N_(c,i,j), in (c, i, j) order.
 
-    Unknown (i, j) is bit i*n + j; the kernel of the stacked constraint
-    rows is canonicalized, so the basis order is deterministic.
+    N_(c,i,j) sends f^k u_c to f^(j+k) u_i and every other chain to 0.
+    It commutes with f exactly when j >= t_i - t_c, so j runs over
+    [max(0, t_i - t_c), t_i): min(t_i, t_c) maps per pair of chains.
+    Each one is P E P^-1, with P the chain matrix of the generator tuple
+    and E the shift written in chain coordinates.
+    """
+    u = generator_tuple(f)
+    p = chain_matrix(f, u)
+    p_inv = p.inverse()
+    offsets = tuple(itertools.accumulate(u.exponents, initial=0))
+    maps = []
+    for c, tc in enumerate(u.exponents):
+        for i, ti in enumerate(u.exponents):
+            for j in range(max(0, ti - tc), ti):
+                # E P^-1 moves row offsets[c] + k of P^-1 to row offsets[i] + j + k
+                rows = [0] * f.dim
+                for k in range(ti - j):
+                    rows[offsets[i] + j + k] = p_inv.rows[offsets[c] + k]
+                m = p @ Gf2Matrix(tuple(rows), f.dim)
+                if m @ f.mat != f.mat @ m:
+                    raise AssertionError("chain map does not commute with f")
+                maps.append((c, i, j, m))
+    return tuple(maps)
+
+
+@functools.lru_cache(maxsize=None)
+def commutant_basis(f: NilpotentOperator) -> CommutantBasis:
+    """The canonical basis of the span of the elementary chain maps.
+
+    Matrices are packed row-major into n^2 bits and echelonized, so the
+    basis is the RREF basis of the commutant and depends only on f.
     """
     n = f.dim
-    fm = f.mat.rows
-    constraints = []
-    for p in range(n):
-        for q in range(n):
-            bits = 0
-            for k in range(n):
-                if (fm[k] >> q) & 1:
-                    bits ^= 1 << (p * n + k)
-                if (fm[p] >> k) & 1:
-                    bits ^= 1 << (k * n + q)
-            if bits:
-                constraints.append(bits)
-    if constraints:
-        solution = Gf2Matrix(tuple(constraints), n * n).kernel()
-    else:
-        solution = Subspace.full(n * n)
-    basis = tuple(unflatten_matrix(b, n) for b in solution.rows)
+    span = Subspace.span_bits((flatten_matrix(m) for *_, m in _chain_maps(f)), n * n)
+    basis = tuple(unflatten_matrix(b, n) for b in span.rows)
     for g in basis:
         if g @ f.mat != f.mat @ g:
-            raise AssertionError("commutant solver produced a non-commuting matrix")
+            raise AssertionError("commutant basis has a non-commuting matrix")
     divisors = elementary_divisors(ulm_sequence(f))
     expected = sum(min(a, b) for a in divisors for b in divisors)
     if len(basis) != expected:
@@ -274,24 +288,20 @@ def complementary_automorphism_pair(
 def automorphism_generators(f: NilpotentOperator) -> tuple[Gf2Matrix, ...]:
     """A generating set of the commuting automorphism group.
 
-    Every generator is elementary: it adds a single chain vector f^j u_i
-    to one generator u_c (legal whenever the summand's exponent fits)
-    and fixes the rest.  The within-class additions project onto the
-    transvections of each general linear block, and the remaining maps
-    span the radical, so the group they generate is the full unit group
-    of the commutant.
+    Each generator is I + N_(c,i,j) for a chain map other than a chain
+    projection N_(c,c,0): it adds f^j u_i to u_c and fixes the rest.  The
+    within-class additions project onto the transvections of each general
+    linear block and the rest span the radical, so together they generate
+    the full unit group of the commutant.
     """
-    u = generator_tuple(f)
+    identity = Gf2Matrix.identity(f.dim)
     gens = []
-    for c, (uc, tc) in enumerate(zip(u.generators, u.exponents)):
-        for i, (ui, ti) in enumerate(zip(u.generators, u.exponents)):
-            addend = ui.bits
-            for j in range(ti):
-                if ti - j <= tc and not (i == c and j == 0):
-                    images = list(u.generators)
-                    images[c] = uc + Gf2Vector(addend, f.dim)
-                    gens.append(automorphism_from_images(f, u, images))
-                addend = f.mat.apply_bits(addend)
+    for c, i, j, m in _chain_maps(f):
+        if (i, j) != (c, 0):
+            g = identity + m
+            if not g.is_invertible():
+                raise AssertionError("unit-group generator is not invertible")
+            gens.append(g)
     return tuple(gens)
 
 

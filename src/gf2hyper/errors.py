@@ -23,8 +23,7 @@ class CapExceeded(Gf2HyperError):
     """An enumeration would exceed the configured budget.
 
     ``required`` carries the item count the enumeration would need, so
-    callers can decide whether to retry with a larger cap or fall back
-    to sampling.
+    callers can decide whether to retry with a larger cap.
     """
 
     def __init__(self, message: str, required: int | None = None):

@@ -96,9 +96,6 @@ class Gf2Vector:
     def coords(self) -> tuple[int, ...]:
         return tuple((self.bits >> j) & 1 for j in range(self.dim))
 
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
     def __add__(self, other: Gf2Vector) -> Gf2Vector:
         if self.dim != other.dim:
             raise DimensionMismatch("vector dimensions differ")
@@ -155,15 +152,6 @@ class Gf2Matrix:
         if any(v.dim != width for v in vecs):
             raise DimensionMismatch("rows have unequal length")
         return cls(tuple(v.bits for v in vecs), width)
-
-    @classmethod
-    def from_row_vectors(cls, vectors: Iterable[Gf2Vector], n_cols: int) -> Gf2Matrix:
-        bits = []
-        for v in vectors:
-            if v.dim != n_cols:
-                raise DimensionMismatch("row vector has wrong dimension")
-            bits.append(v.bits)
-        return cls(tuple(bits), n_cols)
 
     @classmethod
     def from_columns(cls, columns: Iterable[Gf2Vector]) -> Gf2Matrix:

@@ -80,15 +80,8 @@ class NilpotentOperator:
     def dim(self) -> int:
         return self.mat.n_cols
 
-    def power(self, k: int) -> Gf2Matrix:
-        """f^k for any k >= 0; powers at or above the index are zero."""
-        return self.powers[min(k, self.index)]
-
     def image_of_power(self, k: int) -> Subspace:
         return self.image_chain[min(k, self.index)]
-
-    def kernel_of_power(self, k: int) -> Subspace:
-        return self.kernel_chain[min(k, self.index)]
 
 
 @dataclass(frozen=True)
@@ -132,10 +125,6 @@ class UlmSequence:
     @property
     def total_dim(self) -> int:
         return sum((i + 1) * x for i, x in enumerate(self.d))
-
-    @property
-    def block_count(self) -> int:
-        return sum(self.d)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 import pytest
 
-from gf2hyper import Gf2Vector, Subspace, validate_nilpotent
+from gf2hyper import Gf2Matrix, Gf2Vector, Subspace, validate_nilpotent
 from gf2hyper.nilpotent import jordan_matrix
 
 
@@ -19,3 +19,17 @@ def golden_x(golden):
 @pytest.fixture
 def e():
     return tuple(Gf2Vector.unit(i, 4) for i in range(4))
+
+
+@pytest.fixture
+def conjugate():
+    """P J P^-1 for the Jordan matrix J of the block sizes and a random invertible P."""
+
+    def build(sizes, rng):
+        n = sum(sizes)
+        while True:
+            p = Gf2Matrix(tuple(rng.getrandbits(n) for _ in range(n)), n)
+            if p.is_invertible():
+                return validate_nilpotent(p @ jordan_matrix(sizes) @ p.inverse())
+
+    return build

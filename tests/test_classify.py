@@ -24,7 +24,7 @@ from gf2hyper import (
     shifted_chain_span,
     validate_nilpotent,
 )
-from gf2hyper.verify import census, jordan_operator, partitions
+from gf2hyper.verify import census, jordan_operator, lattice_closure, partitions
 
 
 def test_is_invariant(golden, golden_x, e):
@@ -161,6 +161,28 @@ def test_lattice_members_are_exactly_the_hyperinvariant_subspaces():
             if is_invariant(f, s) and is_hyperinvariant(f, s)[0]
         }
         assert lattice == by_census
+
+
+def test_lattice_matches_the_closure_off_the_jordan_basis(conjugate):
+    rng = random.Random(17)
+    for n in range(1, 8):
+        for sizes in partitions(n):
+            f = conjugate(sizes, rng)
+            assert hyperinvariant_lattice(f) == lattice_closure(f)
+
+
+def test_lattice_of_equal_blocks_skips_the_shift_product(monkeypatch):
+    # equal chain lengths force equal shifts: 3 tuples among 3^8, 2 among 2^12
+    def refuse(*args, **kwargs):
+        raise AssertionError("the shift tuples must not come from a product")
+
+    monkeypatch.setattr(itertools, "product", refuse)
+    hyperinvariant_lattice.cache_clear()
+    for sizes, count in [((2,) * 8, 3), ((1,) * 12, 2)]:
+        f = jordan_operator(sizes)
+        lattice = hyperinvariant_lattice(f)
+        assert len(lattice) == count
+        assert lattice == tuple(f.image_chain[::-1])
 
 
 def test_largest_hyperinvariant_inside_golden(golden, golden_x, e):

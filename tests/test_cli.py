@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from gf2hyper import parse_subspace
+from gf2hyper import UlmSequence, parse_subspace, ulm_form_condition
 from gf2hyper.cli import AnalysisDocument, build_analysis, main
-from gf2hyper.verify import jordan_operator
+from gf2hyper.verify import jordan_operator, partitions
 
 GOLDEN = "4 4\n0 0 0 0\n0 0 0 0\n0 1 0 0\n0 0 1 0\n"
 GOLDEN_X = "2 4\n1 0 1 0\n0 0 0 1\n"
@@ -225,6 +225,27 @@ def test_verify_census_small(capsys):
     assert main(["verify", "--suite", "census", "--max-dim", "4"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+def test_verify_census_stdout_layout(capsys):
+    assert main(["verify", "--suite", "census", "--max-dim", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    expected = []
+    for n in range(1, 5):
+        for sizes in partitions(n):
+            label = "-".join(map(str, sizes))
+            names = [
+                "shoda-equivalence",
+                "ulm-form-negation",
+                "hyper-iff-char-and-marked",
+                "lattice-closure-matches-census",
+                "lattice-equals-monotone-spans",
+            ]
+            if ulm_form_condition(UlmSequence.from_block_sizes(sizes)):
+                names.append("char-equals-hyper-when-excluded")
+            expected += [f"{name}[{label}]" for name in names]
+    assert [line.split()[:2] for line in lines[:-1]] == [["ok", name] for name in expected]
+    assert lines[-1] == f"{len(expected)}/{len(expected)} checks passed"
 
 
 def test_verify_oracle_small(capsys):

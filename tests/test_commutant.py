@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -23,7 +24,7 @@ from gf2hyper import (
     shift_automorphism,
     validate_nilpotent,
 )
-from gf2hyper.commutant import flatten_matrix
+from gf2hyper.commutant import flatten_matrix, unflatten_matrix
 from gf2hyper.nilpotent import elementary_divisors, ulm_sequence
 from gf2hyper.verify import jordan_operator, partitions
 
@@ -43,6 +44,70 @@ def closure(gens, n):
                     fresh.append(b)
         frontier = fresh
     return seen
+
+
+def _commutant_by_solve(f):
+    """Oracle: the kernel of g -> gf - fg on the n^2 matrix entries.
+
+    Unknown (i, j) is bit i*n + j, matching flatten_matrix.
+    """
+    n = f.dim
+    fm = f.mat.rows
+    constraints = []
+    for p in range(n):
+        for q in range(n):
+            bits = 0
+            for k in range(n):
+                if (fm[k] >> q) & 1:
+                    bits ^= 1 << (p * n + k)
+                if (fm[p] >> k) & 1:
+                    bits ^= 1 << (k * n + q)
+            if bits:
+                constraints.append(bits)
+    if constraints:
+        solution = Gf2Matrix(tuple(constraints), n * n).kernel()
+    else:
+        solution = Subspace.full(n * n)
+    return tuple(unflatten_matrix(b, n) for b in solution.rows)
+
+
+def _generators_from_images(f):
+    """Oracle: each generator rebuilt from the images of the generator tuple."""
+    u = generator_tuple(f)
+    gens = []
+    for c, (uc, tc) in enumerate(zip(u.generators, u.exponents)):
+        for i, (ui, ti) in enumerate(zip(u.generators, u.exponents)):
+            addend = ui.bits
+            for j in range(ti):
+                if ti - j <= tc and not (i == c and j == 0):
+                    images = list(u.generators)
+                    images[c] = uc + Gf2Vector(addend, f.dim)
+                    gens.append(automorphism_from_images(f, u, images))
+                addend = f.mat.apply_bits(addend)
+    return tuple(gens)
+
+
+def _oracle_operators(conjugate):
+    rng = random.Random(31)
+    for n in range(1, 8):
+        for sizes in partitions(n):
+            if n <= 6:
+                yield jordan_operator(sizes)
+            yield conjugate(sizes, rng)
+
+
+def test_commutant_basis_matches_the_linear_solve(conjugate):
+    for f in _oracle_operators(conjugate):
+        assert commutant_basis(f).basis == _commutant_by_solve(f)
+
+
+def test_generators_match_the_construction_from_images(conjugate):
+    for f in _oracle_operators(conjugate):
+        gens = automorphism_generators(f)
+        assert gens == _generators_from_images(f)
+        for g in gens:
+            assert g @ f.mat == f.mat @ g
+            assert g.is_invertible()
 
 
 def test_commutant_dimensions(golden):

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import gf2hyper
@@ -13,3 +14,27 @@ def test_no_bare_asserts_in_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def _decorator_name(node):
+    target = node.func if isinstance(node, ast.Call) else node
+    return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+
+
+def test_every_lru_cache_is_a_module_global():
+    # caches are cleared by scanning module globals for cache_clear; one on
+    # a method or a nested function would be missed and leak between runs
+    package = Path(gf2hyper.__file__).parent
+    decorated = 0
+    reachable = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [_decorator_name(d) for d in node.decorator_list]
+                decorated += names.count("lru_cache")
+        module = importlib.import_module(f"gf2hyper.{path.stem}")
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                if all(value is not seen for seen in reachable):
+                    reachable.append(value)
+    assert decorated == len(reachable), [f.__qualname__ for f in reachable]
