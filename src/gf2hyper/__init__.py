@@ -74,7 +74,6 @@ from .classify import (
     is_invariant,
     is_marked,
     largest_hyperinvariant_inside,
-    monotone_shift_condition,
     shifted_chain_span,
 )
 from .shoda import (

@@ -1,10 +1,13 @@
 """Subspace classification: invariant, marked, characteristic, hyperinvariant.
 
-Hyperinvariance is decided against a commutant basis only: a subspace is
-closed under addition, so stability under a spanning set already gives
-stability under the whole algebra.  Characteristic verdicts likewise
-check a generating set of the unit group: stability under the
-generators gives stability under every product of them.
+Invariant, characteristic and hyperinvariant are one test: stability
+under a tuple of maps commuting with f, scanned in order, and every
+tuple starts with f itself.  Hyperinvariance uses a commutant basis: a
+subspace is closed under addition, so stability under a spanning set
+already gives stability under the whole algebra.  Characteristic
+verdicts check a generating set of the unit group: stability under the
+generators gives stability under every product of them.  Marked checks
+only the pairs (a, r) of the intersection criterion that can fail.
 """
 
 from __future__ import annotations
@@ -65,26 +68,28 @@ class ClassificationReport:
     hyperinvariance_witness: Witness | None = None
 
 
-def invariance_witness(f: NilpotentOperator, s: Subspace) -> Witness | None:
-    """The first basis vector that f moves out of s, if any."""
+def _stability_witness(f: NilpotentOperator, s: Subspace, maps=()) -> Witness | None:
+    """The first map of (f, *maps), and its first basis row of s, that leaves s.
+
+    f goes first, so every class rejects a non-invariant subspace with
+    the invariance witness.
+    """
     if s.ambient_dim != f.dim:
         raise DimensionMismatch("subspace does not match the operator")
-    for r in s.rows:
-        if not s.contains_bits(f.mat.apply_bits(r)):
-            return Witness(f.mat, Gf2Vector(r, f.dim))
+    for g in (f.mat, *maps):
+        for r in s.rows:
+            if not s.contains_bits(g.apply_bits(r)):
+                return Witness(g, Gf2Vector(r, f.dim))
     return None
+
+
+def invariance_witness(f: NilpotentOperator, s: Subspace) -> Witness | None:
+    """The first basis vector that f moves out of s, if any."""
+    return _stability_witness(f, s)
 
 
 def is_invariant(f: NilpotentOperator, s: Subspace) -> bool:
     return invariance_witness(f, s) is None
-
-
-def _stability_witness(maps, s: Subspace) -> Witness | None:
-    for g in maps:
-        for r in s.rows:
-            if not s.contains_bits(g.apply_bits(r)):
-                return Witness(g, Gf2Vector(r, s.ambient_dim))
-    return None
 
 
 def is_hyperinvariant(
@@ -95,10 +100,7 @@ def is_hyperinvariant(
     Tested against the commutant basis alone; linearity extends the
     verdict to the full algebra.
     """
-    bad = invariance_witness(f, s)
-    if bad is not None:
-        return False, bad
-    bad = _stability_witness(commutant_basis(f).basis, s)
+    bad = _stability_witness(f, s, commutant_basis(f).basis)
     return bad is None, bad
 
 
@@ -110,25 +112,27 @@ def is_characteristic(
     Tested against a generating set of the unit group; closure under
     composition extends the verdict to the whole group, at any size.
     """
-    bad = invariance_witness(f, s)
-    if bad is not None:
-        return False, bad
-    bad = _stability_witness(automorphism_generators(f), s)
+    bad = _stability_witness(f, s, automorphism_generators(f))
     return bad is None, bad
 
 
 def is_marked(f: NilpotentOperator, s: Subspace) -> bool:
-    """Intersection criterion: f^a s ∩ Im f^(a+r) = f^a (s ∩ Im f^r) for all a, r.
+    """Intersection criterion: f^a s ∩ Im f^(a+r) = f^a (s ∩ Im f^r) for all a, r ≥ 0.
 
-    Exponents past the nilpotency index are vacuous, so both run over
-    [0, index].  The zero subspace passes trivially.
+    Only the pairs with 1 ≤ a, 1 ≤ r and a + r < index can fail; every
+    other pair holds for any s:
+    a = 0 gives s ∩ Im f^r on both sides;
+    r = 0 gives f^a s on both sides, as f^a s lies inside Im f^a;
+    a + r ≥ index gives 0 on both sides, as Im f^(a+r) = 0 and the
+    right side lies inside it.
+    So an invariant subspace of an operator of index ≤ 2 is marked.
     """
     if invariance_witness(f, s) is not None:
         return False
-    for a in range(f.index + 1):
+    for a in range(1, f.index - 1):
         mapped = f.powers[a].map_subspace(s)
-        for r in range(f.index + 1):
-            lhs = mapped.intersect(f.image_of_power(a + r))
+        for r in range(1, f.index - a):
+            lhs = mapped.intersect(f.image_chain[a + r])
             rhs = f.powers[a].map_subspace(s.intersect(f.image_chain[r]))
             if lhs != rhs:
                 return False
@@ -149,24 +153,11 @@ def shifted_chain_span(
     return acc
 
 
-def monotone_shift_condition(
-    exponents: tuple[int, ...] | list[int], shifts: AdmissibleTuple | tuple[int, ...]
-) -> bool:
-    """Nondecreasing shifts with nondecreasing co-shifts.
-
-    Exactly the shift tuples whose chain span does not depend on the
-    choice of generators; those spans are the hyperinvariant subspaces.
-    """
-    r = shifts.shifts if isinstance(shifts, AdmissibleTuple) else tuple(shifts)
-    if any(x > y for x, y in zip(r, r[1:])):
-        return False
-    co = [t - x for t, x in zip(exponents, r)]
-    return all(x <= y for x, y in zip(co, co[1:]))
-
-
 def _monotone_shifts(exponents: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every shift tuple passing monotone_shift_condition.
+    """Every shift tuple with nondecreasing shifts and nondecreasing co-shifts.
 
+    Exactly these tuples have a chain span that does not depend on the
+    choice of generators; those spans are the hyperinvariant subspaces.
     After shift r at exponent t, the next shift at exponent t' lies in
     [r, r + t' - t]: the lower bound keeps the shifts nondecreasing and
     the upper bound the co-shifts, so no tuple is built and then dropped.

@@ -20,7 +20,6 @@ from .classify import (
     classify,
     hyperinvariant_lattice,
     is_characteristic,
-    is_hyperinvariant,
     is_invariant,
 )
 from .commutant import automorphism_group_order, commutant_basis
@@ -220,14 +219,10 @@ def build_analysis(f: NilpotentOperator, census: bool = False) -> AnalysisDocume
     witness_doc = ShodaWitnessDocument.from_witness(found[1]) if found else None
     census_doc = None
     if census:
-        inv = char = hyper = 0
-        for s in enumerate_subspaces(f.dim, cap=DEFAULT_LATTICE_CAP):
-            if not is_invariant(f, s):
-                continue
-            inv += 1
-            char += is_characteristic(f, s)[0]
-            hyper += is_hyperinvariant(f, s)[0]
-        census_doc = LatticeCensusDocument(inv, char, hyper, char - hyper)
+        invariant = _lattice_nodes(f, "inv", DEFAULT_LATTICE_CAP)
+        char = sum(is_characteristic(f, s)[0] for s in invariant)
+        hyper = len(hyperinvariant_lattice(f))
+        census_doc = LatticeCensusDocument(len(invariant), char, hyper, char - hyper)
     return AnalysisDocument(
         matrix=f.mat,
         nilpotency_index=f.index,
@@ -353,27 +348,25 @@ def _node_digest(s: Subspace) -> str:
 
 
 def _covering_edges(nodes: list[Subspace]) -> list[tuple[int, int]]:
-    """Edges of the covering relation only; transitive pairs are dropped."""
-    count = len(nodes)
-    above = [0] * count  # above[i]: bitmask of j with nodes[i] strictly inside nodes[j]
-    for i in range(count):
-        for j in range(count):
-            if i != j and nodes[i] != nodes[j] and nodes[j].contains_subspace(nodes[i]):
-                above[i] |= 1 << j
+    """Edges of the covering relation only; transitive pairs are dropped.
+
+    Only a node of larger dimension can lie strictly above another:
+    containment at equal dimension is equality.  Node j covers node i
+    when j is above i but above no node that is above i.
+    """
+    above = [[] for _ in nodes]  # above[i]: the j with nodes[i] strictly inside nodes[j]
+    mask = [0] * len(nodes)  # the same sets as bitmasks
+    for i, s in enumerate(nodes):
+        for j, t in enumerate(nodes):
+            if t.dim > s.dim and t.contains_subspace(s):
+                above[i].append(j)
+                mask[i] |= 1 << j
     edges = []
-    for i in range(count):
-        sup = above[i]
-        m = sup
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            # j covers i unless some k sits strictly between them
-            if not any(
-                (above[k] >> j) & 1
-                for k in range(count)
-                if k != j and (sup >> k) & 1
-            ):
-                edges.append((i, j))
+    for i, ups in enumerate(above):
+        beyond = 0
+        for j in ups:
+            beyond |= mask[j]
+        edges += [(i, j) for j in ups if not beyond >> j & 1]
     return edges
 
 
@@ -384,14 +377,8 @@ def _lattice_nodes(
         return list(hyperinvariant_lattice(f))
     nodes = []
     for s in enumerate_subspaces(f.dim, cap=cap):
-        if not is_invariant(f, s):
-            continue
-        if which == "inv":
+        if (is_invariant(f, s) if which == "inv" else is_characteristic(f, s)[0]):
             nodes.append(s)
-        else:
-            ok, _ = is_characteristic(f, s)
-            if ok:
-                nodes.append(s)
     nodes.sort(key=lambda s: (s.dim, s.rows))
     return nodes
 

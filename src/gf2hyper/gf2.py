@@ -202,13 +202,12 @@ class Gf2Matrix:
         if self.n_cols != other.n_rows:
             raise DimensionMismatch("inner dimensions differ")
         out = []
-        for a in self.rows:
+        for bits in self.rows:
             acc = 0
-            bits = a
             while bits:
-                j = _lowest_bit(bits)
-                bits &= bits - 1
-                acc ^= other.rows[j]
+                low = bits & -bits
+                acc ^= other.rows[low.bit_length() - 1]
+                bits ^= low
             out.append(acc)
         return Gf2Matrix(tuple(out), other.n_cols)
 

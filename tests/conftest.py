@@ -1,7 +1,19 @@
 import pytest
 
-from gf2hyper import Gf2Matrix, Gf2Vector, Subspace, validate_nilpotent
+from gf2hyper import AdmissibleTuple, Gf2Matrix, Gf2Vector, Subspace, validate_nilpotent
 from gf2hyper.nilpotent import jordan_matrix
+
+
+def monotone_shift_condition(
+    exponents: tuple[int, ...] | list[int], shifts: AdmissibleTuple | tuple[int, ...]
+) -> bool:
+    """Oracle for classify._monotone_shifts: nondecreasing shifts with
+    nondecreasing co-shifts, tested on one given tuple."""
+    r = shifts.shifts if isinstance(shifts, AdmissibleTuple) else tuple(shifts)
+    if any(x > y for x, y in zip(r, r[1:])):
+        return False
+    co = [t - x for t, x in zip(exponents, r)]
+    return all(x <= y for x, y in zip(co, co[1:]))
 
 
 @pytest.fixture

@@ -28,7 +28,6 @@ from gf2hyper import (
     is_hyperinvariant,
     is_marked,
     largest_hyperinvariant_inside,
-    monotone_shift_condition,
     shifted_chain_span,
     shoda_condition,
     ulm_form_condition,
@@ -36,6 +35,8 @@ from gf2hyper import (
 )
 from gf2hyper.nilpotent import UlmSequence, elementary_divisors
 from gf2hyper.verify import census, jordan_operator, partitions
+
+from conftest import monotone_shift_condition
 
 
 @contextmanager

@@ -20,11 +20,13 @@ from gf2hyper import (
     is_invariant,
     is_marked,
     largest_hyperinvariant_inside,
-    monotone_shift_condition,
     shifted_chain_span,
     validate_nilpotent,
 )
+from gf2hyper.classify import _monotone_shifts, invariance_witness
 from gf2hyper.verify import census, jordan_operator, lattice_closure, partitions
+
+from conftest import monotone_shift_condition
 
 
 def test_is_invariant(golden, golden_x, e):
@@ -100,6 +102,50 @@ def test_is_marked(golden, golden_x):
         assert is_marked(golden, golden.image_chain[k])
 
 
+def _is_marked_by_every_pair(f, s):
+    """Oracle for is_marked: the intersection criterion on all (index + 1)^2 pairs."""
+    if not is_invariant(f, s):
+        return False
+    for a in range(f.index + 1):
+        mapped = f.powers[a].map_subspace(s)
+        for r in range(f.index + 1):
+            lhs = mapped.intersect(f.image_of_power(a + r))
+            rhs = f.powers[a].map_subspace(s.intersect(f.image_chain[r]))
+            if lhs != rhs:
+                return False
+    return True
+
+
+def test_is_marked_matches_every_pair(conjugate):
+    # every subspace up to n = 5; the invariant ones at n = 6 and off the Jordan basis
+    rng = random.Random(29)
+    cases = []
+    for n in range(1, 7):
+        for sizes in partitions(n):
+            cases.append((jordan_operator(sizes), n == 6))
+            if n <= 5:
+                cases.append((conjugate(sizes, rng), True))
+    for f, invariant_only in cases:
+        for s in enumerate_subspaces(f.dim):
+            if invariant_only and not is_invariant(f, s):
+                continue
+            assert is_marked(f, s) == _is_marked_by_every_pair(f, s), (f.mat.rows, s.rows)
+
+
+def test_stability_scans_start_with_f():
+    # on a subspace f moves out, every class reports the invariance witness
+    for n in range(1, 5):
+        for sizes in partitions(n):
+            f = jordan_operator(sizes)
+            for s in enumerate_subspaces(n):
+                bad = invariance_witness(f, s)
+                if bad is None:
+                    continue
+                assert bad.matrix == f.mat
+                assert is_characteristic(f, s) == (False, bad)
+                assert is_hyperinvariant(f, s) == (False, bad)
+
+
 def test_shifted_chain_span_examples(golden):
     u = generator_tuple(golden)
     assert shifted_chain_span(golden, u, AdmissibleTuple((0, 0))) == Subspace.full(4)
@@ -128,6 +174,14 @@ def test_monotone_shift_condition():
     assert monotone_shift_condition((2, 2), (1, 1))
     assert not monotone_shift_condition((2, 2), (0, 1))  # equal lengths force equal shifts
     assert monotone_shift_condition((1, 3), AdmissibleTuple((0, 2)))
+
+
+def test_monotone_shifts_match_the_filtered_product():
+    for n in range(1, 9):
+        for sizes in partitions(n):
+            product = itertools.product(*(range(t + 1) for t in sizes))
+            expected = [r for r in product if monotone_shift_condition(sizes, r)]
+            assert _monotone_shifts(sizes) == expected, sizes
 
 
 def test_hyperinvariant_lattice_golden(golden, e):

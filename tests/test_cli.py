@@ -1,10 +1,19 @@
 import json
+import random
 
 import pytest
 
 from gf2hyper import UlmSequence, parse_subspace, ulm_form_condition
-from gf2hyper.cli import AnalysisDocument, build_analysis, main
-from gf2hyper.verify import jordan_operator, partitions
+from gf2hyper.cli import (
+    DEFAULT_LATTICE_CAP,
+    AnalysisDocument,
+    LatticeCensusDocument,
+    _covering_edges,
+    _lattice_nodes,
+    build_analysis,
+    main,
+)
+from gf2hyper.verify import census, jordan_operator, partitions
 
 GOLDEN = "4 4\n0 0 0 0\n0 0 0 0\n0 1 0 0\n0 0 1 0\n"
 GOLDEN_X = "2 4\n1 0 1 0\n0 0 0 1\n"
@@ -66,6 +75,18 @@ def test_analyze_census_counts(golden_file, capsys):
         "characteristic_not_hyperinvariant"
     ]
     assert census["characteristic_not_hyperinvariant"] >= 1
+
+
+def test_analyze_census_matches_verify_census(conjugate):
+    rng = random.Random(31)
+    for n in range(1, 6):
+        for sizes in partitions(n):
+            data = census(sizes)
+            char = len(data.characteristic)
+            hyper = len(data.hyperinvariant)
+            expected = LatticeCensusDocument(len(data.invariant), char, hyper, char - hyper)
+            for f in (jordan_operator(sizes), conjugate(sizes, rng)):
+                assert build_analysis(f, census=True).lattice_census == expected, sizes
 
 
 def test_analyze_exit_codes(tmp_path, capsys):
@@ -188,6 +209,42 @@ def test_lattice_edges_are_covering_only(golden_file, capsys):
     # the published example covers the one-dimensional image of f^2
     e4_line = min((n for n in nodes if n.dim == 1), key=lambda s: s.rows)
     assert (nodes.index(e4_line), nodes.index(x)) in edges
+
+
+def _covering_edges_by_triple_scan(nodes):
+    """Oracle for _covering_edges: j covers i unless some k sits strictly between."""
+    count = len(nodes)
+    above = [0] * count
+    for i in range(count):
+        for j in range(count):
+            if i != j and nodes[i] != nodes[j] and nodes[j].contains_subspace(nodes[i]):
+                above[i] |= 1 << j
+    edges = []
+    for i in range(count):
+        sup = above[i]
+        m = sup
+        while m:
+            j = (m & -m).bit_length() - 1
+            m &= m - 1
+            if not any(
+                (above[k] >> j) & 1
+                for k in range(count)
+                if k != j and (sup >> k) & 1
+            ):
+                edges.append((i, j))
+    return edges
+
+
+def test_covering_edges_match_the_triple_scan(conjugate):
+    rng = random.Random(37)
+    for n in range(1, 6):
+        for sizes in partitions(n):
+            for f in (jordan_operator(sizes), conjugate(sizes, rng)):
+                for which in ("inv", "chinv", "hinv"):
+                    nodes = _lattice_nodes(f, which, DEFAULT_LATTICE_CAP)
+                    assert _covering_edges(nodes) == _covering_edges_by_triple_scan(
+                        nodes
+                    ), (sizes, which)
 
 
 def _subspace_text(node):
