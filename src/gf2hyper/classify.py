@@ -1,13 +1,13 @@
 """Subspace classification: invariant, marked, characteristic, hyperinvariant.
 
-Invariant, characteristic and hyperinvariant are one test: stability
-under a tuple of maps commuting with f, scanned in order, and every
-tuple starts with f itself.  Hyperinvariance uses a commutant basis: a
-subspace is closed under addition, so stability under a spanning set
-already gives stability under the whole algebra.  Characteristic
-verdicts check a generating set of the unit group: stability under the
-generators gives stability under every product of them.  Marked checks
-only the pairs (a, r) of the intersection criterion that can fail.
+Invariant, characteristic and hyperinvariant are one ordered scan over
+maps commuting with f: f, then the unit-group generators I + N, then
+the chain projections N_(c,c,0), which sum to I.  Each class tests a
+prefix, so the first map that moves a basis row decides all three.
+Stability under a set of maps passes to their sums and products; the
+generators generate the unit group, and with I the scanned maps span
+the commutant.  Marked checks only the pairs (a, r) of the
+intersection criterion that can fail.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InadmissibleTuple, NotCharacteristic
-from .commutant import automorphism_generators, commutant_basis
+from .commutant import _chain_maps, automorphism_generators
 from .gf2 import Gf2Matrix, Gf2Vector, Subspace
 from .nilpotent import (
     GeneratorTuple,
@@ -68,51 +68,59 @@ class ClassificationReport:
     hyperinvariance_witness: Witness | None = None
 
 
-def _stability_witness(f: NilpotentOperator, s: Subspace, maps=()) -> Witness | None:
-    """The first map of (f, *maps), and its first basis row of s, that leaves s.
+@functools.lru_cache(maxsize=None)
+def _stability_maps(f: NilpotentOperator) -> tuple[Gf2Matrix, ...]:
+    """f, the unit-group generators, then the chain projections N_(c,c,0) in c order."""
+    projections = tuple(m for c, i, j, m in _chain_maps(f) if (i, j) == (c, 0))
+    return (f.mat, *automorphism_generators(f), *projections)
 
-    f goes first, so every class rejects a non-invariant subspace with
-    the invariance witness.
+
+def _first_exit(
+    f: NilpotentOperator, s: Subspace, stop: int | None = None
+) -> tuple[int, Witness | None]:
+    """Scan the first `stop` stability maps (all by default) over the basis rows of s.
+
+    Returns the index of the first map that moves a row out of s, with
+    that map and row as the witness, or (maps scanned, None) when s is
+    stable under all of them.
     """
     if s.ambient_dim != f.dim:
         raise DimensionMismatch("subspace does not match the operator")
-    for g in (f.mat, *maps):
+    maps = _stability_maps(f)[:stop]
+    for k, g in enumerate(maps):
         for r in s.rows:
             if not s.contains_bits(g.apply_bits(r)):
-                return Witness(g, Gf2Vector(r, f.dim))
-    return None
+                return k, Witness(g, Gf2Vector(r, f.dim))
+    return len(maps), None
 
 
 def invariance_witness(f: NilpotentOperator, s: Subspace) -> Witness | None:
     """The first basis vector that f moves out of s, if any."""
-    return _stability_witness(f, s)
+    return _first_exit(f, s, 1)[1]
 
 
 def is_invariant(f: NilpotentOperator, s: Subspace) -> bool:
     return invariance_witness(f, s) is None
 
 
-def is_hyperinvariant(
-    f: NilpotentOperator, s: Subspace
-) -> tuple[bool, Witness | None]:
+def is_hyperinvariant(f: NilpotentOperator, s: Subspace) -> tuple[bool, Witness | None]:
     """Stability under everything commuting with f.
 
-    Tested against the commutant basis alone; linearity extends the
-    verdict to the full algebra.
+    Tested against the whole scan tuple, which spans the commutant;
+    linearity extends the verdict to the full algebra.  The witness is
+    the first map of the tuple that moves s.
     """
-    bad = _stability_witness(f, s, commutant_basis(f).basis)
+    _, bad = _first_exit(f, s)
     return bad is None, bad
 
 
-def is_characteristic(
-    f: NilpotentOperator, s: Subspace
-) -> tuple[bool, Witness | None]:
+def is_characteristic(f: NilpotentOperator, s: Subspace) -> tuple[bool, Witness | None]:
     """Stability under every automorphism commuting with f.
 
-    Tested against a generating set of the unit group; closure under
-    composition extends the verdict to the whole group, at any size.
+    Tested against f and a generating set of the unit group; closure
+    under composition extends the verdict to the whole group, at any size.
     """
-    bad = _stability_witness(f, s, automorphism_generators(f))
+    _, bad = _first_exit(f, s, 1 + len(automorphism_generators(f)))
     return bad is None, bad
 
 
@@ -201,30 +209,21 @@ def largest_hyperinvariant_inside(
 
 
 def classify(f: NilpotentOperator, s: Subspace) -> ClassificationReport:
-    """Evaluate all four predicates and enforce their interdependencies."""
-    bad = invariance_witness(f, s)
-    if bad is not None:
-        return ClassificationReport(
-            subspace=s,
-            invariant=False,
-            marked=False,
-            characteristic=False,
-            hyperinvariant=False,
-            invariance_witness=bad,
-        )
+    """All four verdicts from one stability scan plus the intersection
+    criterion, with hyperinvariant = characteristic and marked enforced."""
+    k, bad = _first_exit(f, s)
+    if k == 0:
+        return ClassificationReport(s, False, False, False, False, invariance_witness=bad)
     marked = is_marked(f, s)
-    char, char_witness = is_characteristic(f, s)
-    hyper, hyper_witness = is_hyperinvariant(f, s)
-    if hyper != (char and marked):
-        raise AssertionError(
-            "hyperinvariant must coincide with characteristic-and-marked"
-        )
+    char = k > len(automorphism_generators(f))
+    if (bad is None) != (char and marked):
+        raise AssertionError("hyperinvariant must coincide with characteristic-and-marked")
     return ClassificationReport(
-        subspace=s,
+        s,
         invariant=True,
         marked=marked,
         characteristic=char,
-        hyperinvariant=hyper,
-        characteristic_witness=char_witness,
-        hyperinvariance_witness=hyper_witness,
+        hyperinvariant=bad is None,
+        characteristic_witness=None if char else bad,
+        hyperinvariance_witness=bad,
     )

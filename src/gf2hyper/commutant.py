@@ -5,6 +5,8 @@ sending one Jordan chain onto a shifted copy of another, are a basis of
 the commutant; the identity plus each one, bar the chain projections,
 generates the unit group (the commuting automorphisms), whose order has
 a closed formula.  Capped exhaustive enumeration is the oracle for both.
+Classification scans the generators and the chain projections, which
+with I span the commutant; `commutant_basis` is its canonical basis.
 """
 
 from __future__ import annotations

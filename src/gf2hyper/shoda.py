@@ -41,28 +41,27 @@ class ShodaWitness:
     y_span: Subspace
 
 
+def _single_block_sizes(u: UlmSequence) -> list[int]:
+    """The block sizes of multiplicity one, ascending."""
+    return [r for r in range(1, len(u.d) + 1) if u.count(r) == 1]
+
+
 def shoda_condition(u: UlmSequence) -> bool:
     """True iff two multiplicity-one block sizes r < s exist with s > r + 1."""
-    ones = [r for r in range(1, len(u.d) + 1) if u.count(r) == 1]
-    return any(s > r + 1 for i, r in enumerate(ones) for s in ones[i + 1 :])
+    return shoda_block_sizes(u) is not None
 
 
 def ulm_form_condition(u: UlmSequence) -> bool:
     """At most one multiplicity-one size, or exactly two at successive sizes."""
-    ones = [r for r in range(1, len(u.d) + 1) if u.count(r) == 1]
-    if len(ones) <= 1:
-        return True
-    return len(ones) == 2 and ones[1] == ones[0] + 1
+    ones = _single_block_sizes(u)
+    return len(ones) <= 1 or (len(ones) == 2 and ones[1] == ones[0] + 1)
 
 
 def shoda_block_sizes(u: UlmSequence) -> tuple[int, int] | None:
     """The lexicographically smallest qualifying pair (r, s), if any."""
-    ones = [r for r in range(1, len(u.d) + 1) if u.count(r) == 1]
-    for i, r in enumerate(ones):
-        for s in ones[i + 1 :]:
-            if s > r + 1:
-                return r, s
-    return None
+    ones = _single_block_sizes(u)
+    pairs = ((r, s) for i, r in enumerate(ones) for s in ones[i + 1 :] if s > r + 1)
+    return next(pairs, None)
 
 
 def _check_witness_classes(u: GeneratorTuple, rho: int, tau: int) -> tuple[int, int]:
@@ -107,8 +106,7 @@ def exceptional_subspace(
     strictly between the two marked ones, plus the two top chain levels
     of every class above; empty ranges contribute nothing.
     """
-    a_rho, a_tau = _check_witness_classes(u, rho, tau)
-    del a_rho, a_tau
+    _check_witness_classes(u, rho, tau)
     bits = []
     z = linking_vector(f, u, rho, tau)
     bits.append(z.bits)

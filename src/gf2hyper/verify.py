@@ -1,11 +1,12 @@
 """Verification suites: golden cases, exhaustive censuses, and oracles.
 
 The census enumerates every subspace of every Jordan configuration up to
-a dimension bound, classifies each one exactly, and exposes the four
-predicate sets so the equivalences between them can be replayed
-wholesale, with the lattice closure as the oracle for the monotone-span
-lattice.  The oracle suite cross-checks the chain formula for the
-exceptional span against a brute-force height scan.
+a dimension bound, classifies each one exactly with one stability scan
+plus the intersection criterion, and exposes the four predicate sets so
+the equivalences between them can be replayed wholesale, with the
+lattice closure as the oracle for the monotone-span lattice.  The
+oracle suite cross-checks the chain formula for the exceptional span
+against a brute-force height scan.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ from typing import Iterator
 
 from . import shoda
 from .classify import (
+    _first_exit,
     classify,
     hyperinvariant_lattice,
-    is_characteristic,
     is_hyperinvariant,
-    is_invariant,
     is_marked,
 )
-from .commutant import commutant_basis, enumerate_automorphisms
+from .commutant import automorphism_generators, commutant_basis, enumerate_automorphisms
 from .gf2 import Gf2Matrix, Gf2Vector, Subspace, enumerate_subspaces
 from .nilpotent import (
     INFINITY,
@@ -81,20 +81,20 @@ def jordan_operator(block_sizes: tuple[int, ...]) -> NilpotentOperator:
 
 @functools.lru_cache(maxsize=None)
 def census(block_sizes: tuple[int, ...]) -> SubspaceCensus:
-    """Classify every subspace of the configuration, exactly."""
+    """Classify every subspace of the configuration, exactly, as `classify` does."""
     f = jordan_operator(block_sizes)
+    generators = len(automorphism_generators(f))
     invariant, marked, characteristic, hyperinvariant = [], [], [], []
     for s in enumerate_subspaces(f.dim):
-        if not is_invariant(f, s):
+        k, bad = _first_exit(f, s)
+        if k == 0:
             continue
         invariant.append(s)
         if is_marked(f, s):
             marked.append(s)
-        char, _ = is_characteristic(f, s)
-        if char:
+        if k > generators:
             characteristic.append(s)
-        hyper, _ = is_hyperinvariant(f, s)
-        if hyper:
+        if bad is None:
             hyperinvariant.append(s)
     return SubspaceCensus(
         block_sizes,

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -11,6 +12,7 @@ from gf2hyper import (
     Subspace,
     classify,
     commutant_basis,
+    counterexample,
     enumerate_automorphisms,
     enumerate_subspaces,
     generator_tuple,
@@ -23,7 +25,8 @@ from gf2hyper import (
     shifted_chain_span,
     validate_nilpotent,
 )
-from gf2hyper.classify import _monotone_shifts, invariance_witness
+from gf2hyper.classify import _monotone_shifts, _stability_maps, invariance_witness
+from gf2hyper.commutant import _chain_maps, automorphism_generators, flatten_matrix
 from gf2hyper.verify import census, jordan_operator, lattice_closure, partitions
 
 from conftest import monotone_shift_condition
@@ -144,6 +147,101 @@ def test_stability_scans_start_with_f():
                 assert bad.matrix == f.mat
                 assert is_characteristic(f, s) == (False, bad)
                 assert is_hyperinvariant(f, s) == (False, bad)
+
+
+def _every_subspace_up_to_5(conjugate, seed):
+    """(f, s) for every subspace of every partition with n <= 5, Jordan and conjugated."""
+    rng = random.Random(seed)
+    for n in range(1, 6):
+        for sizes in partitions(n):
+            for f in (jordan_operator(sizes), conjugate(sizes, rng)):
+                for s in enumerate_subspaces(n):
+                    yield f, s
+
+
+def _stable(s, maps):
+    return all(s.contains_bits(g.apply_bits(r)) for g in maps for r in s.rows)
+
+
+def test_scan_matches_the_commutant_basis_oracle(conjugate):
+    # oracle: the retired route, stability under f and the RREF commutant basis
+    for f, s in _every_subspace_up_to_5(conjugate, 31):
+        invariant = _stable(s, [f.mat])
+        hyper = invariant and _stable(s, commutant_basis(f).basis)
+        char = invariant and _stable(s, automorphism_generators(f))
+        assert is_hyperinvariant(f, s)[0] == hyper, (f.mat.rows, s.rows)
+        assert is_characteristic(f, s)[0] == char, (f.mat.rows, s.rows)
+        report = classify(f, s)
+        assert (report.invariant, report.characteristic, report.hyperinvariant) == (
+            invariant,
+            char,
+            hyper,
+        )
+        assert report.marked == is_marked(f, s)
+
+
+def test_generators_and_chain_projections_span_the_commutant(conjugate):
+    # the premise of the scan: with f dropped, its maps span exactly the commutant
+    rng = random.Random(37)
+    operators = [jordan_operator(sizes) for n in range(1, 9) for sizes in partitions(n)]
+    operators += [conjugate(sizes, rng) for n in range(1, 7) for sizes in partitions(n)]
+    for f in operators:
+        n = f.dim
+        maps = _stability_maps(f)
+        assert maps[0] == f.mat
+        assert len(maps) - 1 == commutant_basis(f).dim
+        scanned = Subspace.span_bits((flatten_matrix(g) for g in maps[1:]), n * n)
+        oracle = Subspace.span_bits((flatten_matrix(g) for g in commutant_basis(f).basis), n * n)
+        assert scanned == oracle, f.mat.rows
+
+
+def _assert_moves_out(f, s, witness):
+    g, v = witness.matrix, witness.vector
+    assert g @ f.mat == f.mat @ g
+    assert s.contains(v)
+    assert not s.contains(g.apply(v))
+
+
+def test_every_witness_commutes_and_moves_its_vector_out(conjugate):
+    for f, s in _every_subspace_up_to_5(conjugate, 41):
+        projections = {m for c, i, j, m in _chain_maps(f) if (i, j) == (c, 0)}
+        char, char_witness = is_characteristic(f, s)
+        hyper, hyper_witness = is_hyperinvariant(f, s)
+        assert char == (char_witness is None) and hyper == (hyper_witness is None)
+        report = classify(f, s)
+        if not report.invariant:
+            assert report.invariance_witness == invariance_witness(f, s) == char_witness
+            _assert_moves_out(f, s, report.invariance_witness)
+            continue
+        assert report.invariance_witness is None
+        assert report.characteristic_witness == char_witness
+        assert report.hyperinvariance_witness == hyper_witness
+        if not char:
+            _assert_moves_out(f, s, char_witness)
+            assert char_witness.matrix.is_invertible()
+            assert hyper_witness == char_witness
+        elif not hyper:
+            _assert_moves_out(f, s, hyper_witness)
+            assert hyper_witness.matrix in projections
+
+
+def test_classification_paths_never_build_the_commutant_basis(monkeypatch):
+    def refuse(f):
+        raise AssertionError("the RREF commutant basis must not be built here")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gf2hyper" and hasattr(module, "commutant_basis"):
+            monkeypatch.setattr(module, "commutant_basis", refuse)
+    census.cache_clear()
+    _stability_maps.cache_clear()
+    for sizes in [(1, 3), (1, 1, 2), (2, 2), (1, 2, 3)]:
+        f = jordan_operator(sizes)
+        data = census(sizes)
+        for s in data.invariant:
+            classify(f, s)
+            is_hyperinvariant(f, s)
+    assert counterexample(jordan_operator((1, 3, 5))) is not None
+    census.cache_clear()
 
 
 def test_shifted_chain_span_examples(golden):
