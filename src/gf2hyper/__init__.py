@@ -8,19 +8,14 @@ that are not hyperinvariant (Shoda's criterion).
 
 from .errors import (
     CapExceeded,
-    ChainLengthOne,
     DimensionMismatch,
-    ExponentOrderViolation,
     Gf2HyperError,
     InadmissibleTuple,
     NotAGeneratorTuple,
-    NotCharacteristic,
-    NotHomogeneous,
     NotNilpotent,
     NotSquare,
     ParseError,
     ShodaConditionFails,
-    SingleBlock,
     SingularMatrix,
 )
 from .gf2 import (
@@ -54,14 +49,11 @@ from .nilpotent import (
 from .commutant import (
     AutomorphismSet,
     CommutantBasis,
-    automorphism_from_images,
     automorphism_generators,
     automorphism_group_order,
     commutant_basis,
-    complementary_automorphism_pair,
+    commutant_dimension,
     enumerate_automorphisms,
-    exchange_generator,
-    shift_automorphism,
 )
 from .classify import (
     AdmissibleTuple,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, InadmissibleTuple, NotCharacteristic
+from .errors import DimensionMismatch, InadmissibleTuple
 from .commutant import _chain_maps, automorphism_generators
 from .gf2 import Gf2Matrix, Gf2Vector, Subspace
 from .nilpotent import (
@@ -191,17 +191,13 @@ def hyperinvariant_lattice(f: NilpotentOperator) -> tuple[Subspace, ...]:
 
 
 def largest_hyperinvariant_inside(
-    f: NilpotentOperator, u: GeneratorTuple, s: Subspace, verify: bool = False
+    f: NilpotentOperator, u: GeneratorTuple, s: Subspace
 ) -> Subspace:
     """The sum of the intersections with each equal-exponent summand.
 
     For a characteristic subspace this is the largest hyperinvariant
     subspace it contains.
     """
-    if verify:
-        ok, _ = is_characteristic(f, s)
-        if not ok:
-            raise NotCharacteristic("input subspace is not characteristic")
     acc = Subspace.zero(f.dim)
     for mu in range(u.class_count):
         acc = acc.sum(s.intersect(class_span(f, u, mu)))

@@ -22,7 +22,7 @@ from .classify import (
     is_characteristic,
     is_invariant,
 )
-from .commutant import automorphism_group_order, commutant_basis
+from .commutant import automorphism_group_order, commutant_dimension
 from .errors import (
     CapExceeded,
     DimensionMismatch,
@@ -80,39 +80,26 @@ def _subspace_from_obj(obj: dict) -> Subspace:
     return Subspace.span(vectors, obj["ambient_dim"])
 
 
-@dataclass(frozen=True)
-class ShodaWitnessDocument:
-    rho_index: int
-    tau_index: int
-    a_rho: int
-    a_tau: int
-    z: Gf2Vector
-    y_span: Subspace
+def _witness_to_obj(w: ShodaWitness) -> dict:
+    return {
+        "rho_index": w.rho_index,
+        "tau_index": w.tau_index,
+        "a_rho": w.a_rho,
+        "a_tau": w.a_tau,
+        "z": list(w.z.coords()),
+        "y_span": _subspace_to_obj(w.y_span),
+    }
 
-    @classmethod
-    def from_witness(cls, w: ShodaWitness) -> ShodaWitnessDocument:
-        return cls(w.rho_index, w.tau_index, w.a_rho, w.a_tau, w.z, w.y_span)
 
-    def to_obj(self) -> dict:
-        return {
-            "rho_index": self.rho_index,
-            "tau_index": self.tau_index,
-            "a_rho": self.a_rho,
-            "a_tau": self.a_tau,
-            "z": list(self.z.coords()),
-            "y_span": _subspace_to_obj(self.y_span),
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> ShodaWitnessDocument:
-        return cls(
-            obj["rho_index"],
-            obj["tau_index"],
-            obj["a_rho"],
-            obj["a_tau"],
-            Gf2Vector.from_coords(obj["z"]),
-            _subspace_from_obj(obj["y_span"]),
-        )
+def _witness_from_obj(obj: dict) -> ShodaWitness:
+    return ShodaWitness(
+        obj["rho_index"],
+        obj["tau_index"],
+        obj["a_rho"],
+        obj["a_tau"],
+        Gf2Vector.from_coords(obj["z"]),
+        _subspace_from_obj(obj["y_span"]),
+    )
 
 
 @dataclass(frozen=True)
@@ -151,7 +138,7 @@ class AnalysisDocument:
     commutant_dimension: int
     automorphism_count: int
     shoda_holds: bool
-    shoda_witness: ShodaWitnessDocument | None
+    shoda_witness: ShodaWitness | None
     lattice_census: LatticeCensusDocument | None
 
     def to_obj(self) -> dict:
@@ -163,7 +150,9 @@ class AnalysisDocument:
             "commutant_dimension": self.commutant_dimension,
             "automorphism_count": self.automorphism_count,
             "shoda_holds": self.shoda_holds,
-            "shoda_witness": self.shoda_witness.to_obj() if self.shoda_witness else None,
+            "shoda_witness": (
+                _witness_to_obj(self.shoda_witness) if self.shoda_witness else None
+            ),
             "lattice_census": self.lattice_census.to_obj() if self.lattice_census else None,
         }
 
@@ -178,9 +167,7 @@ class AnalysisDocument:
             automorphism_count=obj["automorphism_count"],
             shoda_holds=obj["shoda_holds"],
             shoda_witness=(
-                ShodaWitnessDocument.from_obj(obj["shoda_witness"])
-                if obj["shoda_witness"]
-                else None
+                _witness_from_obj(obj["shoda_witness"]) if obj["shoda_witness"] else None
             ),
             lattice_census=(
                 LatticeCensusDocument.from_obj(obj["lattice_census"])
@@ -216,7 +203,6 @@ def _read_subspace(path: str) -> Subspace:
 def build_analysis(f: NilpotentOperator, census: bool = False) -> AnalysisDocument:
     ulm = ulm_sequence(f)
     found = counterexample(f)
-    witness_doc = ShodaWitnessDocument.from_witness(found[1]) if found else None
     census_doc = None
     if census:
         invariant = _lattice_nodes(f, "inv", DEFAULT_LATTICE_CAP)
@@ -228,10 +214,10 @@ def build_analysis(f: NilpotentOperator, census: bool = False) -> AnalysisDocume
         nilpotency_index=f.index,
         elementary_divisors=elementary_divisors(ulm),
         ulm_sequence=ulm.d,
-        commutant_dimension=commutant_basis(f).dim,
+        commutant_dimension=commutant_dimension(f),
         automorphism_count=automorphism_group_order(f),
         shoda_holds=found is not None,
-        shoda_witness=witness_doc,
+        shoda_witness=found[1] if found else None,
         lattice_census=census_doc,
     )
 
@@ -327,9 +313,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     f = validate_nilpotent(_read_matrix(args.matrix))
     found = counterexample(f)
     if args.json:
-        obj = None
-        if found is not None:
-            obj = ShodaWitnessDocument.from_witness(found[1]).to_obj()
+        obj = None if found is None else _witness_to_obj(found[1])
         print(json.dumps({"counterexample": obj}, indent=2))
         return 0
     if found is None:

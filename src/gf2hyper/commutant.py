@@ -2,11 +2,12 @@
 
 Both come from the generator tuple.  The elementary chain maps, each
 sending one Jordan chain onto a shifted copy of another, are a basis of
-the commutant; the identity plus each one, bar the chain projections,
-generates the unit group (the commuting automorphisms), whose order has
-a closed formula.  Capped exhaustive enumeration is the oracle for both.
+the commutant, whose dimension is the formula sum of min(t_i, t_j); the
+identity plus each one, bar the chain projections, generates the unit
+group (the commuting automorphisms), whose order has a closed formula.
 Classification scans the generators and the chain projections, which
-with I span the commutant; `commutant_basis` is its canonical basis.
+with I span the commutant.  `commutant_basis`, its canonical basis, and
+capped exhaustive enumeration of the units are the oracles for both.
 """
 
 from __future__ import annotations
@@ -15,24 +16,13 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import (
-    CapExceeded,
-    ChainLengthOne,
-    DimensionMismatch,
-    NotAGeneratorTuple,
-    ExponentOrderViolation,
-    NotHomogeneous,
-    SingleBlock,
-)
-from .gf2 import Gf2Matrix, Gf2Vector, Subspace
+from .errors import CapExceeded
+from .gf2 import Gf2Matrix, Subspace
 from .nilpotent import (
-    GeneratorTuple,
     NilpotentOperator,
     chain_matrix,
     elementary_divisors,
-    exponent,
     generator_tuple,
-    make_generator_tuple,
     ulm_sequence,
 )
 
@@ -103,6 +93,12 @@ def _chain_maps(f: NilpotentOperator) -> tuple[tuple[int, int, int, Gf2Matrix], 
     return tuple(maps)
 
 
+def commutant_dimension(f: NilpotentOperator) -> int:
+    """dim of the commutant: sum of min(t_i, t_j) over pairs of chain lengths."""
+    divisors = elementary_divisors(ulm_sequence(f))
+    return sum(min(a, b) for a in divisors for b in divisors)
+
+
 @functools.lru_cache(maxsize=None)
 def commutant_basis(f: NilpotentOperator) -> CommutantBasis:
     """The canonical basis of the span of the elementary chain maps.
@@ -116,8 +112,7 @@ def commutant_basis(f: NilpotentOperator) -> CommutantBasis:
     for g in basis:
         if g @ f.mat != f.mat @ g:
             raise AssertionError("commutant basis has a non-commuting matrix")
-    divisors = elementary_divisors(ulm_sequence(f))
-    expected = sum(min(a, b) for a in divisors for b in divisors)
+    expected = commutant_dimension(f)
     if len(basis) != expected:
         raise AssertionError(
             f"commutant dimension {len(basis)} != sum of min(t_i, t_j) = {expected}"
@@ -150,142 +145,6 @@ def enumerate_automorphisms(c: CommutantBasis, cap: int = UNIT_ENUM_CAP) -> Auto
     return AutomorphismSet(tuple(units))
 
 
-def automorphism_from_images(
-    f: NilpotentOperator, u: GeneratorTuple, images: list[Gf2Vector] | tuple[Gf2Vector, ...]
-) -> Gf2Matrix:
-    """The unique commuting automorphism sending each generator to its image.
-
-    The images must form a generator tuple with matching exponents; the
-    map is defined chain-wise, alpha(f^j u_i) = f^j images[i].
-    """
-    images = tuple(images)
-    if len(images) != len(u.generators):
-        raise NotAGeneratorTuple("image count does not match the generator count")
-    for img, t in zip(images, u.exponents):
-        if img.dim != f.dim:
-            raise DimensionMismatch("image dimension does not match the operator")
-        if exponent(f, img) != t:
-            raise NotAGeneratorTuple(
-                f"image exponent {exponent(f, img)} != generator exponent {t}"
-            )
-    target = chain_matrix(f, make_generator_tuple(f, images))
-    source = chain_matrix(f, u)
-    alpha = target @ source.inverse()
-    if alpha @ f.mat != f.mat @ alpha:
-        raise AssertionError("automorphism from images does not commute with f")
-    return alpha
-
-
-def exchange_generator(
-    f: NilpotentOperator, u: GeneratorTuple, x: Gf2Vector
-) -> tuple[int, GeneratorTuple]:
-    """Swap x into a homogeneous tuple, returning the replaced position.
-
-    The chain coefficients of x form triangular Toeplitz blocks; block j
-    is invertible exactly when the constant coefficient at generator j
-    is one, and any such j admits the exchange.
-    """
-    if len(set(u.exponents)) != 1:
-        raise NotHomogeneous("exchange needs a single exponent class")
-    if x.dim != f.dim:
-        raise DimensionMismatch("vector dimension does not match the operator")
-    if x.is_zero():
-        raise ValueError("cannot exchange the zero vector into a tuple")
-    coords = chain_matrix(f, u).inverse().apply_bits(x.bits)
-    a = u.exponents[0]
-    j = None
-    for i in range(len(u.generators)):
-        if (coords >> (i * a)) & 1:
-            j = i
-            break
-    if j is None:
-        raise ValueError("vector has positive height, exchange impossible")
-    replaced = list(u.generators)
-    replaced[j] = x
-    return j, make_generator_tuple(f, replaced)
-
-
-def shift_automorphism(
-    f: NilpotentOperator, u: GeneratorTuple, w_index: int, y_index: int
-) -> Gf2Matrix:
-    """Automorphism adding a strictly lower-exponent generator to a higher one.
-
-    Sends y to w + y and fixes every other generator; applying it twice
-    returns y, since w + (w + y) = y over GF(2).
-    """
-    if u.exponents[w_index] >= u.exponents[y_index]:
-        raise ExponentOrderViolation(
-            "the added generator must have strictly smaller exponent"
-        )
-    images = list(u.generators)
-    images[y_index] = u.generators[w_index] + u.generators[y_index]
-    return automorphism_from_images(f, u, images)
-
-
-def _mixing_matrix(k: int) -> Gf2Matrix:
-    """A k x k matrix B with both B and B + I invertible over GF(2).
-
-    Preferred shape: mix each generator with its neighbours plus a 1 in
-    the top-left corner.  That form degenerates when k = 1 mod 3, where
-    the companion matrix of x^k + x + 1 steps in (its characteristic
-    polynomial avoids the eigenvalues 0 and 1 for every k >= 2).
-    """
-    if k % 3 != 1:
-        rows = []
-        for i in range(k):
-            bits = 0
-            if i > 0:
-                bits |= 1 << (i - 1)
-            if i + 1 < k:
-                bits |= 1 << (i + 1)
-            if i == 0:
-                bits |= 1
-            rows.append(bits)
-        return Gf2Matrix(tuple(rows), k)
-    rows = [0] * k
-    for i in range(1, k):
-        rows[i] |= 1 << (i - 1)     # companion shift
-    rows[0] |= 1 << (k - 1)         # constant coefficient of x^k + x + 1
-    rows[1] |= 1 << (k - 1)         # linear coefficient
-    return Gf2Matrix(tuple(rows), k)
-
-
-def complementary_automorphism_pair(
-    f: NilpotentOperator,
-) -> tuple[Gf2Matrix, Gf2Matrix]:
-    """Two commuting automorphisms of a homogeneous operator summing to I.
-
-    Requires every Jordan block to have the same size a >= 2 and at
-    least two blocks; both outputs act uniformly along chains, so they
-    commute with f by construction.
-    """
-    ulm = ulm_sequence(f)
-    nonzero = [(r, ulm.count(r)) for r in range(1, len(ulm.d) + 1) if ulm.count(r)]
-    if len(nonzero) != 1:
-        raise NotHomogeneous("all Jordan blocks must share one size")
-    a, k = nonzero[0]
-    if k == 1:
-        raise SingleBlock("the identity cannot split over a single block")
-    if a == 1:
-        raise ChainLengthOne("blocks of size one are not supported")
-    u = generator_tuple(f)
-    mixing = _mixing_matrix(k)
-    images = []
-    for c in range(k):
-        bits = 0
-        for d in range(k):
-            if mixing.entry(d, c):
-                bits ^= u.generators[d].bits
-        images.append(Gf2Vector(bits, f.dim))
-    beta = automorphism_from_images(f, u, images)
-    gamma = beta + Gf2Matrix.identity(f.dim)
-    if not gamma.is_invertible():
-        raise AssertionError("complementary map is not invertible")
-    if gamma @ f.mat != f.mat @ gamma:
-        raise AssertionError("complementary map does not commute with f")
-    return beta, gamma
-
-
 @functools.lru_cache(maxsize=None)
 def automorphism_generators(f: NilpotentOperator) -> tuple[Gf2Matrix, ...]:
     """A generating set of the commuting automorphism group.
@@ -315,8 +174,6 @@ def automorphism_group_order(f: NilpotentOperator) -> int:
     general linear group orders times 2^(radical dimension).
     """
     ulm = ulm_sequence(f)
-    divisors = elementary_divisors(ulm)
-    commutant_dim = sum(min(a, b) for a in divisors for b in divisors)
     order = 1
     semisimple_dim = 0
     for r in range(1, len(ulm.d) + 1):
@@ -326,4 +183,4 @@ def automorphism_group_order(f: NilpotentOperator) -> int:
         semisimple_dim += d * d
         for i in range(d):
             order *= (1 << d) - (1 << i)
-    return order << (commutant_dim - semisimple_dim)
+    return order << (commutant_dimension(f) - semisimple_dim)

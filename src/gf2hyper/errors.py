@@ -43,28 +43,8 @@ class NotAGeneratorTuple(Gf2HyperError):
     """Proposed vectors do not decompose the space into cyclic summands."""
 
 
-class ExponentOrderViolation(Gf2HyperError):
-    """A construction needed a strictly smaller exponent class."""
-
-
-class NotHomogeneous(Gf2HyperError):
-    """The operator has Jordan blocks of more than one size."""
-
-
-class SingleBlock(Gf2HyperError):
-    """The construction needs at least two Jordan blocks."""
-
-
-class ChainLengthOne(Gf2HyperError):
-    """The construction is not defined for blocks of size one."""
-
-
 class ShodaConditionFails(Gf2HyperError):
     """Block sizes do not admit a characteristic non-hyperinvariant subspace."""
-
-
-class NotCharacteristic(Gf2HyperError):
-    """A subspace failed a requested characteristicity check."""
 
 
 class InadmissibleTuple(Gf2HyperError):

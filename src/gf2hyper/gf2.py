@@ -101,11 +101,6 @@ class Gf2Vector:
             raise DimensionMismatch("vector dimensions differ")
         return Gf2Vector(self.bits ^ other.bits, self.dim)
 
-    def __getitem__(self, j: int) -> int:
-        if not 0 <= j < self.dim:
-            raise IndexError("coordinate out of range")
-        return (self.bits >> j) & 1
-
     def to_text(self) -> str:
         return " ".join(str(c) for c in self.coords())
 
@@ -215,27 +210,6 @@ class Gf2Matrix:
         if self.n_rows != other.n_rows or self.n_cols != other.n_cols:
             raise DimensionMismatch("matrix shapes differ")
         return Gf2Matrix(tuple(a ^ b for a, b in zip(self.rows, other.rows)), self.n_cols)
-
-    def __pow__(self, k: int) -> Gf2Matrix:
-        if not self.is_square():
-            raise DimensionMismatch("powers need a square matrix")
-        if k < 0:
-            raise ValueError("negative powers are not supported")
-        acc = Gf2Matrix.identity(self.n_cols)
-        for _ in range(k):
-            acc = acc @ self
-        return acc
-
-    def transpose(self) -> Gf2Matrix:
-        if self.n_rows == 0:
-            raise DimensionMismatch("cannot transpose a matrix with no rows")
-        rows = []
-        for j in range(self.n_cols):
-            bits = 0
-            for i, r in enumerate(self.rows):
-                bits |= ((r >> j) & 1) << i
-            rows.append(bits)
-        return Gf2Matrix(tuple(rows), self.n_rows)
 
     def rref(self) -> Gf2Matrix:
         """Reduced row echelon form, padded with zero rows to keep the shape."""

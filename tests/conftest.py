@@ -1,7 +1,18 @@
 import pytest
 
-from gf2hyper import AdmissibleTuple, Gf2Matrix, Gf2Vector, Subspace, validate_nilpotent
-from gf2hyper.nilpotent import jordan_matrix
+from gf2hyper import (
+    AdmissibleTuple,
+    Gf2Matrix,
+    Gf2Vector,
+    NotAGeneratorTuple,
+    Subspace,
+    exponent,
+    generator_tuple,
+    make_generator_tuple,
+    ulm_sequence,
+    validate_nilpotent,
+)
+from gf2hyper.nilpotent import chain_matrix, jordan_matrix
 
 
 def monotone_shift_condition(
@@ -14,6 +25,88 @@ def monotone_shift_condition(
         return False
     co = [t - x for t, x in zip(exponents, r)]
     return all(x <= y for x, y in zip(co, co[1:]))
+
+
+def automorphism_from_images(f, u, images):
+    """Oracle for the unit-group generators: the unique commuting
+    automorphism with alpha(f^j u_i) = f^j images[i], chain by chain.
+
+    The images must form a generator tuple with matching exponents;
+    anything else raises ValueError.
+    """
+    images = tuple(images)
+    if len(images) != len(u.generators):
+        raise ValueError("image count does not match the generator count")
+    for img, t in zip(images, u.exponents):
+        if img.dim != f.dim:
+            raise ValueError("image dimension does not match the operator")
+        if exponent(f, img) != t:
+            raise ValueError(f"image exponent {exponent(f, img)} != generator exponent {t}")
+    try:
+        target = make_generator_tuple(f, images)
+    except NotAGeneratorTuple as exc:
+        raise ValueError(str(exc)) from exc
+    alpha = chain_matrix(f, target) @ chain_matrix(f, u).inverse()
+    if alpha @ f.mat != f.mat @ alpha:
+        raise AssertionError("automorphism from images does not commute with f")
+    return alpha
+
+
+def _mixing_matrix(k):
+    """A k x k matrix B with both B and B + I invertible over GF(2).
+
+    Preferred shape: mix each generator with its neighbours plus a 1 in
+    the top-left corner.  That form degenerates when k = 1 mod 3, where
+    the companion matrix of x^k + x + 1 steps in (its characteristic
+    polynomial avoids the eigenvalues 0 and 1 for every k >= 2).
+    """
+    if k % 3 != 1:
+        rows = []
+        for i in range(k):
+            bits = 0
+            if i > 0:
+                bits |= 1 << (i - 1)
+            if i + 1 < k:
+                bits |= 1 << (i + 1)
+            if i == 0:
+                bits |= 1
+            rows.append(bits)
+        return Gf2Matrix(tuple(rows), k)
+    rows = [0] * k
+    for i in range(1, k):
+        rows[i] |= 1 << (i - 1)     # companion shift
+    rows[0] |= 1 << (k - 1)         # constant coefficient of x^k + x + 1
+    rows[1] |= 1 << (k - 1)         # linear coefficient
+    return Gf2Matrix(tuple(rows), k)
+
+
+def complementary_automorphism_pair(f):
+    """Two commuting automorphisms beta and beta + I of a homogeneous operator.
+
+    Their sum is I, so on every block size a >= 2 with at least two
+    blocks the identity, and with it each chain projection, lies in the
+    span of the units.  Both act uniformly along chains.
+    """
+    ulm = ulm_sequence(f)
+    nonzero = [(r, ulm.count(r)) for r in range(1, len(ulm.d) + 1) if ulm.count(r)]
+    if len(nonzero) != 1:
+        raise ValueError("all Jordan blocks must share one size")
+    a, k = nonzero[0]
+    if k == 1:
+        raise ValueError("the identity cannot split over a single block")
+    if a == 1:
+        raise ValueError("blocks of size one are not supported")
+    u = generator_tuple(f)
+    mixing = _mixing_matrix(k)
+    images = []
+    for c in range(k):
+        bits = 0
+        for d in range(k):
+            if mixing.entry(d, c):
+                bits ^= u.generators[d].bits
+        images.append(Gf2Vector(bits, f.dim))
+    beta = automorphism_from_images(f, u, images)
+    return beta, beta + Gf2Matrix.identity(f.dim)
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ from gf2hyper import (
     Subspace,
     classify,
     commutant_basis,
-    complementary_automorphism_pair,
     counterexample,
     enumerate_automorphisms,
     exceptional_subspace,
@@ -36,7 +35,7 @@ from gf2hyper import (
 from gf2hyper.nilpotent import UlmSequence, elementary_divisors
 from gf2hyper.verify import census, jordan_operator, partitions
 
-from conftest import monotone_shift_condition
+from conftest import complementary_automorphism_pair, monotone_shift_condition
 
 
 @contextmanager

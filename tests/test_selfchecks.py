@@ -38,3 +38,34 @@ def test_every_lru_cache_is_a_module_global():
                 if all(value is not seen for seen in reachable):
                     reachable.append(value)
     assert decorated == len(reachable), [f.__qualname__ for f in reachable]
+
+
+# exported names that production code may leave uncalled, each for a reason
+UNCALLED_EXPORTS = {
+    "format_matrix",  # the writer that pairs with parse_matrix in the text format
+    "largest_hyperinvariant_inside",  # labels characteristic lattice frames (ROADMAP item 3)
+}
+
+
+def test_every_export_has_a_production_caller():
+    # a public name that only tests use belongs in the tests
+    package = Path(gf2hyper.__file__).parent
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    referenced = set()
+    for path in package.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    uncalled = sorted(exported - referenced - UNCALLED_EXPORTS)
+    assert not uncalled, uncalled
+    assert UNCALLED_EXPORTS <= exported
