@@ -38,7 +38,6 @@ from .nilpotent import (
     cyclic_subspace,
     elementary_divisors,
     exponent,
-    exponent_projection,
     generator_tuple,
     height,
     jordan_matrix,

@@ -1,12 +1,10 @@
 """Subspace classification: invariant, marked, characteristic, hyperinvariant.
 
 Invariant, characteristic and hyperinvariant are one ordered scan over
-maps commuting with f: f, then the unit-group generators I + N, then
-the chain projections N_(c,c,0), which sum to I.  Each class tests a
-prefix, so the first map that moves a basis row decides all three.
-Stability under a set of maps passes to their sums and products; the
-generators generate the unit group, and with I the scanned maps span
-the commutant.  Marked checks only the pairs (a, r) of the
+a few maps commuting with f: f, then units that with I generate the
+span of every unit, then the projections that complete the commutant.
+Each class tests a prefix, so the first map that moves a basis row
+decides all three.  Marked checks only the pairs (a, r) of the
 intersection criterion that can fail.
 """
 
@@ -16,7 +14,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InadmissibleTuple
-from .commutant import _chain_maps, automorphism_generators
+from .commutant import _chain_map
 from .gf2 import Gf2Matrix, Gf2Vector, Subspace
 from .nilpotent import (
     GeneratorTuple,
@@ -68,35 +66,69 @@ class ClassificationReport:
     hyperinvariance_witness: Witness | None = None
 
 
+# what _first_exit reports: the kind of the first map that moves s, or STABLE
+MOVED_BY_F, MOVED_BY_UNIT, MOVED_BY_PROJECTION, STABLE = range(4)
+
+
 @functools.lru_cache(maxsize=None)
-def _stability_maps(f: NilpotentOperator) -> tuple[Gf2Matrix, ...]:
-    """f, the unit-group generators, then the chain projections N_(c,c,0) in c order."""
-    projections = tuple(m for c, i, j, m in _chain_maps(f) if (i, j) == (c, 0))
-    return (f.mat, *automorphism_generators(f), *projections)
+def _stability_maps(f: NilpotentOperator) -> tuple[tuple[int, Gf2Matrix], ...]:
+    """(kind, map) pairs to scan: f, units I + N, then projections P_c.
+
+    The N are elementary chain maps N_(c,i,j) (`commutant._chain_map`):
+    consecutive chains of one class, both ways, with j = 0; the first
+    chains a < b of adjacent classes, up with j = t_b - t_a and down with
+    j = 0; and f P_c = N_(c,c,1) for each single-chain class with t_c >= 2.
+    The P_c are the projections of the single-chain classes.
+
+    I + N is stable on s exactly when N is.  As f N_(c,i,j) = N_(c,i,j+1)
+    and N_(i,k,j') N_(c,i,j) = N_(c,k,j+j'), products of these N give
+    every chain map but the single-chain P_c (in a larger class, P_c =
+    N_(i,c,0) N_(c,i,0)).  Each unit is I plus a sum of those, so with I
+    the unit prefix generates the span of the units as an algebra, and
+    the single-chain P_c complete the commutant.
+    """
+    u = generator_tuple(f)
+    firsts = [ix[0] for _, ix in u.partition]
+    singles = [ix[0] for _, ix in u.partition if len(ix) == 1]
+    links = []
+    for _, ix in u.partition:
+        for a, b in zip(ix, ix[1:]):
+            links += [(a, b, 0), (b, a, 0)]
+    for a, b in zip(firsts, firsts[1:]):
+        links += [(a, b, u.exponents[b] - u.exponents[a]), (b, a, 0)]
+    links += [(c, c, 1) for c in singles if u.exponents[c] >= 2]
+    maps = [(MOVED_BY_F, f.mat)]
+    for c, i, j in links:
+        g = Gf2Matrix.identity(f.dim) + _chain_map(f, c, i, j)
+        if not g.is_invertible():
+            raise AssertionError("stability unit is not invertible")
+        maps.append((MOVED_BY_UNIT, g))
+    maps += [(MOVED_BY_PROJECTION, _chain_map(f, c, c, 0)) for c in singles]
+    return tuple(maps)
 
 
 def _first_exit(
-    f: NilpotentOperator, s: Subspace, stop: int | None = None
+    f: NilpotentOperator, s: Subspace, through: int = MOVED_BY_PROJECTION
 ) -> tuple[int, Witness | None]:
-    """Scan the first `stop` stability maps (all by default) over the basis rows of s.
+    """Scan the stability maps of kinds up to `through` over the basis rows of s.
 
-    Returns the index of the first map that moves a row out of s, with
-    that map and row as the witness, or (maps scanned, None) when s is
-    stable under all of them.
+    Returns the kind of the first map that moves a row out of s, with
+    that map and row as the witness, or (STABLE, None) when none does.
     """
     if s.ambient_dim != f.dim:
         raise DimensionMismatch("subspace does not match the operator")
-    maps = _stability_maps(f)[:stop]
-    for k, g in enumerate(maps):
+    for kind, g in _stability_maps(f):
+        if kind > through:
+            break
         for r in s.rows:
             if not s.contains_bits(g.apply_bits(r)):
-                return k, Witness(g, Gf2Vector(r, f.dim))
-    return len(maps), None
+                return kind, Witness(g, Gf2Vector(r, f.dim))
+    return STABLE, None
 
 
 def invariance_witness(f: NilpotentOperator, s: Subspace) -> Witness | None:
     """The first basis vector that f moves out of s, if any."""
-    return _first_exit(f, s, 1)[1]
+    return _first_exit(f, s, MOVED_BY_F)[1]
 
 
 def is_invariant(f: NilpotentOperator, s: Subspace) -> bool:
@@ -106,9 +138,9 @@ def is_invariant(f: NilpotentOperator, s: Subspace) -> bool:
 def is_hyperinvariant(f: NilpotentOperator, s: Subspace) -> tuple[bool, Witness | None]:
     """Stability under everything commuting with f.
 
-    Tested against the whole scan tuple, which spans the commutant;
-    linearity extends the verdict to the full algebra.  The witness is
-    the first map of the tuple that moves s.
+    Tested against the whole scan tuple, which generates the commutant
+    as an algebra; sums and products extend the verdict to all of it.
+    The witness is the first map of the tuple that moves s.
     """
     _, bad = _first_exit(f, s)
     return bad is None, bad
@@ -117,10 +149,11 @@ def is_hyperinvariant(f: NilpotentOperator, s: Subspace) -> tuple[bool, Witness 
 def is_characteristic(f: NilpotentOperator, s: Subspace) -> tuple[bool, Witness | None]:
     """Stability under every automorphism commuting with f.
 
-    Tested against f and a generating set of the unit group; closure
-    under composition extends the verdict to the whole group, at any size.
+    Tested against f and the unit prefix of the scan tuple, which with I
+    generates the span of every unit as an algebra; sums and products
+    extend the verdict to the whole group, at any size.
     """
-    _, bad = _first_exit(f, s, 1 + len(automorphism_generators(f)))
+    _, bad = _first_exit(f, s, MOVED_BY_UNIT)
     return bad is None, bad
 
 
@@ -207,11 +240,11 @@ def largest_hyperinvariant_inside(
 def classify(f: NilpotentOperator, s: Subspace) -> ClassificationReport:
     """All four verdicts from one stability scan plus the intersection
     criterion, with hyperinvariant = characteristic and marked enforced."""
-    k, bad = _first_exit(f, s)
-    if k == 0:
+    kind, bad = _first_exit(f, s)
+    if kind == MOVED_BY_F:
         return ClassificationReport(s, False, False, False, False, invariance_witness=bad)
     marked = is_marked(f, s)
-    char = k > len(automorphism_generators(f))
+    char = kind > MOVED_BY_UNIT
     if (bad is None) != (char and marked):
         raise AssertionError("hyperinvariant must coincide with characteristic-and-marked")
     return ClassificationReport(

@@ -455,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--dot", action="store_true")
     group.add_argument("--json", action="store_true")
-    p.add_argument("--cap", type=int, default=DEFAULT_LATTICE_CAP)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_LATTICE_CAP)
     p.set_defaults(handler=_cmd_lattice)
 
     p = sub.add_parser("verify", help="run a verification suite")

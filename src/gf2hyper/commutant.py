@@ -5,9 +5,11 @@ sending one Jordan chain onto a shifted copy of another, are a basis of
 the commutant, whose dimension is the formula sum of min(t_i, t_j); the
 identity plus each one, bar the chain projections, generates the unit
 group (the commuting automorphisms), whose order has a closed formula.
-Classification scans the generators and the chain projections, which
-with I span the commutant.  `commutant_basis`, its canonical basis, and
-capped exhaustive enumeration of the units are the oracles for both.
+Classification builds only the few chain maps whose sums and products
+give the span of the units and the whole commutant
+(`classify._stability_maps`).  `commutant_basis`, its canonical basis,
+`automorphism_generators`, and capped exhaustive enumeration of the
+units are the oracles.
 """
 
 from __future__ import annotations
@@ -65,32 +67,39 @@ class AutomorphismSet:
 
 
 @functools.lru_cache(maxsize=None)
-def _chain_maps(f: NilpotentOperator) -> tuple[tuple[int, int, int, Gf2Matrix], ...]:
-    """The elementary chain maps N_(c,i,j), in (c, i, j) order.
-
-    N_(c,i,j) sends f^k u_c to f^(j+k) u_i and every other chain to 0.
-    It commutes with f exactly when j >= t_i - t_c, so j runs over
-    [max(0, t_i - t_c), t_i): min(t_i, t_c) maps per pair of chains.
-    Each one is P E P^-1, with P the chain matrix of the generator tuple
-    and E the shift written in chain coordinates.
-    """
+def _chain_frame(f: NilpotentOperator) -> tuple[Gf2Matrix, Gf2Matrix, tuple[int, ...]]:
+    """The chain matrix P of the generator tuple, P^-1, and each chain's first column."""
     u = generator_tuple(f)
     p = chain_matrix(f, u)
-    p_inv = p.inverse()
-    offsets = tuple(itertools.accumulate(u.exponents, initial=0))
-    maps = []
-    for c, tc in enumerate(u.exponents):
-        for i, ti in enumerate(u.exponents):
-            for j in range(max(0, ti - tc), ti):
-                # E P^-1 moves row offsets[c] + k of P^-1 to row offsets[i] + j + k
-                rows = [0] * f.dim
-                for k in range(ti - j):
-                    rows[offsets[i] + j + k] = p_inv.rows[offsets[c] + k]
-                m = p @ Gf2Matrix(tuple(rows), f.dim)
-                if m @ f.mat != f.mat @ m:
-                    raise AssertionError("chain map does not commute with f")
-                maps.append((c, i, j, m))
-    return tuple(maps)
+    return p, p.inverse(), tuple(itertools.accumulate(u.exponents, initial=0))
+
+
+def _chain_map(f: NilpotentOperator, c: int, i: int, j: int) -> Gf2Matrix:
+    """The elementary chain map N_(c,i,j), checked to commute with f.
+
+    N_(c,i,j) sends f^k u_c to f^(j+k) u_i and every other chain to 0.
+    It commutes with f exactly when max(0, t_i - t_c) <= j < t_i.  It is
+    P E P^-1, with P the chain matrix of the generator tuple and E the
+    shift written in chain coordinates.
+    """
+    p, p_inv, offsets = _chain_frame(f)
+    rows = [0] * f.dim
+    # E P^-1 moves row offsets[c] + k of P^-1 to row offsets[i] + j + k
+    for k in range(offsets[i + 1] - offsets[i] - j):
+        rows[offsets[i] + j + k] = p_inv.rows[offsets[c] + k]
+    m = p @ Gf2Matrix(tuple(rows), f.dim)
+    if m @ f.mat != f.mat @ m:
+        raise AssertionError("chain map does not commute with f")
+    return m
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_maps(f: NilpotentOperator) -> tuple[tuple[int, int, int, Gf2Matrix], ...]:
+    """Every elementary chain map N_(c,i,j), in (c, i, j) order: min(t_i, t_c) per pair."""
+    t = generator_tuple(f).exponents
+    pairs = itertools.product(range(len(t)), repeat=2)
+    indices = ((c, i, j) for c, i in pairs for j in range(max(0, t[i] - t[c]), t[i]))
+    return tuple((c, i, j, _chain_map(f, c, i, j)) for c, i, j in indices)
 
 
 def commutant_dimension(f: NilpotentOperator) -> int:

@@ -77,10 +77,6 @@ class Gf2Vector:
         return cls(0, dim)
 
     @classmethod
-    def unit(cls, j: int, dim: int) -> Gf2Vector:
-        return cls(1 << j, dim)
-
-    @classmethod
     def from_coords(cls, coords: Iterable[int]) -> Gf2Vector:
         coords = list(coords)
         bits = 0
@@ -300,10 +296,6 @@ class Subspace:
     @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:
         return cls((), ambient_dim)
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> Subspace:
-        return cls(tuple(1 << i for i in range(ambient_dim)), ambient_dim)
 
     @classmethod
     def span_bits(cls, bits: Iterable[int], ambient_dim: int) -> Subspace:

@@ -3,7 +3,7 @@
 Validates nilpotency, caches the kernel/image chains, and derives the
 classical invariants: exponents, heights, the Ulm sequence (block-size
 multiplicities), elementary divisors, a deterministic generator tuple
-(cyclic decomposition), and the projections onto equal-exponent summands.
+(cyclic decomposition), its chain matrix, and the equal-exponent summands.
 """
 
 from __future__ import annotations
@@ -104,27 +104,11 @@ class UlmSequence:
             raise ValueError("multiplicities must be nonnegative")
         object.__setattr__(self, "d", d)
 
-    @classmethod
-    def from_block_sizes(cls, sizes: tuple[int, ...] | list[int]) -> UlmSequence:
-        if not sizes:
-            raise ValueError("at least one block size is required")
-        top = max(sizes)
-        counts = [0] * top
-        for s in sizes:
-            if s < 1:
-                raise ValueError("block sizes must be positive")
-            counts[s - 1] += 1
-        return cls(tuple(counts))
-
     def count(self, r: int) -> int:
         """Number of Jordan blocks of size r."""
         if 1 <= r <= len(self.d):
             return self.d[r - 1]
         return 0
-
-    @property
-    def total_dim(self) -> int:
-        return sum((i + 1) * x for i, x in enumerate(self.d))
 
 
 @dataclass(frozen=True)
@@ -340,22 +324,3 @@ def class_span(f: NilpotentOperator, u: GeneratorTuple, mu: int) -> Subspace:
         acc = acc.sum(cyclic_subspace(f, u.generators[i]))
     return acc
 
-
-def exponent_projection(f: NilpotentOperator, u: GeneratorTuple, mu: int) -> Gf2Matrix:
-    """Projection onto the class-mu summand along the other classes.
-
-    Commutes with f, is idempotent, and the projections over all classes
-    sum to the identity.
-    """
-    if not 0 <= mu < u.class_count:
-        raise IndexError(f"class index {mu} out of range")
-    basis_change = chain_matrix(f, u)
-    keep = set(u.class_indices(mu))
-    diag = []
-    col = 0
-    for i, t in enumerate(u.exponents):
-        for _ in range(t):
-            diag.append((1 << col) if i in keep else 0)
-            col += 1
-    selector = Gf2Matrix(tuple(diag), f.dim)
-    return basis_change @ selector @ basis_change.inverse()

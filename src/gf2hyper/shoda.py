@@ -13,15 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ShodaConditionFails
-from .classify import _first_exit
-from .commutant import automorphism_generators
+from .classify import MOVED_BY_PROJECTION, STABLE, _first_exit
+from .commutant import _chain_map
 from .gf2 import Gf2Vector, Subspace, VECTOR_ENUM_CAP
 from .nilpotent import (
     GeneratorTuple,
     NilpotentOperator,
     UlmSequence,
     exponent,
-    exponent_projection,
     generator_tuple,
     height,
     ulm_sequence,
@@ -167,13 +166,13 @@ def counterexample(
     tau = u.class_of_exponent(a_tau)
     z = linking_vector(f, u, rho, tau)
     y_span = exceptional_subspace(f, u, rho, tau)
-    k, bad = _first_exit(f, y_span)
-    if k <= len(automorphism_generators(f)):
+    kind, _ = _first_exit(f, y_span)
+    if kind < MOVED_BY_PROJECTION:
         raise AssertionError("constructed span failed the characteristic check")
-    if bad is None:
+    if kind == STABLE:
         raise AssertionError("constructed span is unexpectedly hyperinvariant")
-    projection = exponent_projection(f, u, rho)
-    if y_span.contains(projection.apply(z)):
+    r = u.class_indices(rho)[0]
+    if y_span.contains(_chain_map(f, r, r, 0).apply(z)):
         raise AssertionError("projection witness failed")
     witness = ShodaWitness(rho, tau, a_rho, a_tau, z, y_span)
     return y_span, witness

@@ -18,13 +18,16 @@ from typing import Iterator
 
 from . import shoda
 from .classify import (
+    MOVED_BY_F,
+    MOVED_BY_UNIT,
+    STABLE,
     _first_exit,
     classify,
     hyperinvariant_lattice,
     is_hyperinvariant,
     is_marked,
 )
-from .commutant import automorphism_generators, commutant_basis, enumerate_automorphisms
+from .commutant import commutant_basis, enumerate_automorphisms
 from .gf2 import Gf2Matrix, Gf2Vector, Subspace, enumerate_subspaces
 from .nilpotent import (
     INFINITY,
@@ -83,18 +86,17 @@ def jordan_operator(block_sizes: tuple[int, ...]) -> NilpotentOperator:
 def census(block_sizes: tuple[int, ...]) -> SubspaceCensus:
     """Classify every subspace of the configuration, exactly, as `classify` does."""
     f = jordan_operator(block_sizes)
-    generators = len(automorphism_generators(f))
     invariant, marked, characteristic, hyperinvariant = [], [], [], []
     for s in enumerate_subspaces(f.dim):
-        k, bad = _first_exit(f, s)
-        if k == 0:
+        kind, _ = _first_exit(f, s)
+        if kind == MOVED_BY_F:
             continue
         invariant.append(s)
         if is_marked(f, s):
             marked.append(s)
-        if k > generators:
+        if kind > MOVED_BY_UNIT:
             characteristic.append(s)
-        if bad is None:
+        if kind == STABLE:
             hyperinvariant.append(s)
     return SubspaceCensus(
         block_sizes,

@@ -123,7 +123,7 @@ def golden_x(golden):
 
 @pytest.fixture
 def e():
-    return tuple(Gf2Vector.unit(i, 4) for i in range(4))
+    return tuple(Gf2Vector(1 << i, 4) for i in range(4))
 
 
 @pytest.fixture

@@ -25,18 +25,25 @@ from gf2hyper import (
     validate_nilpotent,
 )
 from gf2hyper.cli import build_analysis
-from gf2hyper.classify import _monotone_shifts, _stability_maps, invariance_witness
-from gf2hyper.commutant import _chain_maps, automorphism_generators, flatten_matrix
+from gf2hyper.classify import (
+    MOVED_BY_UNIT,
+    _monotone_shifts,
+    _stability_maps,
+    invariance_witness,
+)
+from gf2hyper.commutant import _chain_map, _chain_maps, automorphism_generators, flatten_matrix
 from gf2hyper.verify import census, jordan_operator, lattice_closure, partitions
 
 from conftest import monotone_shift_condition
+
+WHOLE = Subspace.span_bits([1, 2, 4, 8], 4)
 
 
 def test_is_invariant(golden, golden_x, e):
     assert is_invariant(golden, golden_x)
     assert not is_invariant(golden, Subspace.span([e[1]], 4))
     assert is_invariant(golden, Subspace.zero(4))
-    assert is_invariant(golden, Subspace.full(4))
+    assert is_invariant(golden, WHOLE)
 
 
 def test_is_hyperinvariant_golden(golden, golden_x, e):
@@ -65,7 +72,7 @@ def test_is_characteristic_golden(golden, golden_x, e):
     assert line.contains(witness.vector)
     assert not line.contains(witness.matrix.apply(witness.vector))
     assert is_characteristic(golden, Subspace.zero(4))[0]
-    assert is_characteristic(golden, Subspace.full(4))[0]
+    assert is_characteristic(golden, WHOLE)[0]
 
 
 def test_is_characteristic_methods_agree():
@@ -99,7 +106,7 @@ def test_is_characteristic_methods_agree():
 def test_is_marked(golden, golden_x):
     assert not is_marked(golden, golden_x)
     assert is_marked(golden, Subspace.zero(4))
-    assert is_marked(golden, Subspace.full(4))
+    assert is_marked(golden, WHOLE)
     for k in range(golden.index + 1):
         assert is_marked(golden, golden.kernel_chain[k])
         assert is_marked(golden, golden.image_chain[k])
@@ -149,10 +156,10 @@ def test_stability_scans_start_with_f():
                 assert is_hyperinvariant(f, s) == (False, bad)
 
 
-def _every_subspace_up_to_5(conjugate, seed):
-    """(f, s) for every subspace of every partition with n <= 5, Jordan and conjugated."""
+def _every_subspace(conjugate, seed, max_dim=5):
+    """(f, s) for every subspace of every partition with n <= max_dim, Jordan and conjugated."""
     rng = random.Random(seed)
-    for n in range(1, 6):
+    for n in range(1, max_dim + 1):
         for sizes in partitions(n):
             for f in (jordan_operator(sizes), conjugate(sizes, rng)):
                 for s in enumerate_subspaces(n):
@@ -164,8 +171,8 @@ def _stable(s, maps):
 
 
 def test_scan_matches_the_commutant_basis_oracle(conjugate):
-    # oracle: the retired route, stability under f and the RREF commutant basis
-    for f, s in _every_subspace_up_to_5(conjugate, 31):
+    # oracle: stability under f and every unit generator, and under the RREF commutant basis
+    for f, s in _every_subspace(conjugate, 31, max_dim=6):
         invariant = _stable(s, [f.mat])
         hyper = invariant and _stable(s, commutant_basis(f).basis)
         char = invariant and _stable(s, automorphism_generators(f))
@@ -180,19 +187,45 @@ def test_scan_matches_the_commutant_basis_oracle(conjugate):
         assert report.marked == is_marked(f, s)
 
 
-def test_generators_and_chain_projections_span_the_commutant(conjugate):
-    # the premise of the scan: with f dropped, its maps span exactly the commutant
+def _algebra(maps, n):
+    """The span of I and every product of the maps: the algebra they generate."""
+    words = [Gf2Matrix.identity(n)]
+    span = Subspace.span_bits([flatten_matrix(words[0])], n * n)
+    for w in words:  # grows while it is walked
+        for g in maps:
+            product = g @ w
+            if not span.contains_bits(flatten_matrix(product)):
+                span = span.sum(Subspace.span_bits([flatten_matrix(product)], n * n))
+                words.append(product)
+    return span
+
+
+def test_unit_prefix_and_projections_generate_the_commutant(conjugate):
+    # the premise of the scan: with I, f and the scanned units generate the
+    # algebra of f and every unit generator; the projections complete the commutant
     rng = random.Random(37)
     operators = [jordan_operator(sizes) for n in range(1, 9) for sizes in partitions(n)]
     operators += [conjugate(sizes, rng) for n in range(1, 7) for sizes in partitions(n)]
     for f in operators:
         n = f.dim
         maps = _stability_maps(f)
-        assert maps[0] == f.mat
-        assert len(maps) - 1 == commutant_basis(f).dim
-        scanned = Subspace.span_bits((flatten_matrix(g) for g in maps[1:]), n * n)
-        oracle = Subspace.span_bits((flatten_matrix(g) for g in commutant_basis(f).basis), n * n)
-        assert scanned == oracle, f.mat.rows
+        assert maps[0][1] == f.mat
+        prefix = [g for kind, g in maps if kind <= MOVED_BY_UNIT]
+        units = _algebra([f.mat, *automorphism_generators(f)], n)
+        assert _algebra(prefix, n) == units, f.mat.rows
+        commutant = Subspace.span_bits(map(flatten_matrix, commutant_basis(f).basis), n * n)
+        assert _algebra([g for _, g in maps], n) == commutant, f.mat.rows
+
+
+def test_stability_tuple_sizes():
+    # O(#chains) maps, not one per elementary chain map
+    for sizes, count in [
+        ((1, 3, 6, 10, 15, 21, 28), 26),
+        ((2, 4, 6, 8, 10), 19),
+        ((1,) * 7, 13),
+        ((2, 2, 3, 3, 5), 11),
+    ]:
+        assert len(_stability_maps(jordan_operator(sizes))) == count, sizes
 
 
 def _assert_moves_out(f, s, witness):
@@ -203,7 +236,7 @@ def _assert_moves_out(f, s, witness):
 
 
 def test_every_witness_commutes_and_moves_its_vector_out(conjugate):
-    for f, s in _every_subspace_up_to_5(conjugate, 41):
+    for f, s in _every_subspace(conjugate, 41):
         projections = {m for c, i, j, m in _chain_maps(f) if (i, j) == (c, 0)}
         char, char_witness = is_characteristic(f, s)
         hyper, hyper_witness = is_hyperinvariant(f, s)
@@ -226,28 +259,33 @@ def test_every_witness_commutes_and_moves_its_vector_out(conjugate):
 
 
 def test_classification_paths_never_build_the_commutant_basis(monkeypatch):
+    # nor every chain map, nor the unit generators: the scan builds its own few maps
     def refuse(f):
-        raise AssertionError("the RREF commutant basis must not be built here")
+        raise AssertionError("classification must build only the scan tuple")
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "gf2hyper" and hasattr(module, "commutant_basis"):
-            monkeypatch.setattr(module, "commutant_basis", refuse)
+    for name in ("commutant_basis", "_chain_maps", "automorphism_generators"):
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "gf2hyper" and hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
     census.cache_clear()
     _stability_maps.cache_clear()
     for sizes in [(1, 3), (1, 1, 2), (2, 2), (1, 2, 3)]:
         f = jordan_operator(sizes)
-        data = census(sizes)
-        for s in data.invariant:
+        for s in census(sizes).invariant:
             classify(f, s)
+            is_invariant(f, s)
+            is_marked(f, s)
+            is_characteristic(f, s)
             is_hyperinvariant(f, s)
     assert counterexample(jordan_operator((1, 3, 5))) is not None
     assert build_analysis(jordan_operator((1, 3, 5))).commutant_dimension == 19
+    assert build_analysis(jordan_operator((1, 3)), census=True).lattice_census.characteristic == 7
     census.cache_clear()
 
 
 def test_shifted_chain_span_examples(golden):
     u = generator_tuple(golden)
-    assert shifted_chain_span(golden, u, AdmissibleTuple((0, 0))) == Subspace.full(4)
+    assert shifted_chain_span(golden, u, AdmissibleTuple((0, 0))) == WHOLE
     assert shifted_chain_span(golden, u, AdmissibleTuple((1, 3))) == Subspace.zero(4)
     assert shifted_chain_span(golden, u, AdmissibleTuple((0, 1))) == golden.kernel_chain[2]
     with pytest.raises(InadmissibleTuple):
@@ -291,7 +329,7 @@ def test_hyperinvariant_lattice_golden(golden, e):
         Subspace.span([e[2], e[3]], 4),
         Subspace.span([e[0], e[3]], 4),
         Subspace.span([e[0], e[2], e[3]], 4),
-        Subspace.full(4),
+        WHOLE,
     }
     assert lattice == expected
 
@@ -342,7 +380,7 @@ def test_largest_hyperinvariant_inside_golden(golden, golden_x, e):
     u = generator_tuple(golden)
     tilde = largest_hyperinvariant_inside(golden, u, golden_x)
     assert tilde == Subspace.span([e[3]], 4)
-    assert largest_hyperinvariant_inside(golden, u, Subspace.full(4)) == Subspace.full(4)
+    assert largest_hyperinvariant_inside(golden, u, WHOLE) == WHOLE
     for w in hyperinvariant_lattice(golden):
         assert largest_hyperinvariant_inside(golden, u, w) == w
 
@@ -379,10 +417,8 @@ def test_every_invariant_subspace_marked_when_sizes_differ_by_one():
 
 
 def test_projection_components_stay_inside_characteristic_subspaces():
-    # classes with more than one block admit an internal splitting, so the
-    # component of any member in such a class stays inside
-    from gf2hyper.nilpotent import exponent_projection
-
+    # in a class with more than one block each chain projection lies in the
+    # algebra the units generate, so a characteristic subspace keeps each component
     for sizes in [(1, 1, 2), (1, 2, 2), (2, 2, 3)][:2]:
         f = jordan_operator(sizes)
         u = generator_tuple(f)
@@ -391,9 +427,9 @@ def test_projection_components_stay_inside_characteristic_subspaces():
             for mu in range(u.class_count):
                 if len(u.class_indices(mu)) <= 1:
                     continue
-                pi = exponent_projection(f, u, mu)
                 for r in s.rows:
-                    assert s.contains_bits(pi.apply_bits(r))
+                    for i in u.class_indices(mu):
+                        assert s.contains_bits(_chain_map(f, i, i, 0).apply_bits(r))
 
 
 def test_largest_hyperinvariant_is_maximal():

@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gf2hyper import UlmSequence, parse_subspace, ulm_form_condition
+import gf2hyper
+from gf2hyper import parse_subspace, ulm_form_condition, ulm_sequence
 from gf2hyper.cli import (
     DEFAULT_LATTICE_CAP,
     AnalysisDocument,
@@ -271,11 +276,36 @@ def test_lattice_cap_exceeded(tmp_path, capsys):
     assert main(["lattice", str(p), "--which", "inv", "--cap", "1000"]) == 5
 
 
+@pytest.mark.parametrize("which", ["hinv", "chinv", "inv"])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_lattice_rejects_cap_below_one(golden_file, which, cap, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["lattice", golden_file, "--which", which, "--cap", cap])
+    assert info.value.code == 2
+    assert "--cap" in capsys.readouterr().err
+
+
 def test_verify_paper_suite(capsys):
     assert main(["verify", "--suite", "paper"]) == 0
     out = capsys.readouterr().out
     assert "ok " in out and "FAIL" not in out
     assert "checks passed" in out
+
+
+def test_verify_paper_suite_is_the_same_under_python_O():
+    # every self-check raises explicitly, so -O changes neither the exit code nor stdout
+    env = {**os.environ, "PYTHONPATH": str(Path(gf2hyper.__file__).parent.parent)}
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "gf2hyper", "verify", "--suite", "paper"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert [r.returncode for r in runs] == [0, 0], [r.stderr for r in runs]
+    assert runs[1].stdout == runs[0].stdout
 
 
 def test_verify_census_small(capsys):
@@ -298,7 +328,7 @@ def test_verify_census_stdout_layout(capsys):
                 "lattice-closure-matches-census",
                 "lattice-equals-monotone-spans",
             ]
-            if ulm_form_condition(UlmSequence.from_block_sizes(sizes)):
+            if ulm_form_condition(ulm_sequence(jordan_operator(sizes))):
                 names.append("char-equals-hyper-when-excluded")
             expected += [f"{name}[{label}]" for name in names]
     assert [line.split()[:2] for line in lines[:-1]] == [["ok", name] for name in expected]

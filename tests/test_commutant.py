@@ -16,8 +16,8 @@ from gf2hyper import (
     generator_tuple,
     validate_nilpotent,
 )
-from gf2hyper.commutant import flatten_matrix, unflatten_matrix
-from gf2hyper.nilpotent import elementary_divisors, ulm_sequence
+from gf2hyper.commutant import _chain_map, flatten_matrix, unflatten_matrix
+from gf2hyper.nilpotent import class_span, elementary_divisors, ulm_sequence
 from gf2hyper.verify import jordan_operator, partitions
 
 from conftest import automorphism_from_images, complementary_automorphism_pair
@@ -61,7 +61,7 @@ def _commutant_by_solve(f):
     if constraints:
         solution = Gf2Matrix(tuple(constraints), n * n).kernel()
     else:
-        solution = Subspace.full(n * n)
+        solution = Subspace.span_bits((1 << k for k in range(n * n)), n * n)
     return tuple(unflatten_matrix(b, n) for b in solution.rows)
 
 
@@ -249,3 +249,32 @@ def test_generators_generate_gl4():
     f = jordan_operator((1, 1, 1, 1))
     generated = closure(automorphism_generators(f), 4)
     assert len(generated) == automorphism_group_order(f) == 20160
+
+
+def test_chain_projections_golden(golden):
+    assert _chain_map(golden, 0, 0, 0).rows == (1, 0, 0, 0)
+    assert _chain_map(golden, 1, 1, 0).rows == (0, 2, 4, 8)
+
+
+def test_chain_projections_of_a_homogeneous_operator_sum_to_identity():
+    f = jordan_operator((2, 2))
+    assert _chain_map(f, 0, 0, 0) + _chain_map(f, 1, 1, 0) == Gf2Matrix.identity(4)
+
+
+def test_class_projections_from_chain_projections(conjugate):
+    # summed over a class, the chain projections project onto its summand
+    # along the other classes; over all classes they sum to I
+    rng = random.Random(43)
+    for sizes in [(1, 3), (1, 2, 4), (1, 1, 2), (2, 3), (2, 2, 3)]:
+        for f in (jordan_operator(sizes), conjugate(sizes, rng)):
+            u = generator_tuple(f)
+            total = Gf2Matrix.zeros(f.dim, f.dim)
+            for mu in range(u.class_count):
+                pi = Gf2Matrix.zeros(f.dim, f.dim)
+                for i in u.class_indices(mu):
+                    pi = pi + _chain_map(f, i, i, 0)
+                assert pi @ pi == pi
+                assert pi @ f.mat == f.mat @ pi
+                assert pi.image() == class_span(f, u, mu)
+                total = total + pi
+            assert total == Gf2Matrix.identity(f.dim)

@@ -180,10 +180,10 @@ def test_enumerate_vectors(golden_x):
     assert [v.bits for v in zero.enumerate_vectors()] == [0]
     got = [v.bits for v in golden_x.enumerate_vectors()]
     assert got == [0, 0b0101, 0b1000, 0b1101]
-    plane = Subspace.span([Gf2Vector.unit(0, 4), Gf2Vector.unit(1, 4)], 4)
+    plane = Subspace.span([Gf2Vector(1, 4), Gf2Vector(2, 4)], 4)
     assert sorted(v.bits for v in plane.enumerate_vectors()) == [0, 1, 2, 3]
     with pytest.raises(CapExceeded):
-        Subspace.full(8).enumerate_vectors(cap=7)
+        Subspace.span_bits(range(256), 8).enumerate_vectors(cap=7)
 
 
 def test_canonicity():

@@ -13,14 +13,13 @@ from gf2hyper import (
     cyclic_subspace,
     elementary_divisors,
     exponent,
-    exponent_projection,
     generator_tuple,
     height,
     make_generator_tuple,
     ulm_sequence,
     validate_nilpotent,
 )
-from gf2hyper.nilpotent import UlmSequence, chain_matrix, class_span
+from gf2hyper.nilpotent import UlmSequence, chain_matrix
 from gf2hyper.verify import jordan_operator, partitions
 
 
@@ -101,7 +100,6 @@ def test_ulm_total_and_divisor_cross_check():
         for sizes in partitions(n):
             f = jordan_operator(sizes)
             ulm = ulm_sequence(f)
-            assert ulm.total_dim == n
             assert elementary_divisors(ulm) == sizes
             for r in range(1, n + 1):
                 assert ulm.count(r) == sum(1 for t in sizes if t == r)
@@ -109,7 +107,6 @@ def test_ulm_total_and_divisor_cross_check():
 
 def test_ulm_normalization():
     assert UlmSequence((1, 1, 0)).d == (1, 1)
-    assert UlmSequence.from_block_sizes([1, 3]).d == (1, 0, 1)
     with pytest.raises(ValueError):
         UlmSequence((0, 0))
 
@@ -181,37 +178,6 @@ def test_cyclic_subspace(golden, golden_x, e):
     assert cyclic_subspace(golden, Gf2Vector.zero(4)) == Subspace.zero(4)
     assert cyclic_subspace(golden, e[1]) == Subspace.span([e[1], e[2], e[3]], 4)
     assert cyclic_subspace(golden, z).dim == exponent(golden, z)
-
-
-def test_exponent_projection_golden(golden):
-    u = generator_tuple(golden)
-    pi1 = exponent_projection(golden, u, 0)
-    assert pi1.rows == (1, 0, 0, 0)
-    pi2 = exponent_projection(golden, u, 1)
-    assert pi2.rows == (0, 2, 4, 8)
-    assert pi1 + pi2 == Gf2Matrix.identity(4)
-    with pytest.raises(IndexError):
-        exponent_projection(golden, u, 2)
-
-
-def test_exponent_projection_homogeneous_is_identity():
-    f = jordan_operator((2, 2))
-    u = generator_tuple(f)
-    assert exponent_projection(f, u, 0) == Gf2Matrix.identity(4)
-
-
-def test_exponent_projection_properties():
-    for sizes in [(1, 3), (1, 2, 4), (1, 1, 2), (2, 3)]:
-        f = jordan_operator(sizes)
-        u = generator_tuple(f)
-        total = Gf2Matrix.zeros(f.dim, f.dim)
-        for mu in range(u.class_count):
-            pi = exponent_projection(f, u, mu)
-            assert pi @ pi == pi
-            assert pi @ f.mat == f.mat @ pi
-            assert pi.image() == class_span(f, u, mu)
-            total = total + pi
-        assert total == Gf2Matrix.identity(f.dim)
 
 
 def test_ulm_invariant_under_conjugation(golden):

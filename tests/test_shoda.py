@@ -17,6 +17,7 @@ from gf2hyper import (
     shoda_block_sizes,
     shoda_condition,
     ulm_form_condition,
+    ulm_sequence,
 )
 from gf2hyper.nilpotent import UlmSequence
 from gf2hyper.verify import jordan_operator, partitions
@@ -41,7 +42,7 @@ def test_predicates_are_negations_up_to_dim_12():
     checked = 0
     for n in range(1, 13):
         for sizes in partitions(n):
-            ulm = UlmSequence.from_block_sizes(list(sizes))
+            ulm = ulm_sequence(jordan_operator(sizes))
             assert shoda_condition(ulm) != ulm_form_condition(ulm), sizes
             checked += 1
     assert checked > 250
