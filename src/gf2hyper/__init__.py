@@ -35,7 +35,6 @@ from .nilpotent import (
     GeneratorTuple,
     NilpotentOperator,
     UlmSequence,
-    cyclic_subspace,
     elementary_divisors,
     exponent,
     generator_tuple,

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from .errors import DimensionMismatch, InadmissibleTuple
 from .commutant import _chain_map
 from .gf2 import Gf2Matrix, Gf2Vector, Subspace
-from .nilpotent import (
-    GeneratorTuple,
-    NilpotentOperator,
-    class_span,
-    cyclic_subspace,
-    generator_tuple,
-)
+from .nilpotent import GeneratorTuple, NilpotentOperator, class_span, generator_tuple
 
 
 @dataclass(frozen=True)
@@ -114,10 +108,12 @@ def _first_exit(
 
     Returns the kind of the first map that moves a row out of s, with
     that map and row as the witness, or (STABLE, None) when none does.
+    Invariance alone scans f and builds no other map.
     """
     if s.ambient_dim != f.dim:
         raise DimensionMismatch("subspace does not match the operator")
-    for kind, g in _stability_maps(f):
+    maps = ((MOVED_BY_F, f.mat),) if through == MOVED_BY_F else _stability_maps(f)
+    for kind, g in maps:
         if kind > through:
             break
         for r in s.rows:
@@ -185,9 +181,7 @@ def shifted_chain_span(
 ) -> Subspace:
     """The marked subspace spanned by the shifted chains f^(r_i) u_i."""
     shifts.validate_against(u.exponents)
-    acc = Subspace.zero(f.dim)
-    for g, r in zip(u.generators, shifts.shifts):
-        acc = acc.sum(cyclic_subspace(f, f.powers[r].apply(g)))
+    acc = Subspace.span_bits((b for c, r in zip(u.chains, shifts.shifts) for b in c[r:]), f.dim)
     expected = sum(t - r for t, r in zip(u.exponents, shifts.shifts))
     if acc.dim != expected:
         raise AssertionError("shifted chains failed to stay independent")

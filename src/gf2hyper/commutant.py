@@ -129,16 +129,17 @@ def commutant_basis(f: NilpotentOperator) -> CommutantBasis:
     return CommutantBasis(f, basis)
 
 
-def enumerate_automorphisms(c: CommutantBasis, cap: int = UNIT_ENUM_CAP) -> AutomorphismSet:
+def enumerate_automorphisms(c: CommutantBasis) -> AutomorphismSet:
     """All invertible commutant elements, sorted by packed-bit value.
 
     Walks the 2^dim linear combinations in Gray-code order (one basis
-    XOR per step) and keeps the full-rank ones.
+    XOR per step) and keeps the full-rank ones; refuses above
+    UNIT_ENUM_CAP combinations.
     """
     total = 1 << c.dim
-    if total > cap:
+    if total > UNIT_ENUM_CAP:
         raise CapExceeded(
-            f"commutant has {total} elements, above the cap of {cap}", required=total
+            f"commutant has {total} elements, above the cap of {UNIT_ENUM_CAP}", required=total
         )
     n = c.operator.dim
     current = [0] * n

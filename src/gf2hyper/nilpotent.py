@@ -2,8 +2,10 @@
 
 Validates nilpotency, caches the kernel/image chains, and derives the
 classical invariants: exponents, heights, the Ulm sequence (block-size
-multiplicities), elementary divisors, a deterministic generator tuple
-(cyclic decomposition), its chain matrix, and the equal-exponent summands.
+multiplicities), elementary divisors, and a deterministic generator tuple
+(cyclic decomposition).  The tuple keeps its Jordan chains f^k u_i, walked
+once when it is built; the chain matrix, the equal-exponent summands and
+every chain span elsewhere in the package read them.
 """
 
 from __future__ import annotations
@@ -117,12 +119,13 @@ class GeneratorTuple:
 
     ``partition`` groups generator indices by exponent, ascending, so
     partition[mu] = (exponent, indices) mirrors the equal-exponent
-    summands of the space.
+    summands of the space.  ``chains[i][k]`` is the bits of f^k u_i.
     """
 
     generators: tuple[Gf2Vector, ...]
     exponents: tuple[int, ...]
     partition: tuple[tuple[int, tuple[int, ...]], ...]
+    chains: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def class_count(self) -> int:
@@ -187,11 +190,14 @@ def height(f: NilpotentOperator, x: Gf2Vector):
 
 
 def ulm_sequence(f: NilpotentOperator) -> UlmSequence:
-    """d(r) = dim(Ker f ∩ Im f^(r-1)) - dim(Ker f ∩ Im f^r), r = 1..index."""
-    socle = f.kernel_chain[1]
-    socle_dims = [socle.intersect(f.image_chain[r]).dim for r in range(f.index + 1)]
-    d = tuple(socle_dims[r - 1] - socle_dims[r] for r in range(1, f.index + 1))
-    return UlmSequence(d)
+    """d(r) = 2 dim Ker f^r - dim Ker f^(r-1) - dim Ker f^(r+1), r = 1..index.
+
+    dim Ker f^r - dim Ker f^(r-1) counts the blocks of size at least r,
+    so the second difference counts those of size exactly r; past the
+    index the kernel is the whole space.
+    """
+    k = [s.dim for s in f.kernel_chain] + [f.dim]
+    return UlmSequence(tuple(2 * k[r] - k[r - 1] - k[r + 1] for r in range(1, f.index + 1)))
 
 
 def elementary_divisors(u: UlmSequence) -> tuple[int, ...]:
@@ -223,26 +229,30 @@ def jordan_matrix(block_sizes: list[int] | tuple[int, ...]) -> Gf2Matrix:
 def make_generator_tuple(
     f: NilpotentOperator, generators: list[Gf2Vector] | tuple[Gf2Vector, ...]
 ) -> GeneratorTuple:
-    """Validate that the vectors decompose the space into cyclic summands."""
+    """Validate that the vectors decompose the space into cyclic summands.
+
+    Walks each generator under f once; the walks are the stored chains,
+    and their lengths are the exponents.
+    """
     gens = tuple(generators)
     if not gens:
         raise NotAGeneratorTuple("a generator tuple cannot be empty")
-    exps = []
+    chains = []
     for g in gens:
         if g.dim != f.dim:
             raise DimensionMismatch("generator dimension does not match the operator")
-        exps.append(exponent(f, g))
+        chain = []
+        bits = g.bits
+        while bits:
+            chain.append(bits)
+            bits = f.mat.apply_bits(bits)
+        chains.append(tuple(chain))
+    exps = tuple(map(len, chains))
     if any(a > b for a, b in zip(exps, exps[1:])):
         raise NotAGeneratorTuple("exponents must be nondecreasing")
     if sum(exps) != f.dim:
         raise NotAGeneratorTuple("chain lengths do not sum to the dimension")
-    chain_bits = []
-    for g in gens:
-        bits = g.bits
-        while bits:
-            chain_bits.append(bits)
-            bits = f.mat.apply_bits(bits)
-    if Subspace.span_bits(chain_bits, f.dim).dim != f.dim:
+    if Subspace.span_bits((b for c in chains for b in c), f.dim).dim != f.dim:
         raise NotAGeneratorTuple("chains are linearly dependent")
     partition = []
     for i, a in enumerate(exps):
@@ -251,7 +261,7 @@ def make_generator_tuple(
         else:
             partition.append((a, [i]))
     frozen = tuple((a, tuple(ix)) for a, ix in partition)
-    return GeneratorTuple(gens, tuple(exps), frozen)
+    return GeneratorTuple(gens, exps, frozen, tuple(chains))
 
 
 @functools.lru_cache(maxsize=None)
@@ -294,33 +304,11 @@ def generator_tuple(f: NilpotentOperator) -> GeneratorTuple:
     return make_generator_tuple(f, gens)
 
 
-def cyclic_subspace(f: NilpotentOperator, x: Gf2Vector) -> Subspace:
-    """span{f^i x : i >= 0}; dimension equals the exponent of x."""
-    if x.dim != f.dim:
-        raise DimensionMismatch("vector dimension does not match the operator")
-    chain = []
-    bits = x.bits
-    while bits:
-        chain.append(bits)
-        bits = f.mat.apply_bits(bits)
-    return Subspace.span_bits(chain, f.dim)
-
-
 def chain_matrix(f: NilpotentOperator, u: GeneratorTuple) -> Gf2Matrix:
     """Basis-change matrix whose columns are the Jordan chains of u."""
-    cols = []
-    for g, t in zip(u.generators, u.exponents):
-        bits = g.bits
-        for _ in range(t):
-            cols.append(Gf2Vector(bits, f.dim))
-            bits = f.mat.apply_bits(bits)
-    return Gf2Matrix.from_columns(cols)
+    return Gf2Matrix.from_columns(Gf2Vector(b, f.dim) for c in u.chains for b in c)
 
 
 def class_span(f: NilpotentOperator, u: GeneratorTuple, mu: int) -> Subspace:
     """The equal-exponent summand spanned by the chains of class mu."""
-    acc = Subspace.zero(f.dim)
-    for i in u.class_indices(mu):
-        acc = acc.sum(cyclic_subspace(f, u.generators[i]))
-    return acc
-
+    return Subspace.span_bits((b for i in u.class_indices(mu) for b in u.chains[i]), f.dim)

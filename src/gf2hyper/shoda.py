@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import ShodaConditionFails
 from .classify import MOVED_BY_PROJECTION, STABLE, _first_exit
 from .commutant import _chain_map
-from .gf2 import Gf2Vector, Subspace, VECTOR_ENUM_CAP
+from .gf2 import Gf2Vector, Subspace
 from .nilpotent import (
     GeneratorTuple,
     NilpotentOperator,
@@ -85,9 +85,9 @@ def linking_vector(
     generator plus f^(a_tau - 2) of the long one.
     """
     a_rho, a_tau = _check_witness_classes(u, rho, tau)
-    g_rho = u.generators[u.class_indices(rho)[0]]
-    g_tau = u.generators[u.class_indices(tau)[0]]
-    z = f.powers[a_rho - 1].apply(g_rho) + f.powers[a_tau - 2].apply(g_tau)
+    c_rho = u.chains[u.class_indices(rho)[0]]
+    c_tau = u.chains[u.class_indices(tau)[0]]
+    z = Gf2Vector(c_rho[a_rho - 1] ^ c_tau[a_tau - 2], f.dim)
     if exponent(f, z) != 2:
         raise AssertionError("linking vector does not have exponent 2")
     if height(f, z) != a_rho - 1:
@@ -106,36 +106,26 @@ def exceptional_subspace(
     strictly between the two marked ones, plus the two top chain levels
     of every class above; empty ranges contribute nothing.
     """
-    _check_witness_classes(u, rho, tau)
-    bits = []
     z = linking_vector(f, u, rho, tau)
-    bits.append(z.bits)
-    bits.append(f.mat.apply_bits(z.bits))
+    bits = [z.bits, f.mat.apply_bits(z.bits)]
     for mu in range(rho + 1, tau):
-        a = u.class_exponent(mu)
-        for i in u.class_indices(mu):
-            bits.append(f.powers[a - 1].apply_bits(u.generators[i].bits))
+        bits += [u.chains[i][-1] for i in u.class_indices(mu)]
     for mu in range(tau + 1, u.class_count):
-        a = u.class_exponent(mu)
         for i in u.class_indices(mu):
-            top_minus_one = f.powers[a - 2].apply_bits(u.generators[i].bits)
-            bits.append(top_minus_one)
-            bits.append(f.mat.apply_bits(top_minus_one))
+            bits += u.chains[i][-2:]
     return Subspace.span_bits(bits, f.dim)
 
 
-def exceptional_subspace_scan(
-    f: NilpotentOperator, a_rho: int, a_tau: int, cap: int = ORACLE_DIM_CAP
-) -> Subspace:
+def exceptional_subspace_scan(f: NilpotentOperator, a_rho: int, a_tau: int) -> Subspace:
     """Brute-force oracle: span every vector with the linking height profile.
 
     Scans Im f^(a_rho - 1) only, since the height constraint already
-    forces membership there.  Returns the zero subspace when no vector
-    matches.
+    forces membership there, and refuses above 2**ORACLE_DIM_CAP
+    vectors.  Returns the zero subspace when no vector matches.
     """
     base = f.image_of_power(a_rho - 1)
     members = []
-    for v in base.enumerate_vectors(cap=min(cap, VECTOR_ENUM_CAP)):
+    for v in base.enumerate_vectors(cap=ORACLE_DIM_CAP):
         if v.is_zero() or exponent(f, v) != 2:
             continue
         if height(f, v) != a_rho - 1:

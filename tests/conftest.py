@@ -27,6 +27,23 @@ def monotone_shift_condition(
     return all(x <= y for x, y in zip(co, co[1:]))
 
 
+def random_invertible(rng, n):
+    while True:
+        m = Gf2Matrix(tuple(rng.getrandbits(n) for _ in range(n)), n)
+        if m.is_invertible():
+            return m
+
+
+def cyclic_subspace(f, x):
+    """Oracle for the stored Jordan chains: span{f^i x : i >= 0}, walked afresh."""
+    chain = []
+    bits = x.bits
+    while bits:
+        chain.append(bits)
+        bits = f.mat.apply_bits(bits)
+    return Subspace.span_bits(chain, f.dim)
+
+
 def automorphism_from_images(f, u, images):
     """Oracle for the unit-group generators: the unique commuting
     automorphism with alpha(f^j u_i) = f^j images[i], chain by chain.
@@ -131,10 +148,7 @@ def conjugate():
     """P J P^-1 for the Jordan matrix J of the block sizes and a random invertible P."""
 
     def build(sizes, rng):
-        n = sum(sizes)
-        while True:
-            p = Gf2Matrix(tuple(rng.getrandbits(n) for _ in range(n)), n)
-            if p.is_invertible():
-                return validate_nilpotent(p @ jordan_matrix(sizes) @ p.inverse())
+        p = random_invertible(rng, sum(sizes))
+        return validate_nilpotent(p @ jordan_matrix(sizes) @ p.inverse())
 
     return build

@@ -7,6 +7,7 @@ import pytest
 from gf2hyper import (
     AdmissibleTuple,
     Gf2Matrix,
+    Gf2Vector,
     InadmissibleTuple,
     Subspace,
     classify,
@@ -32,9 +33,10 @@ from gf2hyper.classify import (
     invariance_witness,
 )
 from gf2hyper.commutant import _chain_map, _chain_maps, automorphism_generators, flatten_matrix
+from gf2hyper.nilpotent import class_span
 from gf2hyper.verify import census, jordan_operator, lattice_closure, partitions
 
-from conftest import monotone_shift_condition
+from conftest import cyclic_subspace, monotone_shift_condition, random_invertible
 
 WHOLE = Subspace.span_bits([1, 2, 4, 8], 4)
 
@@ -215,6 +217,71 @@ def test_unit_prefix_and_projections_generate_the_commutant(conjugate):
         assert _algebra(prefix, n) == units, f.mat.rows
         commutant = Subspace.span_bits(map(flatten_matrix, commutant_basis(f).basis), n * n)
         assert _algebra([g for _, g in maps], n) == commutant, f.mat.rows
+
+
+def _span_of_bits(n, *vectors):
+    return Subspace.span_bits([sum(1 << i for i in v) for v in vectors], n)
+
+
+def test_units_f_times_a_single_chain_projection_are_needed():
+    # on J(2,6) no scanned unit but I + f P_0 and I + f P_1 moves these invariant subspaces;
+    # without them the scan would call both characteristic
+    j = jordan_operator((2, 6))
+    s1 = _span_of_bits(8, (0, 4, 5), (1, 5), (6,), (7,))
+    s2 = _span_of_bits(8, (0, 4), (1, 5), (6,), (7,))
+    n = j.dim
+    p = random_invertible(random.Random(26), n)
+    g = validate_nilpotent(p @ j.mat @ p.inverse())
+    for f, subspaces in [(j, (s1, s2)), (g, (p.map_subspace(s1), p.map_subspace(s2)))]:
+        units = enumerate_automorphisms(commutant_basis(f)).elements
+        assert len(units) == 1024
+        for s in subspaces:
+            report = classify(f, s)
+            assert report.invariant and not report.marked
+            assert not report.characteristic and not report.hyperinvariant
+            expected = Gf2Matrix.identity(n) + _chain_map(f, 0, 0, 1)
+            assert report.characteristic_witness.matrix == expected
+            assert not _stable(s, units)
+
+
+def test_invariance_scans_f_alone(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("invariance must scan f alone")
+
+    module = sys.modules[_stability_maps.__module__]
+    monkeypatch.setattr(module, "_stability_maps", refuse)
+    monkeypatch.setattr(module, "_chain_map", refuse)
+    f = jordan_operator((1, 2, 4))
+    inside = f.kernel_chain[2]
+    outside = Subspace.span([Gf2Vector(1 << 1, f.dim)], f.dim)
+    assert is_invariant(f, inside) and not is_invariant(f, outside)
+    assert is_marked(f, inside) and not is_marked(f, outside)
+
+
+def test_stored_chains_and_chain_spans_match_the_cyclic_oracle(conjugate):
+    # oracle: chains and spans rebuilt from the generators through f.powers
+    rng = random.Random(53)
+    for n in range(1, 8):
+        for sizes in partitions(n):
+            for f in (jordan_operator(sizes), conjugate(sizes, rng)):
+                u = generator_tuple(f)
+                for g, chain, t in zip(u.generators, u.chains, u.exponents):
+                    assert chain == tuple(f.powers[k].apply_bits(g.bits) for k in range(t))
+                    assert f.powers[t].apply_bits(g.bits) == 0 and 0 not in chain
+                tails = [
+                    [cyclic_subspace(f, f.powers[r].apply(g)) for r in range(t + 1)]
+                    for g, t in zip(u.generators, u.exponents)
+                ]
+                for shifts in itertools.product(*(range(t + 1) for t in u.exponents)):
+                    oracle = Subspace.zero(n)
+                    for tail, r in zip(tails, shifts):
+                        oracle = oracle.sum(tail[r])
+                    assert shifted_chain_span(f, u, AdmissibleTuple(shifts)) == oracle
+                for mu in range(u.class_count):
+                    oracle = Subspace.zero(n)
+                    for i in u.class_indices(mu):
+                        oracle = oracle.sum(tails[i][0])
+                    assert class_span(f, u, mu) == oracle
 
 
 def test_stability_tuple_sizes():

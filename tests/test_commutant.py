@@ -149,10 +149,11 @@ def test_enumerate_automorphisms_small_cases():
 
 
 def test_enumerate_automorphisms_cap():
-    f = jordan_operator((1, 3))
+    # the zero operator on GF(2)^5 commutes with all 2**25 matrices, above UNIT_ENUM_CAP
+    f = jordan_operator((1, 1, 1, 1, 1))
     with pytest.raises(CapExceeded) as info:
-        enumerate_automorphisms(commutant_basis(f), cap=32)
-    assert info.value.required == 64
+        enumerate_automorphisms(commutant_basis(f))
+    assert info.value.required == 1 << 25
 
 
 def test_unit_group_closed_under_product_and_inverse():

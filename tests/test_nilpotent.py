@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gf2hyper import (
+    DimensionMismatch,
     Gf2Matrix,
     Gf2Vector,
     INFINITY,
@@ -10,7 +11,6 @@ from gf2hyper import (
     NotNilpotent,
     NotSquare,
     Subspace,
-    cyclic_subspace,
     elementary_divisors,
     exponent,
     generator_tuple,
@@ -22,12 +22,7 @@ from gf2hyper import (
 from gf2hyper.nilpotent import UlmSequence, chain_matrix
 from gf2hyper.verify import jordan_operator, partitions
 
-
-def random_invertible(rng, n):
-    while True:
-        m = Gf2Matrix(tuple(rng.getrandbits(n) for _ in range(n)), n)
-        if m.is_invertible():
-            return m
+from conftest import cyclic_subspace, random_invertible
 
 
 def test_jordan_matrix_matches_published_example(golden):
@@ -165,6 +160,10 @@ def test_generator_tuple_of_conjugated_operator():
 
 def test_make_generator_tuple_rejections(golden, e):
     with pytest.raises(NotAGeneratorTuple):
+        make_generator_tuple(golden, [])
+    with pytest.raises(DimensionMismatch):
+        make_generator_tuple(golden, [e[0], Gf2Vector(0b0010, 5)])
+    with pytest.raises(NotAGeneratorTuple):
         make_generator_tuple(golden, [e[1], e[0]])  # exponents decreasing
     with pytest.raises(NotAGeneratorTuple):
         make_generator_tuple(golden, [e[0], e[1], e[2]])  # wrong total length
@@ -178,6 +177,18 @@ def test_cyclic_subspace(golden, golden_x, e):
     assert cyclic_subspace(golden, Gf2Vector.zero(4)) == Subspace.zero(4)
     assert cyclic_subspace(golden, e[1]) == Subspace.span([e[1], e[2], e[3]], 4)
     assert cyclic_subspace(golden, z).dim == exponent(golden, z)
+
+
+def test_ulm_sequence_matches_the_socle_definition(conjugate):
+    # oracle: d(r) = dim(Ker f ∩ Im f^(r-1)) - dim(Ker f ∩ Im f^r)
+    rng = random.Random(71)
+    for n in range(1, 8):
+        for sizes in partitions(n):
+            for f in (jordan_operator(sizes), conjugate(sizes, rng)):
+                socle = f.kernel_chain[1]
+                dims = [socle.intersect(f.image_chain[r]).dim for r in range(f.index + 1)]
+                d = tuple(dims[r - 1] - dims[r] for r in range(1, f.index + 1))
+                assert ulm_sequence(f).d == d, sizes
 
 
 def test_ulm_invariant_under_conjugation(golden):

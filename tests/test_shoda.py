@@ -172,9 +172,11 @@ def test_counterexample_prefers_smallest_pair():
 def test_scan_cap_exceeded():
     from gf2hyper import CapExceeded
 
-    f = jordan_operator((1, 3))
-    with pytest.raises(CapExceeded):
-        exceptional_subspace_scan(f, 1, 3, cap=1)
+    # the scan covers Im f^0 = GF(2)^22, above its fixed cap of 2**20 vectors
+    f = jordan_operator((1, 21))
+    with pytest.raises(CapExceeded) as info:
+        exceptional_subspace_scan(f, 1, 3)
+    assert info.value.required == 1 << 22
 
 
 def test_counterexample_agrees_with_census_up_to_dim_7():
