@@ -59,6 +59,7 @@ from .classify import (
     Witness,
     classify,
     hyperinvariant_lattice,
+    invariant_subspaces,
     is_characteristic,
     is_hyperinvariant,
     is_invariant,

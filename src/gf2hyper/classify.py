@@ -5,17 +5,28 @@ a few maps commuting with f: f, then units that with I generate the
 span of every unit, then the projections that complete the commutant.
 Each class tests a prefix, so the first map that moves a basis row
 decides all three.  Marked checks only the pairs (a, r) of the
-intersection criterion that can fail.
+intersection criterion that can fail.  `invariant_subspaces` lists the
+invariant subspaces directly, each once, by lifting them down the image
+chain.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from .errors import DimensionMismatch, InadmissibleTuple
 from .commutant import _chain_map
-from .gf2 import Gf2Matrix, Gf2Vector, Subspace
+from .gf2 import (
+    Gf2Matrix,
+    Gf2Vector,
+    Subspace,
+    _echelonize,
+    _lowest_bit,
+    enumerate_subspaces,
+)
 from .nilpotent import GeneratorTuple, NilpotentOperator, class_span, generator_tuple
 
 
@@ -174,6 +185,108 @@ def is_marked(f: NilpotentOperator, s: Subspace) -> bool:
             if lhs != rhs:
                 return False
     return True
+
+
+def _complement(base: Subspace, rows: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """An RREF basis, with its pivots, of a complement of `base` in base + span(rows).
+
+    The rows of the RREF of the sum at pivots that `base` lacks: each
+    combination of them is zero at every pivot of `base`, while every
+    nonzero member of `base` has its lowest bit at one.
+    """
+    basis, pivots = _echelonize(base.rows + rows)
+    known = set(base.pivots)
+    kept = [(b, p) for b, p in zip(basis, pivots) if p not in known]
+    return [b for b, _ in kept], [p for _, p in kept]
+
+
+def _subspaces_within(
+    basis: Sequence[int], pivots: Sequence[int], n: int
+) -> Iterator[Subspace]:
+    """Every subspace of span(basis) in GF(2)^n; basis is in RREF with these pivots.
+
+    An RREF subspace of GF(2)^d mapped through an RREF basis is again in
+    RREF, its pivots the basis pivots at its own, so nothing is echelonized.
+    """
+    if not basis:
+        yield Subspace.zero(n)
+        return
+    if len(basis) == n:  # the whole space: its RREF basis is the identity
+        yield from enumerate_subspaces(n)
+        return
+    for s in enumerate_subspaces(len(basis)):
+        rows = []
+        for r in s.rows:
+            bits = 0
+            while r:
+                low = r & -r
+                bits ^= basis[low.bit_length() - 1]
+                r ^= low
+            rows.append(bits)
+        yield Subspace._canonical(tuple(rows), tuple(pivots[p] for p in s.pivots), n)
+
+
+def _lifts(f: NilpotentOperator, k: int, below: list[Subspace]) -> list[Subspace]:
+    """The invariant subspaces X inside U = Im f^k, from those Y = f(X) inside f(U).
+
+    K = Ker f ∩ U.  X lies in W = f^-1(Y) ∩ U and holds Y, and meets K
+    in some Z between Y ∩ K and K; f maps X onto Y with kernel Z.  So
+    X = Y + Z + {d + phi(d) : d in D} for a complement D of Y + K in W
+    and a unique linear phi from D to a complement C of Z in K, and each
+    (Y, Z, phi) gives a distinct X.  Z runs over (Y ∩ K) + S for the
+    subspaces S of a fixed complement E of Y ∩ K in K, and C is spanned
+    by the rows of E at pivots that S lacks.
+    """
+    n = f.dim
+    u = f.image_chain[k]
+    kernel = f.kernel_chain[1].intersect(u)
+    # rows f(b) | b << n for b in U: the RREF pairs each basis row of f(U)
+    # (low half) with a preimage in U (high half)
+    mask = (1 << n) - 1
+    paired, _ = _echelonize(f.mat.apply_bits(b) | b << n for b in u.rows)
+    sections = [(_lowest_bit(r), r >> n) for r in paired if r & mask]
+    out = []
+    for y in below:
+        meet = y.intersect(kernel)
+        e_rows, e_pivots = _complement(meet, kernel.rows)
+        lifted = []
+        for b in y.rows:
+            pre = 0
+            for p, x in sections:
+                if (b >> p) & 1:
+                    pre ^= x
+            lifted.append(pre)
+        d_rows, _ = _complement(y.sum(kernel), tuple(lifted))
+        for s in _subspaces_within(e_rows, e_pivots, n):
+            c_span = [0]
+            for c, p in zip(e_rows, e_pivots):
+                if p not in s.pivots:
+                    c_span += [v ^ c for v in c_span]
+            base = y.rows + s.rows
+            dim = y.dim + meet.dim + s.dim
+            for phi in itertools.product(c_span, repeat=len(d_rows)):
+                basis, pivots = _echelonize(base + tuple(d ^ v for d, v in zip(d_rows, phi)))
+                if len(basis) != dim:
+                    raise AssertionError("lifted subspace has the wrong dimension")
+                out.append(Subspace._canonical(tuple(basis), tuple(pivots), n))
+    return out
+
+
+def invariant_subspaces(f: NilpotentOperator) -> tuple[Subspace, ...]:
+    """Every f-invariant subspace exactly once, in `enumerate_subspaces` order.
+
+    Built down the image chain, from U = Im f^(index-1), where f(U) = 0
+    and every subspace of U is invariant, to U = GF(2)^n; each level
+    lifts the one below it (`_lifts`).  The lifting is a bijection, so
+    no subspace is produced twice and none is kept to deduplicate; only
+    the level below lives while a level is built.
+    """
+    top = f.image_chain[f.index - 1]
+    level = list(_subspaces_within(top.rows, top.pivots, f.dim))
+    for k in range(f.index - 2, -1, -1):
+        level = _lifts(f, k, level)
+    level.sort(key=lambda s: (s.dim, s.pivots, s.rows))
+    return tuple(level)
 
 
 def shifted_chain_span(

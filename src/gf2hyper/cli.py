@@ -19,8 +19,8 @@ from . import verify as verify_mod
 from .classify import (
     classify,
     hyperinvariant_lattice,
+    invariant_subspaces,
     is_characteristic,
-    is_invariant,
 )
 from .commutant import automorphism_group_order, commutant_dimension
 from .errors import (
@@ -35,7 +35,7 @@ from .gf2 import (
     Gf2Matrix,
     Gf2Vector,
     Subspace,
-    enumerate_subspaces,
+    _check_subspace_cap,
     format_subspace,
     parse_matrix,
     parse_subspace,
@@ -359,10 +359,9 @@ def _lattice_nodes(
 ) -> list[Subspace]:
     if which == "hinv":
         return list(hyperinvariant_lattice(f))
-    nodes = []
-    for s in enumerate_subspaces(f.dim, cap=cap):
-        if (is_invariant(f, s) if which == "inv" else is_characteristic(f, s)[0]):
-            nodes.append(s)
+    # the cap bounds the subspaces of GF(2)^n, checked before any is built
+    _check_subspace_cap(f.dim, cap)
+    nodes = [s for s in invariant_subspaces(f) if which == "inv" or is_characteristic(f, s)[0]]
     nodes.sort(key=lambda s: (s.dim, s.rows))
     return nodes
 

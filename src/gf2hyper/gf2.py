@@ -294,13 +294,32 @@ class Subspace:
         object.__setattr__(self, "pivots", tuple(pivots))
 
     @classmethod
+    def _canonical(
+        cls, rows: tuple[int, ...], pivots: tuple[int, ...], ambient_dim: int
+    ) -> Subspace:
+        """Wrap rows already in RREF, with their pivots, skipping the O(k^2) check.
+
+        Only for rows that `_echelonize` or an RREF-preserving construction
+        produced; anything from outside goes through the checking constructor.
+        """
+        s = object.__new__(cls)
+        object.__setattr__(s, "rows", rows)
+        object.__setattr__(s, "ambient_dim", ambient_dim)
+        object.__setattr__(s, "pivots", pivots)
+        return s
+
+    @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:
         return cls((), ambient_dim)
 
     @classmethod
     def span_bits(cls, bits: Iterable[int], ambient_dim: int) -> Subspace:
-        basis, _ = _echelonize(bits)
-        return cls(tuple(basis), ambient_dim)
+        if ambient_dim < 1:
+            raise ValueError("ambient dimension must be positive")
+        basis, pivots = _echelonize(bits)
+        if basis and max(basis).bit_length() > ambient_dim:
+            raise ValueError("basis rows must be nonzero and within the ambient space")
+        return cls._canonical(tuple(basis), tuple(pivots), ambient_dim)
 
     @classmethod
     def span(cls, vectors: Iterable[Gf2Vector], ambient_dim: int) -> Subspace:
@@ -388,6 +407,14 @@ def subspace_count(n: int) -> int:
     return sum(gaussian_binomial(n, k) for k in range(n + 1))
 
 
+def _check_subspace_cap(n: int, cap: int) -> None:
+    total = subspace_count(n)
+    if total > cap:
+        raise CapExceeded(
+            f"GF(2)^{n} has {total} subspaces, above the cap of {cap}", required=total
+        )
+
+
 def enumerate_subspaces(n: int, cap: int = SUBSPACE_ENUM_CAP) -> Iterator[Subspace]:
     """Every subspace of GF(2)^n exactly once, by RREF shape.
 
@@ -395,11 +422,9 @@ def enumerate_subspaces(n: int, cap: int = SUBSPACE_ENUM_CAP) -> Iterator[Subspa
     canonical basis is produced directly and no deduplication pass is
     needed.
     """
-    total = subspace_count(n)
-    if total > cap:
-        raise CapExceeded(
-            f"GF(2)^{n} has {total} subspaces, above the cap of {cap}", required=total
-        )
+    if n < 1:
+        raise ValueError("ambient dimension must be positive")
+    _check_subspace_cap(n, cap)
     for k in range(n + 1):
         for pivots in itertools.combinations(range(n), k):
             pivot_set = set(pivots)
@@ -413,7 +438,7 @@ def enumerate_subspaces(n: int, cap: int = SUBSPACE_ENUM_CAP) -> Iterator[Subspa
                     for t, c in enumerate(free[i]):
                         bits |= ((masks[i] >> t) & 1) << c
                     rows.append(bits)
-                yield Subspace(tuple(rows), n)
+                yield Subspace._canonical(tuple(rows), pivots, n)
 
 
 def _data_lines(text: str) -> list[str]:

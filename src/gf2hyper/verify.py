@@ -1,12 +1,12 @@
 """Verification suites: golden cases, exhaustive censuses, and oracles.
 
-The census enumerates every subspace of every Jordan configuration up to
-a dimension bound, classifies each one exactly with one stability scan
-plus the intersection criterion, and exposes the four predicate sets so
-the equivalences between them can be replayed wholesale, with the
-lattice closure as the oracle for the monotone-span lattice.  The
-oracle suite cross-checks the chain formula for the exceptional span
-against a brute-force height scan.
+The census takes every invariant subspace, enumerated directly, of every
+Jordan configuration up to a dimension bound, classifies each one
+exactly with one stability scan plus the intersection criterion, and
+exposes the four predicate sets so the equivalences between them can be
+replayed wholesale, with the lattice closure as the oracle for the
+monotone-span lattice.  The oracle suite cross-checks the chain formula
+for the exceptional span against a brute-force height scan.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ from .classify import (
     _first_exit,
     classify,
     hyperinvariant_lattice,
+    invariant_subspaces,
     is_hyperinvariant,
     is_marked,
 )
 from .commutant import commutant_basis, enumerate_automorphisms
-from .gf2 import Gf2Matrix, Gf2Vector, Subspace, enumerate_subspaces
+from .gf2 import Gf2Matrix, Gf2Vector, Subspace
 from .nilpotent import (
     INFINITY,
     NilpotentOperator,
@@ -54,7 +55,7 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class SubspaceCensus:
-    """Exact predicate sets over every subspace of one configuration."""
+    """Exact predicate sets over every invariant subspace of one configuration."""
 
     block_sizes: tuple[int, ...]
     invariant: tuple[Subspace, ...] = field(repr=False)
@@ -84,13 +85,13 @@ def jordan_operator(block_sizes: tuple[int, ...]) -> NilpotentOperator:
 
 @functools.lru_cache(maxsize=None)
 def census(block_sizes: tuple[int, ...]) -> SubspaceCensus:
-    """Classify every subspace of the configuration, exactly, as `classify` does."""
+    """Classify every invariant subspace, enumerated directly, exactly as `classify` does."""
     f = jordan_operator(block_sizes)
     invariant, marked, characteristic, hyperinvariant = [], [], [], []
-    for s in enumerate_subspaces(f.dim):
+    for s in invariant_subspaces(f):
         kind, _ = _first_exit(f, s)
         if kind == MOVED_BY_F:
-            continue
+            raise AssertionError("lifted subspace is not invariant")
         invariant.append(s)
         if is_marked(f, s):
             marked.append(s)

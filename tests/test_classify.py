@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import sys
 
@@ -15,8 +16,10 @@ from gf2hyper import (
     counterexample,
     enumerate_automorphisms,
     enumerate_subspaces,
+    format_matrix,
     generator_tuple,
     hyperinvariant_lattice,
+    invariant_subspaces,
     is_characteristic,
     is_hyperinvariant,
     is_invariant,
@@ -25,7 +28,8 @@ from gf2hyper import (
     shifted_chain_span,
     validate_nilpotent,
 )
-from gf2hyper.cli import build_analysis
+from gf2hyper import verify
+from gf2hyper.cli import _covering_edges, _subspace_from_obj, build_analysis, main
 from gf2hyper.classify import (
     MOVED_BY_UNIT,
     _monotone_shifts,
@@ -46,6 +50,55 @@ def test_is_invariant(golden, golden_x, e):
     assert not is_invariant(golden, Subspace.span([e[1]], 4))
     assert is_invariant(golden, Subspace.zero(4))
     assert is_invariant(golden, WHOLE)
+
+
+def test_invariant_subspaces_match_the_filter_oracle(conjugate):
+    # the same subspaces in the same order as filtering every subspace, none twice
+    rng = random.Random(43)
+    for n in range(1, 8):
+        every = list(enumerate_subspaces(n))
+        for sizes in partitions(n):
+            for f in (jordan_operator(sizes), conjugate(sizes, rng)):
+                lifted = invariant_subspaces(f)
+                assert lifted == tuple(s for s in every if is_invariant(f, s)), sizes
+                assert len(set(lifted)) == len(lifted)
+
+
+def test_census_scans_only_the_invariant_subspaces(monkeypatch):
+    scanned = []
+    first_exit = verify._first_exit
+
+    def counting(f, s, *rest):
+        scanned.append(s)
+        return first_exit(f, s, *rest)
+
+    monkeypatch.setattr(verify, "_first_exit", counting)
+    census.cache_clear()
+    try:
+        data = census((3, 3))
+    finally:
+        census.cache_clear()
+    assert len(scanned) == len(data.invariant) == 37  # of the 2,825 subspaces of GF(2)^6
+
+
+@pytest.mark.parametrize("which", ["inv", "chinv"])
+def test_lattice_matches_the_filter_oracle(which, conjugate, tmp_path, capsys):
+    rng = random.Random(47)
+    path = tmp_path / "f.txt"
+    for f in (jordan_operator((1, 3)), jordan_operator((2, 4)), conjugate((1, 2, 3), rng)):
+        path.write_text(format_matrix(f.mat))
+        assert main(["lattice", str(path), "--which", which, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        nodes = sorted(
+            (
+                s
+                for s in enumerate_subspaces(f.dim)
+                if is_invariant(f, s) and (which == "inv" or is_characteristic(f, s)[0])
+            ),
+            key=lambda s: (s.dim, s.rows),
+        )
+        assert [_subspace_from_obj(node) for node in doc["nodes"]] == nodes
+        assert doc["edges"] == [list(e) for e in _covering_edges(nodes)]
 
 
 def test_is_hyperinvariant_golden(golden, golden_x, e):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,40 @@ def test_classify_non_invariant(golden_file, tmp_path, capsys):
     assert "invariant=false" in out
 
 
+def test_classify_zero_subspace_file(golden_file, tmp_path, capsys):
+    p = tmp_path / "zero.txt"
+    p.write_text("0 4\n")
+    assert main(["classify", golden_file, str(p)]) == 0
+    out = capsys.readouterr().out
+    assert out == "invariant=true marked=true characteristic=true hyperinvariant=true\n"
+
+
+def test_huge_row_count_is_rejected_before_allocating(golden_file, tmp_path, capsys):
+    p = tmp_path / "huge.txt"
+    p.write_text("99999999999 4\n1 0 0 0\n")
+    tracemalloc.start()
+    try:
+        code = main(["classify", golden_file, str(p)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "expected 99999999999 rows, found 1" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1 4\n1 0 0 0 junk\n", "1 4 # c\n1 0 0 0\n"],
+    ids=["stray-token", "header-comment"],
+)
+def test_malformed_subspace_file_exits_2(golden_file, tmp_path, text, capsys):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    assert main(["classify", golden_file, str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_classify_dimension_mismatch(golden_file, tmp_path, capsys):
     s = tmp_path / "wrong.txt"
     s.write_text("1 3\n1 0 0\n")
@@ -268,12 +303,15 @@ def test_lattice_dot_output(golden_file, capsys):
     assert out.count("label=") == 6
 
 
-def test_lattice_cap_exceeded(tmp_path, capsys):
+def test_lattice_cap_exceeded(golden_file, tmp_path, capsys):
     p = tmp_path / "big.txt"
     n = 9
     rows = ["0 " * n] * n
     p.write_text(f"{n} {n}\n" + "\n".join(r.strip() for r in rows) + "\n")
     assert main(["lattice", str(p), "--which", "inv", "--cap", "1000"]) == 5
+    # checked against the 67 subspaces of GF(2)^4, not the invariant ones
+    for which in ("inv", "chinv"):
+        assert main(["lattice", golden_file, "--which", which, "--cap", "10"]) == 5
 
 
 @pytest.mark.parametrize("which", ["hinv", "chinv", "inv"])
@@ -370,7 +408,7 @@ def test_analyze_counts_units_beyond_enumeration(tmp_path, capsys):
 
 def test_verify_suites_all_green_at_full_depth(capsys):
     # full acceptance depth through the CLI entry point
-    assert main(["verify", "--suite", "census", "--max-dim", "6"]) == 0
+    assert main(["verify", "--suite", "census", "--max-dim", "7"]) == 0
     assert main(["verify", "--suite", "oracle", "--max-dim", "9"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out

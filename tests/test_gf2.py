@@ -15,10 +15,12 @@ from gf2hyper import (
     format_matrix,
     format_subspace,
     gaussian_binomial,
+    invariant_subspaces,
     parse_matrix,
     parse_subspace,
     subspace_count,
 )
+from gf2hyper.verify import jordan_operator, partitions
 
 
 def span_members(rows, n):
@@ -204,6 +206,34 @@ def test_subspace_validation_rejects_non_canonical():
         Subspace((0b11, 0b10), 2)  # pivot column of row 2 not cleared in row 1
     with pytest.raises(ValueError):
         Subspace((0b10, 0b01), 2)  # pivots not increasing
+
+
+def test_unchecked_constructions_pass_the_checking_constructor(conjugate):
+    # these routes skip the canonical-form check; each result must survive it
+    rng = random.Random(53)
+    built = [s for n in range(1, 6) for s in enumerate_subspaces(n)]
+    for n in range(1, 7):
+        for sizes in partitions(n):
+            for f in (jordan_operator(sizes), conjugate(sizes, rng)):
+                built += invariant_subspaces(f)
+    for _ in range(500):
+        n = rng.randint(1, 9)
+        rows = [rng.getrandbits(n) for _ in range(rng.randint(0, n + 2))]
+        built.append(Subspace.span_bits(rows, n))
+    for s in built:
+        checked = Subspace(s.rows, s.ambient_dim)
+        assert checked == s and checked.pivots == s.pivots
+
+
+def test_span_bits_rejects_rows_outside_the_ambient_space():
+    with pytest.raises(ValueError):
+        Subspace.span_bits([0b100], 2)
+    with pytest.raises(ValueError):
+        Subspace.span_bits([0b01, 0b101], 2)
+    with pytest.raises(ValueError):
+        Subspace.span_bits([1], 0)
+    with pytest.raises(ValueError):
+        Subspace.span_bits([], 0)
 
 
 def test_enumerate_subspaces_counts():
