@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, InadmissibleTuple
 from .commutant import _chain_map
@@ -175,7 +175,7 @@ def is_marked(f: NilpotentOperator, s: Subspace) -> bool:
     right side lies inside it.
     So an invariant subspace of an operator of index ≤ 2 is marked.
     """
-    if invariance_witness(f, s) is not None:
+    if not is_invariant(f, s):
         return False
     for a in range(1, f.index - 1):
         mapped = f.powers[a].map_subspace(s)
@@ -211,22 +211,15 @@ def _subspaces_within(
     if not basis:
         yield Subspace.zero(n)
         return
-    if len(basis) == n:  # the whole space: its RREF basis is the identity
-        yield from enumerate_subspaces(n)
-        return
+    span = [0]  # span[r]: the sum of the basis rows at the bits of r
+    for b in basis:
+        span += [v ^ b for v in span]
     for s in enumerate_subspaces(len(basis)):
-        rows = []
-        for r in s.rows:
-            bits = 0
-            while r:
-                low = r & -r
-                bits ^= basis[low.bit_length() - 1]
-                r ^= low
-            rows.append(bits)
-        yield Subspace._canonical(tuple(rows), tuple(pivots[p] for p in s.pivots), n)
+        rows = tuple(span[r] for r in s.rows)
+        yield Subspace._canonical(rows, tuple(pivots[p] for p in s.pivots), n)
 
 
-def _lifts(f: NilpotentOperator, k: int, below: list[Subspace]) -> list[Subspace]:
+def _lifts(f: NilpotentOperator, k: int, below: Iterable[Subspace]) -> Iterator[Subspace]:
     """The invariant subspaces X inside U = Im f^k, from those Y = f(X) inside f(U).
 
     K = Ker f ∩ U.  X lies in W = f^-1(Y) ∩ U and holds Y, and meets K
@@ -245,7 +238,6 @@ def _lifts(f: NilpotentOperator, k: int, below: list[Subspace]) -> list[Subspace
     mask = (1 << n) - 1
     paired, _ = _echelonize(f.mat.apply_bits(b) | b << n for b in u.rows)
     sections = [(_lowest_bit(r), r >> n) for r in paired if r & mask]
-    out = []
     for y in below:
         meet = y.intersect(kernel)
         e_rows, e_pivots = _complement(meet, kernel.rows)
@@ -268,25 +260,23 @@ def _lifts(f: NilpotentOperator, k: int, below: list[Subspace]) -> list[Subspace
                 basis, pivots = _echelonize(base + tuple(d ^ v for d, v in zip(d_rows, phi)))
                 if len(basis) != dim:
                     raise AssertionError("lifted subspace has the wrong dimension")
-                out.append(Subspace._canonical(tuple(basis), tuple(pivots), n))
-    return out
+                yield Subspace._canonical(tuple(basis), tuple(pivots), n)
 
 
-def invariant_subspaces(f: NilpotentOperator) -> tuple[Subspace, ...]:
-    """Every f-invariant subspace exactly once, in `enumerate_subspaces` order.
+def invariant_subspaces(f: NilpotentOperator) -> Iterator[Subspace]:
+    """Every f-invariant subspace exactly once, lazily, in no set order.
 
-    Built down the image chain, from U = Im f^(index-1), where f(U) = 0
-    and every subspace of U is invariant, to U = GF(2)^n; each level
-    lifts the one below it (`_lifts`).  The lifting is a bijection, so
-    no subspace is produced twice and none is kept to deduplicate; only
-    the level below lives while a level is built.
+    Sorted by (dim, pivots, rows) they come in `enumerate_subspaces`
+    order.  Built down the image chain, from U = Im f^(index-1), where
+    f(U) = 0 and every subspace of U is invariant, to U = GF(2)^n; each
+    level lifts the one below it (`_lifts`) as it is read.  The lifting
+    is a bijection, so no subspace is produced twice and none is kept.
     """
     top = f.image_chain[f.index - 1]
-    level = list(_subspaces_within(top.rows, top.pivots, f.dim))
+    level = _subspaces_within(top.rows, top.pivots, f.dim)
     for k in range(f.index - 2, -1, -1):
         level = _lifts(f, k, level)
-    level.sort(key=lambda s: (s.dim, s.pivots, s.rows))
-    return tuple(level)
+    return level
 
 
 def shifted_chain_span(

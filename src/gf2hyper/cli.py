@@ -34,6 +34,7 @@ from .errors import (
 from .gf2 import (
     Gf2Matrix,
     Gf2Vector,
+    SUBSPACE_ENUM_CAP,
     Subspace,
     _check_subspace_cap,
     format_subspace,
@@ -48,7 +49,9 @@ from .nilpotent import (
 )
 from .shoda import ShodaWitness, counterexample
 
-DEFAULT_LATTICE_CAP = 1 << 24
+# also the largest --cap: the invariant subspaces are lifted from
+# enumerate_subspaces, which refuses more
+DEFAULT_LATTICE_CAP = SUBSPACE_ENUM_CAP
 
 
 def _matrix_to_obj(m: Gf2Matrix) -> dict:
@@ -419,6 +422,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _lattice_cap(text: str) -> int:
+    value = _positive_int(text)
+    if value > DEFAULT_LATTICE_CAP:
+        raise argparse.ArgumentTypeError(f"must be at most {DEFAULT_LATTICE_CAP}, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gf2hyper",
@@ -454,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--dot", action="store_true")
     group.add_argument("--json", action="store_true")
-    p.add_argument("--cap", type=_positive_int, default=DEFAULT_LATTICE_CAP)
+    p.add_argument("--cap", type=_lattice_cap, default=DEFAULT_LATTICE_CAP)
     p.set_defaults(handler=_cmd_lattice)
 
     p = sub.add_parser("verify", help="run a verification suite")

@@ -415,16 +415,16 @@ def _check_subspace_cap(n: int, cap: int) -> None:
         )
 
 
-def enumerate_subspaces(n: int, cap: int = SUBSPACE_ENUM_CAP) -> Iterator[Subspace]:
+def enumerate_subspaces(n: int) -> Iterator[Subspace]:
     """Every subspace of GF(2)^n exactly once, by RREF shape.
 
     Iterates pivot-column subsets and then the free entries, so each
     canonical basis is produced directly and no deduplication pass is
-    needed.
+    needed.  Refuses GF(2)^n with more than SUBSPACE_ENUM_CAP subspaces.
     """
     if n < 1:
         raise ValueError("ambient dimension must be positive")
-    _check_subspace_cap(n, cap)
+    _check_subspace_cap(n, SUBSPACE_ENUM_CAP)
     for k in range(n + 1):
         for pivots in itertools.combinations(range(n), k):
             pivot_set = set(pivots)

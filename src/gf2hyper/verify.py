@@ -88,7 +88,7 @@ def census(block_sizes: tuple[int, ...]) -> SubspaceCensus:
     """Classify every invariant subspace, enumerated directly, exactly as `classify` does."""
     f = jordan_operator(block_sizes)
     invariant, marked, characteristic, hyperinvariant = [], [], [], []
-    for s in invariant_subspaces(f):
+    for s in sorted(invariant_subspaces(f), key=lambda s: (s.dim, s.pivots, s.rows)):
         kind, _ = _first_exit(f, s)
         if kind == MOVED_BY_F:
             raise AssertionError("lifted subspace is not invariant")

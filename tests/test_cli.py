@@ -323,6 +323,15 @@ def test_lattice_rejects_cap_below_one(golden_file, which, cap, capsys):
     assert "--cap" in capsys.readouterr().err
 
 
+def test_lattice_rejects_cap_above_the_enumeration_cap(golden_file, capsys):
+    # the default is the largest cap: enumerate_subspaces refuses more
+    assert main(["lattice", golden_file, "--which", "inv", "--cap", str(DEFAULT_LATTICE_CAP)]) == 0
+    with pytest.raises(SystemExit) as info:
+        main(["lattice", golden_file, "--which", "inv", "--cap", str(DEFAULT_LATTICE_CAP + 1)])
+    assert info.value.code == 2
+    assert "at most 16777216" in capsys.readouterr().err
+
+
 def test_verify_paper_suite(capsys):
     assert main(["verify", "--suite", "paper"]) == 0
     out = capsys.readouterr().out

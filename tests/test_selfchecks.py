@@ -47,9 +47,6 @@ UNCALLED_EXPORTS = {
     # the generating-set oracle: the generating-set tests use it and bench/spans.py
     # times it by name; it moves to tests/conftest.py once the benchmark stops tracing it
     "automorphism_generators",
-    # the invariance predicate of the public API, the oracle of invariant_subspaces;
-    # bench/spans.py times it by name
-    "is_invariant",
 }
 # public class members that production code may leave uncalled, each for a reason
 UNCALLED_MEMBERS = {
