@@ -22,7 +22,6 @@ from .gf2 import (
     Gf2Matrix,
     Gf2Vector,
     Subspace,
-    enumerate_subspaces,
     format_matrix,
     format_subspace,
     gaussian_binomial,

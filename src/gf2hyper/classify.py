@@ -13,9 +13,8 @@ chain.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import DimensionMismatch, InadmissibleTuple
 from .commutant import _chain_map
@@ -25,7 +24,7 @@ from .gf2 import (
     Subspace,
     _echelonize,
     _lowest_bit,
-    enumerate_subspaces,
+    _subspace_rows,
 )
 from .nilpotent import GeneratorTuple, NilpotentOperator, class_span, generator_tuple
 
@@ -165,7 +164,13 @@ def is_characteristic(f: NilpotentOperator, s: Subspace) -> tuple[bool, Witness 
 
 
 def is_marked(f: NilpotentOperator, s: Subspace) -> bool:
-    """Intersection criterion: f^a s ∩ Im f^(a+r) = f^a (s ∩ Im f^r) for all a, r ≥ 0.
+    """Invariant and meeting the intersection criterion (`_marked`)."""
+    return is_invariant(f, s) and _marked(f, s)
+
+
+def _marked(f: NilpotentOperator, s: Subspace) -> bool:
+    """Intersection criterion on an invariant s:
+    f^a s ∩ Im f^(a+r) = f^a (s ∩ Im f^r) for all a, r ≥ 0.
 
     Only the pairs with 1 ≤ a, 1 ≤ r and a + r < index can fail; every
     other pair holds for any s:
@@ -175,8 +180,6 @@ def is_marked(f: NilpotentOperator, s: Subspace) -> bool:
     right side lies inside it.
     So an invariant subspace of an operator of index ≤ 2 is marked.
     """
-    if not is_invariant(f, s):
-        return False
     for a in range(1, f.index - 1):
         mapped = f.powers[a].map_subspace(s)
         for r in range(1, f.index - a):
@@ -187,8 +190,8 @@ def is_marked(f: NilpotentOperator, s: Subspace) -> bool:
     return True
 
 
-def _complement(base: Subspace, rows: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """An RREF basis, with its pivots, of a complement of `base` in base + span(rows).
+def _complement(base: Subspace, rows: tuple[int, ...]) -> list[int]:
+    """An RREF basis of a complement of `base` in base + span(rows).
 
     The rows of the RREF of the sum at pivots that `base` lacks: each
     combination of them is zero at every pivot of `base`, while every
@@ -196,39 +199,21 @@ def _complement(base: Subspace, rows: tuple[int, ...]) -> tuple[list[int], list[
     """
     basis, pivots = _echelonize(base.rows + rows)
     known = set(base.pivots)
-    kept = [(b, p) for b, p in zip(basis, pivots) if p not in known]
-    return [b for b, _ in kept], [p for _, p in kept]
-
-
-def _subspaces_within(
-    basis: Sequence[int], pivots: Sequence[int], n: int
-) -> Iterator[Subspace]:
-    """Every subspace of span(basis) in GF(2)^n; basis is in RREF with these pivots.
-
-    An RREF subspace of GF(2)^d mapped through an RREF basis is again in
-    RREF, its pivots the basis pivots at its own, so nothing is echelonized.
-    """
-    if not basis:
-        yield Subspace.zero(n)
-        return
-    span = [0]  # span[r]: the sum of the basis rows at the bits of r
-    for b in basis:
-        span += [v ^ b for v in span]
-    for s in enumerate_subspaces(len(basis)):
-        rows = tuple(span[r] for r in s.rows)
-        yield Subspace._canonical(rows, tuple(pivots[p] for p in s.pivots), n)
+    return [b for b, p in zip(basis, pivots) if p not in known]
 
 
 def _lifts(f: NilpotentOperator, k: int, below: Iterable[Subspace]) -> Iterator[Subspace]:
     """The invariant subspaces X inside U = Im f^k, from those Y = f(X) inside f(U).
 
-    K = Ker f ∩ U.  X lies in W = f^-1(Y) ∩ U and holds Y, and meets K
-    in some Z between Y ∩ K and K; f maps X onto Y with kernel Z.  So
-    X = Y + Z + {d + phi(d) : d in D} for a complement D of Y + K in W
-    and a unique linear phi from D to a complement C of Z in K, and each
-    (Y, Z, phi) gives a distinct X.  Z runs over (Y ∩ K) + S for the
-    subspaces S of a fixed complement E of Y ∩ K in K, and C is spanned
-    by the rows of E at pivots that S lacks.
+    K = Ker f ∩ U.  f maps W = f^-1(Y) ∩ U onto Y with kernel K, so the
+    invariant X inside U with f(X) = Y are exactly the X with
+    Y ⊆ X ⊆ W and X + K = W.  Take a complement E of Y ∩ K in K and a
+    complement D of Y + K in W, so W = Y ⊕ E ⊕ D.  Then X ↦ X ∩ (E ⊕ D)
+    is a bijection onto the subspaces T of E ⊕ D that project onto all
+    of D, and X = Y ⊕ T.  In the coordinates of the D rows, then the E
+    rows, those T are the RREF shapes with a pivot at each of the first
+    dim D positions (`_subspace_rows` with onto = dim D).  dim D + dim E
+    = dim K, which is at least 1 at every level below the index.
     """
     n = f.dim
     u = f.image_chain[k]
@@ -239,8 +224,7 @@ def _lifts(f: NilpotentOperator, k: int, below: Iterable[Subspace]) -> Iterator[
     paired, _ = _echelonize(f.mat.apply_bits(b) | b << n for b in u.rows)
     sections = [(_lowest_bit(r), r >> n) for r in paired if r & mask]
     for y in below:
-        meet = y.intersect(kernel)
-        e_rows, e_pivots = _complement(meet, kernel.rows)
+        e_rows = _complement(y.intersect(kernel), kernel.rows)
         lifted = []
         for b in y.rows:
             pre = 0
@@ -248,33 +232,25 @@ def _lifts(f: NilpotentOperator, k: int, below: Iterable[Subspace]) -> Iterator[
                 if (b >> p) & 1:
                     pre ^= x
             lifted.append(pre)
-        d_rows, _ = _complement(y.sum(kernel), tuple(lifted))
-        for s in _subspaces_within(e_rows, e_pivots, n):
-            c_span = [0]
-            for c, p in zip(e_rows, e_pivots):
-                if p not in s.pivots:
-                    c_span += [v ^ c for v in c_span]
-            base = y.rows + s.rows
-            dim = y.dim + meet.dim + s.dim
-            for phi in itertools.product(c_span, repeat=len(d_rows)):
-                basis, pivots = _echelonize(base + tuple(d ^ v for d, v in zip(d_rows, phi)))
-                if len(basis) != dim:
-                    raise AssertionError("lifted subspace has the wrong dimension")
-                yield Subspace._canonical(tuple(basis), tuple(pivots), n)
+        d_rows = _complement(y.sum(kernel), tuple(lifted))
+        for t, _ in _subspace_rows(d_rows + e_rows, onto=len(d_rows)):
+            basis, pivots = _echelonize(y.rows + t)
+            if len(basis) != y.dim + len(t):
+                raise AssertionError("lifted subspace has the wrong dimension")
+            yield Subspace._canonical(tuple(basis), tuple(pivots), n)
 
 
 def invariant_subspaces(f: NilpotentOperator) -> Iterator[Subspace]:
     """Every f-invariant subspace exactly once, lazily, in no set order.
 
     Sorted by (dim, pivots, rows) they come in `enumerate_subspaces`
-    order.  Built down the image chain, from U = Im f^(index-1), where
-    f(U) = 0 and every subspace of U is invariant, to U = GF(2)^n; each
-    level lifts the one below it (`_lifts`) as it is read.  The lifting
-    is a bijection, so no subspace is produced twice and none is kept.
+    order.  Built down the image chain from the zero subspace of
+    Im f^index = 0 to U = GF(2)^n; each level lifts the one below it
+    (`_lifts`) as it is read.  The lifting is a bijection, so no
+    subspace is produced twice and none is kept.
     """
-    top = f.image_chain[f.index - 1]
-    level = _subspaces_within(top.rows, top.pivots, f.dim)
-    for k in range(f.index - 2, -1, -1):
+    level = iter((Subspace.zero(f.dim),))
+    for k in range(f.index - 1, -1, -1):
         level = _lifts(f, k, level)
     return level
 
@@ -340,7 +316,7 @@ def classify(f: NilpotentOperator, s: Subspace) -> ClassificationReport:
     kind, bad = _first_exit(f, s)
     if kind == MOVED_BY_F:
         return ClassificationReport(s, False, False, False, False, invariance_witness=bad)
-    marked = is_marked(f, s)
+    marked = _marked(f, s)
     char = kind > MOVED_BY_UNIT
     if (bad is None) != (char and marked):
         raise AssertionError("hyperinvariant must coincide with characteristic-and-marked")

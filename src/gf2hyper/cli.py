@@ -49,8 +49,8 @@ from .nilpotent import (
 )
 from .shoda import ShodaWitness, counterexample
 
-# also the largest --cap: the invariant subspaces are lifted from
-# enumerate_subspaces, which refuses more
+# also the largest --cap: the lifting enumerates each kernel level through
+# gf2._subspace_rows, which refuses more
 DEFAULT_LATTICE_CAP = SUBSPACE_ENUM_CAP
 
 
@@ -208,10 +208,14 @@ def build_analysis(f: NilpotentOperator, census: bool = False) -> AnalysisDocume
     found = counterexample(f)
     census_doc = None
     if census:
-        invariant = _lattice_nodes(f, "inv", DEFAULT_LATTICE_CAP)
-        char = sum(is_characteristic(f, s)[0] for s in invariant)
+        # counted as they are lifted; none is kept
+        _check_subspace_cap(f.dim, DEFAULT_LATTICE_CAP)
+        invariant = char = 0
+        for s in invariant_subspaces(f):
+            invariant += 1
+            char += is_characteristic(f, s)[0]
         hyper = len(hyperinvariant_lattice(f))
-        census_doc = LatticeCensusDocument(len(invariant), char, hyper, char - hyper)
+        census_doc = LatticeCensusDocument(invariant, char, hyper, char - hyper)
     return AnalysisDocument(
         matrix=f.mat,
         nilpotency_index=f.index,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CapExceeded,
@@ -21,7 +21,7 @@ from .errors import (
 )
 
 VECTOR_ENUM_CAP = 24            # enumerate_vectors refuses above 2**24 members
-SUBSPACE_ENUM_CAP = 1 << 24     # enumerate_subspaces refuses longer streams
+SUBSPACE_ENUM_CAP = 1 << 24     # _subspace_rows refuses longer streams
 
 
 def _lowest_bit(x: int) -> int:
@@ -373,16 +373,7 @@ class Subspace:
                 f"enumerating 2**{self.dim} vectors exceeds the cap of 2**{cap}",
                 required=1 << self.dim,
             )
-        out = []
-        for mask in range(1 << self.dim):
-            bits = 0
-            m = mask
-            while m:
-                i = _lowest_bit(m)
-                m &= m - 1
-                bits ^= self.rows[i]
-            out.append(Gf2Vector(bits, self.ambient_dim))
-        return out
+        return [Gf2Vector(bits, self.ambient_dim) for bits in _span_table(self.rows)]
 
     def to_text(self) -> str:
         return "\n".join(Gf2Vector(r, self.ambient_dim).to_text() for r in self.rows)
@@ -415,30 +406,52 @@ def _check_subspace_cap(n: int, cap: int) -> None:
         )
 
 
+def _span_table(rows: Sequence[int]) -> list[int]:
+    """Every sum of `rows`: entry r sums the rows at the bits of r."""
+    span = [0]
+    for b in rows:
+        span += [v ^ b for v in span]
+    return span
+
+
+def _subspace_rows(
+    basis: Sequence[int], onto: int = 0
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every subspace of span(basis) whose coordinates project onto the first `onto`.
+
+    Each subspace is its RREF in the coordinates of the independent
+    `basis`: pivot positions, in `itertools.combinations` order, holding
+    0 ... onto-1; and for pivot p a row basis[p] plus a sum of the later
+    basis vectors at no pivot.  Yields (rows, pivot positions), each
+    subspace once.  Over an RREF basis with increasing pivots the rows
+    are again in RREF.  Refuses a basis whose span has more than
+    SUBSPACE_ENUM_CAP subspaces.
+    """
+    m = len(basis)
+    _check_subspace_cap(m, SUBSPACE_ENUM_CAP)
+    head = tuple(range(onto))
+    for k in range(onto, m + 1):
+        for rest in itertools.combinations(range(onto, m), k - onto):
+            pivots = head + rest
+            choices = []
+            for p in pivots:
+                free = [basis[q] for q in range(p + 1, m) if q not in pivots]
+                choices.append([basis[p] ^ v for v in _span_table(free)])
+            for rows in itertools.product(*choices):
+                yield rows, pivots
+
+
 def enumerate_subspaces(n: int) -> Iterator[Subspace]:
     """Every subspace of GF(2)^n exactly once, by RREF shape.
 
-    Iterates pivot-column subsets and then the free entries, so each
-    canonical basis is produced directly and no deduplication pass is
-    needed.  Refuses GF(2)^n with more than SUBSPACE_ENUM_CAP subspaces.
+    The RREF shapes over the unit vectors, so each canonical basis is
+    produced directly and no deduplication pass is needed.  Refuses
+    GF(2)^n with more than SUBSPACE_ENUM_CAP subspaces.
     """
     if n < 1:
         raise ValueError("ambient dimension must be positive")
-    _check_subspace_cap(n, SUBSPACE_ENUM_CAP)
-    for k in range(n + 1):
-        for pivots in itertools.combinations(range(n), k):
-            pivot_set = set(pivots)
-            free = [
-                [c for c in range(n) if c > p and c not in pivot_set] for p in pivots
-            ]
-            for masks in itertools.product(*(range(1 << len(fc)) for fc in free)):
-                rows = []
-                for i, p in enumerate(pivots):
-                    bits = 1 << p
-                    for t, c in enumerate(free[i]):
-                        bits |= ((masks[i] >> t) & 1) << c
-                    rows.append(bits)
-                yield Subspace._canonical(tuple(rows), pivots, n)
+    for rows, pivots in _subspace_rows([1 << i for i in range(n)]):
+        yield Subspace._canonical(rows, pivots, n)
 
 
 def _data_lines(text: str) -> list[str]:

@@ -22,6 +22,7 @@ from .classify import (
     MOVED_BY_UNIT,
     STABLE,
     _first_exit,
+    _marked,
     classify,
     hyperinvariant_lattice,
     invariant_subspaces,
@@ -93,7 +94,7 @@ def census(block_sizes: tuple[int, ...]) -> SubspaceCensus:
         if kind == MOVED_BY_F:
             raise AssertionError("lifted subspace is not invariant")
         invariant.append(s)
-        if is_marked(f, s):
+        if _marked(f, s):
             marked.append(s)
         if kind > MOVED_BY_UNIT:
             characteristic.append(s)

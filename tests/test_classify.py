@@ -15,7 +15,6 @@ from gf2hyper import (
     commutant_basis,
     counterexample,
     enumerate_automorphisms,
-    enumerate_subspaces,
     format_matrix,
     generator_tuple,
     hyperinvariant_lattice,
@@ -37,6 +36,7 @@ from gf2hyper.classify import (
     invariance_witness,
 )
 from gf2hyper.commutant import _chain_map, _chain_maps, automorphism_generators, flatten_matrix
+from gf2hyper.gf2 import enumerate_subspaces
 from gf2hyper.nilpotent import class_span
 from gf2hyper.verify import census, jordan_operator, lattice_closure, partitions
 
@@ -66,6 +66,7 @@ def test_invariant_subspaces_match_the_filter_oracle(conjugate):
 
 
 def test_census_scans_only_the_invariant_subspaces(monkeypatch):
+    # one scan per invariant subspace: the marked test does not scan f again
     scanned = []
     first_exit = verify._first_exit
 
@@ -74,6 +75,7 @@ def test_census_scans_only_the_invariant_subspaces(monkeypatch):
         return first_exit(f, s, *rest)
 
     monkeypatch.setattr(verify, "_first_exit", counting)
+    monkeypatch.setattr(sys.modules["gf2hyper.classify"], "_first_exit", counting)
     census.cache_clear()
     try:
         data = census((3, 3))

@@ -95,6 +95,19 @@ def test_analyze_census_matches_verify_census(conjugate):
                 assert build_analysis(f, census=True).lattice_census == expected, sizes
 
 
+def test_analyze_census_counts_without_holding_the_subspaces():
+    # (1^7) has 29,212 invariant subspaces; they are counted as they are lifted
+    f = jordan_operator((1,) * 7)
+    tracemalloc.start()
+    try:
+        doc = build_analysis(f, census=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert doc.lattice_census.invariant == 29212
+    assert peak < 1 << 20
+
+
 def test_analyze_exit_codes(tmp_path, capsys):
     ident = tmp_path / "ident.txt"
     ident.write_text("2 2\n1 0\n0 1\n")

@@ -11,7 +11,6 @@ from gf2hyper import (
     ParseError,
     SingularMatrix,
     Subspace,
-    enumerate_subspaces,
     format_matrix,
     format_subspace,
     gaussian_binomial,
@@ -20,6 +19,7 @@ from gf2hyper import (
     parse_subspace,
     subspace_count,
 )
+from gf2hyper.gf2 import _subspace_rows, enumerate_subspaces
 from gf2hyper.verify import jordan_operator, partitions
 
 
@@ -254,6 +254,32 @@ def test_enumerate_subspaces_cap():
     with pytest.raises(CapExceeded) as info:
         next(enumerate_subspaces(10))
     assert info.value.required == subspace_count(10)
+
+
+def test_subspace_rows_onto_the_leading_positions():
+    # over the unit vectors, onto=d keeps the subspaces of GF(2)^(d+e) with
+    # pivots 0 ... d-1: sum_k [e, k] 2^(d(e-k)) of them, each once
+    for n in range(1, 7):
+        every = list(enumerate_subspaces(n))
+        for d in range(n + 1):
+            e = n - d
+            got = [
+                Subspace._canonical(rows, pivots, n)
+                for rows, pivots in _subspace_rows([1 << i for i in range(n)], onto=d)
+            ]
+            assert got == [s for s in every if s.pivots[:d] == tuple(range(d))]
+            assert len(set(got)) == len(got)
+            assert len(got) == sum(gaussian_binomial(e, k) << d * (e - k) for k in range(e + 1))
+
+
+def test_subspace_rows_over_a_subspace_basis():
+    rng = random.Random(59)
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        s = Subspace.span_bits([rng.getrandbits(n) for _ in range(rng.randint(0, 5))], n)
+        spans = {Subspace.span_bits(rows, n) for rows, _ in _subspace_rows(s.rows)}
+        assert len(spans) == subspace_count(s.dim)
+        assert all(s.contains_subspace(t) for t in spans)
 
 
 def test_matrix_multiply_against_entries():

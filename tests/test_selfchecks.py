@@ -87,3 +87,25 @@ def test_every_export_has_a_production_caller():
     uncalled = sorted({f"{c}.{n}" for c, n in members if n not in referenced} - UNCALLED_MEMBERS)
     assert not uncalled, uncalled
     assert UNCALLED_MEMBERS <= {f"{c}.{n}" for c, n in members}
+
+
+def test_no_unused_module_imports():
+    # a module-level import that nothing in its module reads is left over;
+    # __init__.py is exempt, as its imports are the exports
+    package = Path(gf2hyper.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+    assert not found, found
