@@ -13,6 +13,7 @@ chain.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -112,13 +113,17 @@ def _stability_maps(f: NilpotentOperator) -> tuple[tuple[int, Gf2Matrix], ...]:
 
 
 def _first_exit(
-    f: NilpotentOperator, s: Subspace, through: int = MOVED_BY_PROJECTION
+    f: NilpotentOperator,
+    s: Subspace,
+    through: int = MOVED_BY_PROJECTION,
+    since: int = MOVED_BY_F,
 ) -> tuple[int, Witness | None]:
-    """Scan the stability maps of kinds up to `through` over the basis rows of s.
+    """Scan the stability maps of kinds `since` to `through` over the basis rows of s.
 
     Returns the kind of the first map that moves a row out of s, with
     that map and row as the witness, or (STABLE, None) when none does.
-    Invariance alone scans f and builds no other map.
+    Invariance alone scans f and builds no other map; a caller that
+    knows s is invariant can start after f.
     """
     if s.ambient_dim != f.dim:
         raise DimensionMismatch("subspace does not match the operator")
@@ -126,6 +131,8 @@ def _first_exit(
     for kind, g in maps:
         if kind > through:
             break
+        if kind < since:
+            continue
         for r in s.rows:
             if not s.contains_bits(g.apply_bits(r)):
                 return kind, Witness(g, Gf2Vector(r, f.dim))
@@ -161,6 +168,12 @@ def is_characteristic(f: NilpotentOperator, s: Subspace) -> tuple[bool, Witness 
     """
     _, bad = _first_exit(f, s, MOVED_BY_UNIT)
     return bad is None, bad
+
+
+def _unit_stable(f: NilpotentOperator, s: Subspace) -> bool:
+    """The verdict of `is_characteristic` on an s known to be invariant,
+    from the unit prefix alone: f is not scanned again."""
+    return _first_exit(f, s, MOVED_BY_UNIT, since=MOVED_BY_UNIT)[0] == STABLE
 
 
 def is_marked(f: NilpotentOperator, s: Subspace) -> bool:
@@ -283,17 +296,32 @@ def _monotone_shifts(exponents: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=None)
+def _hyperinvariant_nodes(f: NilpotentOperator) -> tuple[tuple[Subspace, int], ...]:
+    """Every hyperinvariant subspace with its chain-tail mask, sorted by
+    dimension and basis.
+
+    Bit o_i + k of the mask stands for f^k u_i, o_i being the total
+    length of the chains before chain i; the mask holds the chain
+    vectors that span the subspace.  The chains are a basis, so one
+    subspace lies inside another exactly when its mask is a subset of
+    the other's, and distinct shift tuples give distinct subspaces.
+    """
+    u = generator_tuple(f)
+    offsets = tuple(itertools.accumulate(u.exponents, initial=0))
+    nodes = []
+    for r in _monotone_shifts(u.exponents):
+        mask = sum(((1 << t) - (1 << s)) << o for o, t, s in zip(offsets, u.exponents, r))
+        nodes.append((shifted_chain_span(f, u, AdmissibleTuple(r)), mask))
+    return tuple(sorted(nodes, key=lambda node: (node[0].dim, node[0].rows)))
+
+
 def hyperinvariant_lattice(f: NilpotentOperator) -> tuple[Subspace, ...]:
     """Every hyperinvariant subspace, sorted by dimension and basis.
 
     These are exactly the spans of the monotone-shifted chains (Fillmore,
     Herrero and Longstaff, LAA 17, 1977), one per monotone shift tuple.
     """
-    u = generator_tuple(f)
-    nodes = {
-        shifted_chain_span(f, u, AdmissibleTuple(r)) for r in _monotone_shifts(u.exponents)
-    }
-    return tuple(sorted(nodes, key=lambda s: (s.dim, s.rows)))
+    return tuple(s for s, _ in _hyperinvariant_nodes(f))
 
 
 def largest_hyperinvariant_inside(

@@ -17,10 +17,11 @@ from pathlib import Path
 
 from . import verify as verify_mod
 from .classify import (
+    _hyperinvariant_nodes,
+    _unit_stable,
     classify,
     hyperinvariant_lattice,
     invariant_subspaces,
-    is_characteristic,
 )
 from .commutant import automorphism_group_order, commutant_dimension
 from .errors import (
@@ -37,6 +38,7 @@ from .gf2 import (
     SUBSPACE_ENUM_CAP,
     Subspace,
     _check_subspace_cap,
+    _span_table,
     format_subspace,
     parse_matrix,
     parse_subspace,
@@ -213,7 +215,7 @@ def build_analysis(f: NilpotentOperator, census: bool = False) -> AnalysisDocume
         invariant = char = 0
         for s in invariant_subspaces(f):
             invariant += 1
-            char += is_characteristic(f, s)[0]
+            char += _unit_stable(f, s)
         hyper = len(hyperinvariant_lattice(f))
         census_doc = LatticeCensusDocument(invariant, char, hyper, char - hyper)
     return AnalysisDocument(
@@ -338,20 +340,17 @@ def _node_digest(s: Subspace) -> str:
     return hashlib.sha1(payload).hexdigest()[:8]
 
 
-def _covering_edges(nodes: list[Subspace]) -> list[tuple[int, int]]:
+def _covering_edges(keys: list[int]) -> list[tuple[int, int]]:
     """Edges of the covering relation only; transitive pairs are dropped.
 
-    Only a node of larger dimension can lie strictly above another:
-    containment at equal dimension is equality.  Node j covers node i
-    when j is above i but above no node that is above i.
+    keys[i] is a bitset whose subset order is the containment of the
+    nodes: node i lies inside node j exactly when keys[i] is a subset of
+    keys[j].  Node j covers node i when j is above i but above no node
+    that is above i.
     """
-    above = [[] for _ in nodes]  # above[i]: the j with nodes[i] strictly inside nodes[j]
-    mask = [0] * len(nodes)  # the same sets as bitmasks
-    for i, s in enumerate(nodes):
-        for j, t in enumerate(nodes):
-            if t.dim > s.dim and t.contains_subspace(s):
-                above[i].append(j)
-                mask[i] |= 1 << j
+    # above[i]: the j with node i strictly inside node j
+    above = [[j for j, b in enumerate(keys) if a != b and a & ~b == 0] for a in keys]
+    mask = [sum(1 << j for j in ups) for ups in above]  # the same sets as bitmasks
     edges = []
     for i, ups in enumerate(above):
         beyond = 0
@@ -363,20 +362,26 @@ def _covering_edges(nodes: list[Subspace]) -> list[tuple[int, int]]:
 
 def _lattice_nodes(
     f: NilpotentOperator, which: str, cap: int
-) -> list[Subspace]:
+) -> tuple[list[Subspace], list[int]]:
+    """The nodes, sorted by dimension and basis, and their `_covering_edges` keys."""
     if which == "hinv":
-        return list(hyperinvariant_lattice(f))
+        # hyperinvariant_lattice builds the nodes, and their chain-tail masks
+        # in the same cached pass
+        return list(hyperinvariant_lattice(f)), [key for _, key in _hyperinvariant_nodes(f)]
     # the cap bounds the subspaces of GF(2)^n, checked before any is built
     _check_subspace_cap(f.dim, cap)
-    nodes = [s for s in invariant_subspaces(f) if which == "inv" or is_characteristic(f, s)[0]]
+    nodes = [s for s in invariant_subspaces(f) if which == "inv" or _unit_stable(f, s)]
     nodes.sort(key=lambda s: (s.dim, s.rows))
-    return nodes
+    # each key is the membership bitset, bit v for each vector v of the node: as
+    # GF(2)^10 has more than the largest cap of 2^24 subspaces, n <= 9 here and
+    # a key has at most 512 bits
+    return nodes, [sum(1 << v for v in _span_table(s.rows)) for s in nodes]
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
     f = validate_nilpotent(_read_matrix(args.matrix))
-    nodes = _lattice_nodes(f, args.which, args.cap)
-    edges = _covering_edges(nodes)
+    nodes, keys = _lattice_nodes(f, args.which, args.cap)
+    edges = _covering_edges(keys)
     if args.dot:
         print("digraph lattice {")
         print("  rankdir=BT;")

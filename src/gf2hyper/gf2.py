@@ -346,11 +346,6 @@ class Subspace:
             raise DimensionMismatch("vector dimension does not match ambient space")
         return self.contains_bits(v.bits)
 
-    def contains_subspace(self, other: Subspace) -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionMismatch("subspaces live in different ambient spaces")
-        return all(self.contains_bits(r) for r in other.rows)
-
     def sum(self, other: Subspace) -> Subspace:
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("subspaces live in different ambient spaces")

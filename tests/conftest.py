@@ -27,6 +27,12 @@ def monotone_shift_condition(
     return all(x <= y for x, y in zip(co, co[1:]))
 
 
+def contains_subspace(outer, inner):
+    """Oracle for subspace containment: every basis row of inner lies in outer."""
+    assert outer.ambient_dim == inner.ambient_dim
+    return all(outer.contains_bits(r) for r in inner.rows)
+
+
 def random_invertible(rng, n):
     while True:
         m = Gf2Matrix(tuple(rng.getrandbits(n) for _ in range(n)), n)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import gf2hyper
-from gf2hyper import parse_subspace, ulm_form_condition, ulm_sequence
+from gf2hyper import format_matrix, parse_subspace, ulm_form_condition, ulm_sequence
 from gf2hyper.cli import (
     DEFAULT_LATTICE_CAP,
     AnalysisDocument,
@@ -20,6 +20,8 @@ from gf2hyper.cli import (
     main,
 )
 from gf2hyper.verify import census, jordan_operator, partitions
+
+from conftest import contains_subspace
 
 GOLDEN = "4 4\n0 0 0 0\n0 0 0 0\n0 1 0 0\n0 0 1 0\n"
 GOLDEN_X = "2 4\n1 0 1 0\n0 0 0 1\n"
@@ -248,13 +250,13 @@ def test_lattice_edges_are_covering_only(golden_file, capsys):
     x = parse_subspace(GOLDEN_X)
     assert x in nodes
     for i, j in edges:
-        assert nodes[j].contains_subspace(nodes[i]) and nodes[i] != nodes[j]
+        assert contains_subspace(nodes[j], nodes[i]) and nodes[i] != nodes[j]
         for k in range(len(nodes)):
             if k in (i, j):
                 continue
             strictly_between = (
-                nodes[k].contains_subspace(nodes[i])
-                and nodes[j].contains_subspace(nodes[k])
+                contains_subspace(nodes[k], nodes[i])
+                and contains_subspace(nodes[j], nodes[k])
                 and nodes[k] != nodes[i]
                 and nodes[k] != nodes[j]
             )
@@ -270,7 +272,7 @@ def _covering_edges_by_triple_scan(nodes):
     above = [0] * count
     for i in range(count):
         for j in range(count):
-            if i != j and nodes[i] != nodes[j] and nodes[j].contains_subspace(nodes[i]):
+            if i != j and nodes[i] != nodes[j] and contains_subspace(nodes[j], nodes[i]):
                 above[i] |= 1 << j
     edges = []
     for i in range(count):
@@ -290,14 +292,37 @@ def _covering_edges_by_triple_scan(nodes):
 
 def test_covering_edges_match_the_triple_scan(conjugate):
     rng = random.Random(37)
-    for n in range(1, 6):
+    for n in range(1, 8):
         for sizes in partitions(n):
             for f in (jordan_operator(sizes), conjugate(sizes, rng)):
-                for which in ("inv", "chinv", "hinv"):
-                    nodes = _lattice_nodes(f, which, DEFAULT_LATTICE_CAP)
-                    assert _covering_edges(nodes) == _covering_edges_by_triple_scan(
+                for which in ("inv", "chinv", "hinv") if n <= 5 else ("hinv",):
+                    nodes, keys = _lattice_nodes(f, which, DEFAULT_LATTICE_CAP)
+                    assert _covering_edges(keys) == _covering_edges_by_triple_scan(
                         nodes
                     ), (sizes, which)
+
+
+def _assert_keys_order_like_containment(nodes, keys):
+    assert len(keys) == len(nodes) == len(set(keys))
+    for i, s in enumerate(nodes):
+        for j, t in enumerate(nodes):
+            inside = s.dim <= t.dim and contains_subspace(t, s)
+            assert (keys[i] & ~keys[j] == 0) == inside, (i, j)
+
+
+def test_chain_tail_masks_order_like_containment(conjugate):
+    f = conjugate((2, 4, 6, 8, 10), random.Random(41))
+    nodes, keys = _lattice_nodes(f, "hinv", DEFAULT_LATTICE_CAP)
+    assert len(nodes) == 243
+    _assert_keys_order_like_containment(nodes, keys)
+
+
+@pytest.mark.parametrize("sizes", [(1, 1, 2), (2, 3)])
+def test_membership_keys_order_like_containment(sizes):
+    nodes, keys = _lattice_nodes(jordan_operator(sizes), "inv", DEFAULT_LATTICE_CAP)
+    for s, key in zip(nodes, keys):
+        assert key == sum(1 << v.bits for v in s.enumerate_vectors())
+    _assert_keys_order_like_containment(nodes, keys)
 
 
 def _subspace_text(node):
@@ -325,6 +350,23 @@ def test_lattice_cap_exceeded(golden_file, tmp_path, capsys):
     # checked against the 67 subspaces of GF(2)^4, not the invariant ones
     for which in ("inv", "chinv"):
         assert main(["lattice", golden_file, "--which", which, "--cap", "10"]) == 5
+
+
+@pytest.mark.parametrize("which", ["chinv", "inv"])
+def test_lattice_refuses_dimension_ten_at_the_largest_cap(which, tmp_path, monkeypatch, capsys):
+    # GF(2)^10 has more than 2^24 subspaces, so no node and no membership key
+    # of more than 512 bits is ever built
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may be built past the cap check")
+
+    for name in ("invariant_subspaces", "_unit_stable", "_span_table", "_covering_edges"):
+        monkeypatch.setattr(f"gf2hyper.cli.{name}", refuse)
+    p = tmp_path / "n10.txt"
+    p.write_text(format_matrix(jordan_operator((10,)).mat))
+    argv = ["lattice", str(p), "--which", which, "--cap", str(DEFAULT_LATTICE_CAP)]
+    assert DEFAULT_LATTICE_CAP == 1 << 24
+    assert main(argv) == 5
+    assert "229755605 subspaces" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("which", ["hinv", "chinv", "inv"])

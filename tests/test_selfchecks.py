@@ -47,6 +47,10 @@ UNCALLED_EXPORTS = {
     # the generating-set oracle: the generating-set tests use it and bench/spans.py
     # times it by name; it moves to tests/conftest.py once the benchmark stops tracing it
     "automorphism_generators",
+    # the public characteristic predicate, with its full scan: production reads the
+    # verdict from one _first_exit scan, or from _unit_stable on lifted subspaces,
+    # and bench/spans.py times it by name
+    "is_characteristic",
 }
 # public class members that production code may leave uncalled, each for a reason
 UNCALLED_MEMBERS = {
