@@ -4,8 +4,11 @@ Invariant, characteristic and hyperinvariant are one ordered scan over
 a few maps commuting with f: f, then units that with I generate the
 span of every unit, then the projections that complete the commutant.
 Each class tests a prefix, so the first map that moves a basis row
-decides all three.  Marked checks only the pairs (a, r) of the
-intersection criterion that can fail.  `invariant_subspaces` lists the
+decides all three.  The scan runs in the coordinates of the Jordan
+chains, where each of those maps is a shift and a mask; only a witness
+that is reported is built as a matrix.  Marked checks only the pairs
+(a, r) of the intersection criterion that can fail, by comparing
+dimensions in the same coordinates.  `invariant_subspaces` lists the
 invariant subspaces directly, each once, by lifting them down the image
 chain.
 """
@@ -15,16 +18,17 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, InadmissibleTuple
-from .commutant import _chain_map
+from .commutant import _chain_frame, _chain_map
 from .gf2 import (
     Gf2Matrix,
     Gf2Vector,
     Subspace,
     _echelonize,
     _lowest_bit,
+    _reduce_against,
     _subspace_rows,
 )
 from .nilpotent import GeneratorTuple, NilpotentOperator, class_span, generator_tuple
@@ -76,8 +80,11 @@ MOVED_BY_F, MOVED_BY_UNIT, MOVED_BY_PROJECTION, STABLE = range(4)
 
 
 @functools.lru_cache(maxsize=None)
-def _stability_maps(f: NilpotentOperator) -> tuple[tuple[int, Gf2Matrix], ...]:
-    """(kind, map) pairs to scan: f, units I + N, then projections P_c.
+def _stability_maps(
+    f: NilpotentOperator,
+) -> tuple[tuple[int, tuple[int, int, int] | None], ...]:
+    """(kind, (c, i, j)) descriptors of the maps to scan: f (descriptor
+    None), units I + N_(c,i,j), then projections P_c = N_(c,c,0).
 
     The N are elementary chain maps N_(c,i,j) (`commutant._chain_map`):
     consecutive chains of one class, both ways, with j = 0; the first
@@ -102,14 +109,73 @@ def _stability_maps(f: NilpotentOperator) -> tuple[tuple[int, Gf2Matrix], ...]:
     for a, b in zip(firsts, firsts[1:]):
         links += [(a, b, u.exponents[b] - u.exponents[a]), (b, a, 0)]
     links += [(c, c, 1) for c in singles if u.exponents[c] >= 2]
-    maps = [(MOVED_BY_F, f.mat)]
-    for c, i, j in links:
-        g = Gf2Matrix.identity(f.dim) + _chain_map(f, c, i, j)
-        if not g.is_invertible():
-            raise AssertionError("stability unit is not invertible")
-        maps.append((MOVED_BY_UNIT, g))
-    maps += [(MOVED_BY_PROJECTION, _chain_map(f, c, c, 0)) for c in singles]
-    return tuple(maps)
+    return (
+        ((MOVED_BY_F, None),)
+        + tuple((MOVED_BY_UNIT, link) for link in links)
+        + tuple((MOVED_BY_PROJECTION, (c, c, 0)) for c in singles)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_coordinates(
+    f: NilpotentOperator,
+) -> tuple[Gf2Matrix | None, tuple[tuple[int, int, int, int], ...], tuple[int, ...]]:
+    """P^-1 (None when it is the identity), the stability maps as shifts,
+    and the images of the powers of f as masks, in chain coordinates.
+
+    Bit o_i + k stands for f^k u_i (`commutant._chain_frame`), and each
+    scanned map moves chains onto chains: (kind, a, m, b) sends x to
+    ((x >> a) & m) << b.  f is (0, every bit but the chain ends, 1);
+    N_(c,i,j) is (o_c, 2^(t_i - j) - 1, o_i + j), the first t_i - j
+    entries of chain c moved to position j of chain i.  images[m], the
+    bits with k >= m, spans Im f^m, and f^m is (x << m) & images[m].
+    """
+    _, p_inv, offsets = _chain_frame(f)
+    lengths = generator_tuple(f).exponents
+    ends = sum(1 << (o - 1) for o in offsets[1:])
+    shifts = []
+    for kind, link in _stability_maps(f):
+        if link is None:
+            shifts.append((kind, 0, (1 << f.dim) - 1 - ends, 1))
+        else:
+            c, i, j = link
+            shifts.append((kind, offsets[c], (1 << (lengths[i] - j)) - 1, offsets[i] + j))
+    images = tuple(
+        sum(((1 << t) - (1 << min(m, t))) << o for o, t in zip(offsets, lengths))
+        for m in range(f.index + 1)
+    )
+    to_chain = None if p_inv == Gf2Matrix.identity(f.dim) else p_inv
+    return to_chain, tuple(shifts), images
+
+
+def _in_chains(s: Subspace, to_chain: Gf2Matrix | None) -> tuple[Sequence[int], ...]:
+    """P^-1 r for each basis row r of s, in order, and their RREF basis and pivots.
+
+    With P the identity, as for every Jordan matrix with nondecreasing
+    blocks, these are the rows of s as they are.
+    """
+    if to_chain is None:
+        return s.rows, s.rows, s.pivots
+    xs = [to_chain.apply_bits(r) for r in s.rows]
+    return (xs, *_echelonize(xs))
+
+
+def _witness(f: NilpotentOperator, at: int, row: int) -> Witness:
+    """Stability map number `at` as a matrix, with the basis row it moves out.
+
+    f is f.mat; each other map is P E P^-1 (`commutant._chain_map`, which
+    checks that it commutes with f), plus I for a unit.
+    """
+    kind, link = _stability_maps(f)[at]
+    if link is None:
+        g = f.mat
+    else:
+        g = _chain_map(f, *link)
+        if kind == MOVED_BY_UNIT:
+            g = Gf2Matrix.identity(f.dim) + g
+            if not g.is_invertible():
+                raise AssertionError("stability unit is not invertible")
+    return Witness(g, Gf2Vector(row, f.dim))
 
 
 def _first_exit(
@@ -117,25 +183,35 @@ def _first_exit(
     s: Subspace,
     through: int = MOVED_BY_PROJECTION,
     since: int = MOVED_BY_F,
+    witness: bool = True,
 ) -> tuple[int, Witness | None]:
     """Scan the stability maps of kinds `since` to `through` over the basis rows of s.
 
     Returns the kind of the first map that moves a row out of s, with
     that map and row as the witness, or (STABLE, None) when none does.
-    Invariance alone scans f and builds no other map; a caller that
-    knows s is invariant can start after f.
+    The scan runs in chain coordinates, where each map is a shift and a
+    mask (`_chain_coordinates`); only the witness map is built as a
+    matrix, and not at all when `witness` is false (the witness is then
+    None).  Invariance alone scans f.mat and builds no chain coordinates;
+    a caller that knows s is invariant can start after f.
     """
     if s.ambient_dim != f.dim:
         raise DimensionMismatch("subspace does not match the operator")
-    maps = ((MOVED_BY_F, f.mat),) if through == MOVED_BY_F else _stability_maps(f)
-    for kind, g in maps:
+    if through == MOVED_BY_F:
+        for r in s.rows:
+            if not s.contains_bits(f.mat.apply_bits(r)):
+                return MOVED_BY_F, Witness(f.mat, Gf2Vector(r, f.dim))
+        return STABLE, None
+    to_chain, shifts, _ = _chain_coordinates(f)
+    xs, basis, pivots = _in_chains(s, to_chain)
+    for at, (kind, a, m, b) in enumerate(shifts):
         if kind > through:
             break
         if kind < since:
             continue
-        for r in s.rows:
-            if not s.contains_bits(g.apply_bits(r)):
-                return kind, Witness(g, Gf2Vector(r, f.dim))
+        for row, x in enumerate(xs):
+            if _reduce_against(((x >> a) & m) << b, basis, pivots):
+                return kind, _witness(f, at, s.rows[row]) if witness else None
     return STABLE, None
 
 
@@ -172,13 +248,39 @@ def is_characteristic(f: NilpotentOperator, s: Subspace) -> tuple[bool, Witness 
 
 def _unit_stable(f: NilpotentOperator, s: Subspace) -> bool:
     """The verdict of `is_characteristic` on an s known to be invariant,
-    from the unit prefix alone: f is not scanned again."""
-    return _first_exit(f, s, MOVED_BY_UNIT, since=MOVED_BY_UNIT)[0] == STABLE
+    from the unit prefix alone: f is not scanned again, and no map is built."""
+    return _first_exit(f, s, MOVED_BY_UNIT, since=MOVED_BY_UNIT, witness=False)[0] == STABLE
 
 
 def is_marked(f: NilpotentOperator, s: Subspace) -> bool:
     """Invariant and meeting the intersection criterion (`_marked`)."""
     return is_invariant(f, s) and _marked(f, s)
+
+
+def _rank(rows: Iterable[int]) -> int:
+    return len(_echelonize(rows)[0])
+
+
+def _meet(rows: Sequence[int], mask: int) -> list[int]:
+    """A basis of span(rows) ∩ the coordinate subspace on the bits of `mask`,
+    for independent rows.
+
+    Eliminates on the bits outside the mask: rows that keep such a bit
+    are independent outside it, and those reduced to none span the
+    intersection.
+    """
+    outside: list[tuple[int, int]] = []
+    inside = []
+    for x in rows:
+        for p, b in outside:
+            if (x >> p) & 1:
+                x ^= b
+        rest = x & ~mask
+        if rest:
+            outside.append((_lowest_bit(rest), x))
+        else:
+            inside.append(x)
+    return inside
 
 
 def _marked(f: NilpotentOperator, s: Subspace) -> bool:
@@ -192,12 +294,23 @@ def _marked(f: NilpotentOperator, s: Subspace) -> bool:
     a + r ≥ index gives 0 on both sides, as Im f^(a+r) = 0 and the
     right side lies inside it.
     So an invariant subspace of an operator of index ≤ 2 is marked.
+
+    The right side always lies inside the left, so equal dimensions
+    decide each pair.  Both are counted in chain coordinates, where f^a
+    is a shift and a mask and Im f^m a coordinate subspace
+    (`_chain_coordinates`).
     """
+    if f.index <= 2:
+        return True
+    to_chain, _, images = _chain_coordinates(f)
+    _, basis, _ = _in_chains(s, to_chain)
+    meets = [_meet(basis, images[r]) for r in range(f.index - 1)]
     for a in range(1, f.index - 1):
-        mapped = f.powers[a].map_subspace(s)
+        mapped = [(x << a) & images[a] for x in basis]
+        mapped_dim = _rank(mapped)
         for r in range(1, f.index - a):
-            lhs = mapped.intersect(f.image_chain[a + r])
-            rhs = f.powers[a].map_subspace(s.intersect(f.image_chain[r]))
+            lhs = mapped_dim - _rank(y & ~images[a + r] for y in mapped)
+            rhs = _rank((x << a) & images[a] for x in meets[r])
             if lhs != rhs:
                 return False
     return True

@@ -5,9 +5,11 @@ sending one Jordan chain onto a shifted copy of another, are a basis of
 the commutant, whose dimension is the formula sum of min(t_i, t_j); the
 identity plus each one, bar the chain projections, generates the unit
 group (the commuting automorphisms), whose order has a closed formula.
-Classification builds only the few chain maps whose sums and products
-give the span of the units and the whole commutant
-(`classify._stability_maps`).  `commutant_basis`, its canonical basis,
+Classification scans the few chain maps whose sums and products give
+the span of the units and the whole commutant
+(`classify._stability_maps`) as bit shifts in the chain coordinates of
+`_chain_frame`, and builds a matrix (`_chain_map`) only for a witness it
+reports.  `commutant_basis`, its canonical basis,
 `automorphism_generators`, and capped exhaustive enumeration of the
 units are the oracles.
 """
@@ -25,6 +27,7 @@ from .nilpotent import (
     chain_matrix,
     elementary_divisors,
     generator_tuple,
+    jordan_matrix,
     ulm_sequence,
 )
 
@@ -68,9 +71,16 @@ class AutomorphismSet:
 
 @functools.lru_cache(maxsize=None)
 def _chain_frame(f: NilpotentOperator) -> tuple[Gf2Matrix, Gf2Matrix, tuple[int, ...]]:
-    """The chain matrix P of the generator tuple, P^-1, and each chain's first column."""
+    """The chain matrix P of the generator tuple, P^-1, and each chain's first column.
+
+    Column o_i + k of P is f^k u_i, so f P = P J for the Jordan matrix J
+    of the chain lengths; that is checked here, once per operator, for
+    every map later written as a shift in these chain coordinates.
+    """
     u = generator_tuple(f)
     p = chain_matrix(f, u)
+    if f.mat @ p != p @ jordan_matrix(u.exponents):
+        raise AssertionError("the chains do not carry f to its Jordan form")
     return p, p.inverse(), tuple(itertools.accumulate(u.exponents, initial=0))
 
 

@@ -156,13 +156,16 @@ def validate_nilpotent(m: Gf2Matrix) -> NilpotentOperator:
         powers.append(powers[-1] @ m)
     index = len(powers) - 1
     kernel_chain = tuple(p.kernel() for p in powers)
-    image_chain = tuple(p.image() for p in powers)
+    # Im f^(j+1) = f(Im f^j), from the whole space down
+    image_chain = [Subspace.span_bits((1 << i for i in range(n)), n)]
+    for _ in range(index):
+        image_chain.append(m.map_subspace(image_chain[-1]))
     for j in range(index):
         if kernel_chain[j].dim >= kernel_chain[j + 1].dim:
             raise AssertionError("kernel chain must strictly increase")
         if image_chain[j].dim <= image_chain[j + 1].dim:
             raise AssertionError("image chain must strictly decrease")
-    return NilpotentOperator(m, index, kernel_chain, image_chain, tuple(powers))
+    return NilpotentOperator(m, index, kernel_chain, tuple(image_chain), tuple(powers))
 
 
 def exponent(f: NilpotentOperator, x: Gf2Vector) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ShodaConditionFails
 from .classify import MOVED_BY_PROJECTION, STABLE, _first_exit
-from .commutant import _chain_map
+from .commutant import _chain_frame
 from .gf2 import Gf2Vector, Subspace
 from .nilpotent import (
     GeneratorTuple,
@@ -156,13 +156,16 @@ def counterexample(
     tau = u.class_of_exponent(a_tau)
     z = linking_vector(f, u, rho, tau)
     y_span = exceptional_subspace(f, u, rho, tau)
-    kind, _ = _first_exit(f, y_span)
+    kind, _ = _first_exit(f, y_span, witness=False)
     if kind < MOVED_BY_PROJECTION:
         raise AssertionError("constructed span failed the characteristic check")
     if kind == STABLE:
         raise AssertionError("constructed span is unexpectedly hyperinvariant")
+    # P_r z, the projection onto the short chain: z's chain coordinates on chain r
+    p, p_inv, offsets = _chain_frame(f)
     r = u.class_indices(rho)[0]
-    if y_span.contains(_chain_map(f, r, r, 0).apply(z)):
+    on_chain = p_inv.apply_bits(z.bits) & (((1 << a_rho) - 1) << offsets[r])
+    if y_span.contains_bits(p.apply_bits(on_chain)):
         raise AssertionError("projection witness failed")
     witness = ShodaWitness(rho, tau, a_rho, a_tau, z, y_span)
     return y_span, witness

@@ -90,7 +90,7 @@ def census(block_sizes: tuple[int, ...]) -> SubspaceCensus:
     f = jordan_operator(block_sizes)
     invariant, marked, characteristic, hyperinvariant = [], [], [], []
     for s in sorted(invariant_subspaces(f), key=lambda s: (s.dim, s.pivots, s.rows)):
-        kind, _ = _first_exit(f, s)
+        kind, _ = _first_exit(f, s, witness=False)
         if kind == MOVED_BY_F:
             raise AssertionError("lifted subspace is not invariant")
         invariant.append(s)

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from gf2hyper import (
@@ -12,6 +14,15 @@ from gf2hyper import (
     ulm_sequence,
     validate_nilpotent,
 )
+from gf2hyper.classify import (
+    MOVED_BY_F,
+    MOVED_BY_PROJECTION,
+    MOVED_BY_UNIT,
+    STABLE,
+    Witness,
+)
+from gf2hyper.commutant import _chain_map
+from gf2hyper.errors import DimensionMismatch
 from gf2hyper.nilpotent import chain_matrix, jordan_matrix
 
 
@@ -31,6 +42,56 @@ def contains_subspace(outer, inner):
     """Oracle for subspace containment: every basis row of inner lies in outer."""
     assert outer.ambient_dim == inner.ambient_dim
     return all(outer.contains_bits(r) for r in inner.rows)
+
+
+@functools.lru_cache(maxsize=None)
+def stability_matrices(f):
+    """Oracle for classify._stability_maps: the (kind, map) pairs to scan,
+    each map built as a matrix: f, units I + N_(c,i,j), then projections P_c.
+
+    The same links in the same order: consecutive chains of one class both
+    ways with j = 0, the first chains of adjacent classes up with
+    j = t_b - t_a and down with j = 0, f P_c for each single-chain class
+    with t_c >= 2; then the single-chain projections.
+    """
+    u = generator_tuple(f)
+    firsts = [ix[0] for _, ix in u.partition]
+    singles = [ix[0] for _, ix in u.partition if len(ix) == 1]
+    links = []
+    for _, ix in u.partition:
+        for a, b in zip(ix, ix[1:]):
+            links += [(a, b, 0), (b, a, 0)]
+    for a, b in zip(firsts, firsts[1:]):
+        links += [(a, b, u.exponents[b] - u.exponents[a]), (b, a, 0)]
+    links += [(c, c, 1) for c in singles if u.exponents[c] >= 2]
+    maps = [(MOVED_BY_F, f.mat)]
+    for c, i, j in links:
+        g = Gf2Matrix.identity(f.dim) + _chain_map(f, c, i, j)
+        if not g.is_invertible():
+            raise AssertionError("stability unit is not invertible")
+        maps.append((MOVED_BY_UNIT, g))
+    maps += [(MOVED_BY_PROJECTION, _chain_map(f, c, c, 0)) for c in singles]
+    return tuple(maps)
+
+
+def first_exit_by_matrices(
+    f, s, through=MOVED_BY_PROJECTION, since=MOVED_BY_F, witness=True
+):
+    """Oracle for classify._first_exit: every map of `stability_matrices`
+    applied as a matrix to each basis row of s, in order.  Always builds
+    the witness, whatever `witness` says."""
+    if s.ambient_dim != f.dim:
+        raise DimensionMismatch("subspace does not match the operator")
+    maps = ((MOVED_BY_F, f.mat),) if through == MOVED_BY_F else stability_matrices(f)
+    for kind, g in maps:
+        if kind > through:
+            break
+        if kind < since:
+            continue
+        for r in s.rows:
+            if not s.contains_bits(g.apply_bits(r)):
+                return kind, Witness(g, Gf2Vector(r, f.dim))
+    return STABLE, None
 
 
 def random_invertible(rng, n):

@@ -30,10 +30,13 @@ from gf2hyper import (
 from gf2hyper import verify
 from gf2hyper.cli import _covering_edges, _subspace_from_obj, build_analysis, main
 from gf2hyper.classify import (
+    MOVED_BY_F,
     MOVED_BY_UNIT,
+    _first_exit,
     _hyperinvariant_nodes,
     _monotone_shifts,
     _stability_maps,
+    _unit_stable,
     invariance_witness,
 )
 from gf2hyper.commutant import _chain_map, _chain_maps, automorphism_generators, flatten_matrix
@@ -44,8 +47,10 @@ from gf2hyper.verify import census, jordan_operator, lattice_closure, partitions
 from conftest import (
     contains_subspace,
     cyclic_subspace,
+    first_exit_by_matrices,
     monotone_shift_condition,
     random_invertible,
+    stability_matrices,
 )
 
 WHOLE = Subspace.span_bits([1, 2, 4, 8], 4)
@@ -76,9 +81,9 @@ def test_census_scans_only_the_invariant_subspaces(monkeypatch):
     scanned = []
     first_exit = verify._first_exit
 
-    def counting(f, s, *rest):
+    def counting(f, s, *rest, **options):
         scanned.append(s)
-        return first_exit(f, s, *rest)
+        return first_exit(f, s, *rest, **options)
 
     monkeypatch.setattr(verify, "_first_exit", counting)
     monkeypatch.setattr(sys.modules["gf2hyper.classify"], "_first_exit", counting)
@@ -198,8 +203,7 @@ def test_is_marked_matches_every_pair(conjugate):
     for n in range(1, 7):
         for sizes in partitions(n):
             cases.append((jordan_operator(sizes), n == 6))
-            if n <= 5:
-                cases.append((conjugate(sizes, rng), True))
+            cases.append((conjugate(sizes, rng), True))
     for f, invariant_only in cases:
         for s in enumerate_subspaces(f.dim):
             if invariant_only and not is_invariant(f, s):
@@ -265,6 +269,14 @@ def _algebra(maps, n):
     return span
 
 
+def _scanned_matrix(f, kind, link):
+    """A scanned map rebuilt from its descriptor: f, I + N_(c,i,j) for a unit, P_c = N_(c,c,0)."""
+    if link is None:
+        return f.mat
+    g = _chain_map(f, *link)
+    return Gf2Matrix.identity(f.dim) + g if kind == MOVED_BY_UNIT else g
+
+
 def test_unit_prefix_and_projections_generate_the_commutant(conjugate):
     # the premise of the scan: with I, f and the scanned units generate the
     # algebra of f and every unit generator; the projections complete the commutant
@@ -273,13 +285,69 @@ def test_unit_prefix_and_projections_generate_the_commutant(conjugate):
     operators += [conjugate(sizes, rng) for n in range(1, 7) for sizes in partitions(n)]
     for f in operators:
         n = f.dim
-        maps = _stability_maps(f)
+        maps = tuple((kind, _scanned_matrix(f, kind, link)) for kind, link in _stability_maps(f))
+        assert maps == stability_matrices(f), f.mat.rows
         assert maps[0][1] == f.mat
         prefix = [g for kind, g in maps if kind <= MOVED_BY_UNIT]
         units = _algebra([f.mat, *automorphism_generators(f)], n)
         assert _algebra(prefix, n) == units, f.mat.rows
         commutant = Subspace.span_bits(map(flatten_matrix, commutant_basis(f).basis), n * n)
         assert _algebra([g for _, g in maps], n) == commutant, f.mat.rows
+
+
+def test_scan_matches_the_matrix_oracle(conjugate):
+    # kind, witness map and witness vector as the matrix scan gives them, and the
+    # unit-prefix scan of _unit_stable: every subspace up to n = 6, the invariant
+    # subspaces at n = 7, each shape as a Jordan matrix and one seeded conjugate
+    rng = random.Random(59)
+    for n in range(1, 8):
+        every = list(enumerate_subspaces(n)) if n <= 6 else None
+        for sizes in partitions(n):
+            for f in (jordan_operator(sizes), conjugate(sizes, rng)):
+                for s in every if every is not None else invariant_subspaces(f):
+                    kind, witness = _first_exit(f, s)
+                    assert (kind, witness) == first_exit_by_matrices(f, s), (f.mat.rows, s.rows)
+                    assert _first_exit(f, s, witness=False) == (kind, None)
+                    if kind != MOVED_BY_F:
+                        units = (MOVED_BY_UNIT, MOVED_BY_UNIT)
+                        assert _first_exit(f, s, *units) == first_exit_by_matrices(f, s, *units)
+
+
+def test_only_a_reported_witness_builds_a_chain_map(monkeypatch, conjugate):
+    # the scan reads shifts and masks; a chain map is built only as a witness
+    # that classify reports, one at most, and never for a discarded one
+    built = []
+
+    def counting(f, c, i, j):
+        built.append((c, i, j))
+        return _chain_map(f, c, i, j)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "gf2hyper" and hasattr(module, "_chain_map"):
+            monkeypatch.setattr(module, "_chain_map", counting)
+    rng = random.Random(67)
+    census.cache_clear()
+    try:
+        for sizes in [(1, 3), (1, 2, 3), (2, 6)]:
+            census(sizes)
+    finally:
+        census.cache_clear()
+    for sizes in [(1, 3), (1, 2, 4)]:
+        f = conjugate(sizes, rng)
+        assert build_analysis(f, census=True).shoda_holds
+        for s in invariant_subspaces(f):
+            _unit_stable(f, s)
+    assert built == []
+    reported = 0
+    for sizes in [(1, 3), (1, 1, 2), (2, 2)]:
+        f = conjugate(sizes, rng)
+        for s in enumerate_subspaces(f.dim):
+            built.clear()
+            report = classify(f, s)
+            moved_by_unit_or_projection = report.invariant and not report.hyperinvariant
+            assert len(built) == moved_by_unit_or_projection, (f.mat.rows, s.rows)
+            reported += moved_by_unit_or_projection
+    assert reported > 0
 
 
 def _span_of_bits(n, *vectors):
@@ -312,13 +380,16 @@ def test_invariance_scans_f_alone(monkeypatch):
         raise AssertionError("invariance must scan f alone")
 
     module = sys.modules[_stability_maps.__module__]
-    monkeypatch.setattr(module, "_stability_maps", refuse)
     monkeypatch.setattr(module, "_chain_map", refuse)
     f = jordan_operator((1, 2, 4))
     inside = f.kernel_chain[2]
     outside = Subspace.span([Gf2Vector(1 << 1, f.dim)], f.dim)
+    # the marked test of an invariant subspace reads the chain coordinates, but builds no map
+    assert is_marked(f, inside)
+    for name in ("_stability_maps", "_chain_coordinates", "_chain_frame"):
+        monkeypatch.setattr(module, name, refuse)
     assert is_invariant(f, inside) and not is_invariant(f, outside)
-    assert is_marked(f, inside) and not is_marked(f, outside)
+    assert not is_marked(f, outside)
 
 
 def test_stored_chains_and_chain_spans_match_the_cyclic_oracle(conjugate):

@@ -9,7 +9,17 @@ from pathlib import Path
 import pytest
 
 import gf2hyper
-from gf2hyper import format_matrix, parse_subspace, ulm_form_condition, ulm_sequence
+from gf2hyper import (
+    Gf2Vector,
+    Subspace,
+    counterexample,
+    format_matrix,
+    format_subspace,
+    parse_subspace,
+    ulm_form_condition,
+    ulm_sequence,
+    validate_nilpotent,
+)
 from gf2hyper.cli import (
     DEFAULT_LATTICE_CAP,
     AnalysisDocument,
@@ -21,7 +31,9 @@ from gf2hyper.cli import (
 )
 from gf2hyper.verify import census, jordan_operator, partitions
 
-from conftest import contains_subspace
+from gf2hyper.nilpotent import jordan_matrix
+
+from conftest import contains_subspace, cyclic_subspace, first_exit_by_matrices, random_invertible
 
 GOLDEN = "4 4\n0 0 0 0\n0 0 0 0\n0 1 0 0\n0 0 1 0\n"
 GOLDEN_X = "2 4\n1 0 1 0\n0 0 0 1\n"
@@ -231,6 +243,47 @@ def test_counterexample_output_classifies_back(tmp_path, capsys):
     assert main(["classify", str(p), str(span_file)]) == 0
     verdict = capsys.readouterr().out
     assert "characteristic=true hyperinvariant=false" in verdict
+
+
+@pytest.mark.parametrize("sizes", [(1, 3, 5, 7, 9), (4, 6, 8, 10)])
+def test_classify_and_analyze_print_what_the_matrix_scan_gives(sizes, tmp_path, monkeypatch, capsys):
+    # the shift-and-mask scan against the matrix scan, patched in, on seeded
+    # conjugates: the same verdicts, witness maps and vectors, byte for byte
+    rng = random.Random(sum(sizes))
+    p = random_invertible(rng, sum(sizes))
+    f = validate_nilpotent(p @ jordan_matrix(sizes) @ p.inverse())
+    orbits = [cyclic_subspace(f, Gf2Vector(rng.getrandbits(f.dim), f.dim)) for _ in range(3)]
+    subspaces = [
+        counterexample(f)[0],  # moved by a projection only
+        *orbits,  # moved by a unit
+        orbits[0].sum(orbits[1]),
+        f.kernel_chain[2],  # hyperinvariant
+        Subspace.span_bits([rng.getrandbits(f.dim) for _ in range(3)], f.dim),  # moved by f
+    ]
+    matrix = tmp_path / "f.txt"
+    matrix.write_text(format_matrix(f.mat))
+    runs = [["analyze", str(matrix), "--json"]]
+    for k, s in enumerate(subspaces):
+        path = tmp_path / f"s{k}.txt"
+        path.write_text(format_subspace(s))
+        runs.append(["classify", str(matrix), str(path), "--json"])
+
+    def stdout():
+        outs = []
+        for argv in runs:
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        return outs
+
+    shift_and_mask = stdout()
+    for name in ("gf2hyper.classify", "gf2hyper.shoda"):
+        monkeypatch.setattr(sys.modules[name], "_first_exit", first_exit_by_matrices)
+    assert stdout() == shift_and_mask
+    witnesses = [json.loads(out) for out in shift_and_mask[1:]]
+    kinds = {
+        (w["invariant"], w["characteristic"], w["hyperinvariant"]) for w in witnesses
+    }
+    assert {(False, False, False), (True, False, False), (True, True, False), (True, True, True)} <= kinds
 
 
 def test_lattice_json(golden_file, capsys):

@@ -191,6 +191,15 @@ def test_ulm_sequence_matches_the_socle_definition(conjugate):
                 assert ulm_sequence(f).d == d, sizes
 
 
+def test_image_chain_matches_the_power_images(conjugate):
+    # oracle: Im f^j as the column space of f^j, not walked forward from Im f^(j-1)
+    rng = random.Random(73)
+    for n in range(1, 8):
+        for sizes in partitions(n):
+            for f in (jordan_operator(sizes), conjugate(sizes, rng)):
+                assert f.image_chain == tuple(p.image() for p in f.powers), sizes
+
+
 def test_ulm_invariant_under_conjugation(golden):
     rng = random.Random(12)
     for _ in range(10):
