@@ -5,8 +5,9 @@ a few maps commuting with f: f, then units that with I generate the
 span of every unit, then the projections that complete the commutant.
 Each class tests a prefix, so the first map that moves a basis row
 decides all three.  The scan runs in the coordinates of the Jordan
-chains, where each of those maps is a shift and a mask; only a witness
-that is reported is built as a matrix.  Marked checks only the pairs
+chains that `nilpotent` lays out (the offsets, the chain-tail masks and
+`chain_frame`), where each of those maps is a shift and a mask; only a
+witness that is reported is built as a matrix.  Marked checks only the pairs
 (a, r) of the intersection criterion that can fail, by comparing
 dimensions in the same coordinates.  `invariant_subspaces` lists the
 invariant subspaces directly, each once, by lifting them down the image
@@ -16,12 +17,11 @@ chain.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, InadmissibleTuple
-from .commutant import _chain_frame, _chain_map
+from .commutant import _chain_map
 from .gf2 import (
     Gf2Matrix,
     Gf2Vector,
@@ -31,7 +31,14 @@ from .gf2 import (
     _reduce_against,
     _subspace_rows,
 )
-from .nilpotent import GeneratorTuple, NilpotentOperator, class_span, generator_tuple
+from .nilpotent import (
+    GeneratorTuple,
+    NilpotentOperator,
+    _tail_mask,
+    chain_frame,
+    class_span,
+    generator_tuple,
+)
 
 
 @dataclass(frozen=True)
@@ -77,13 +84,12 @@ class ClassificationReport:
 
 # what _first_exit reports: the kind of the first map that moves s, or STABLE
 MOVED_BY_F, MOVED_BY_UNIT, MOVED_BY_PROJECTION, STABLE = range(4)
+# a scanned map: (kind, (c, i, j) or None for f, a, m, b), see _stability_maps
+_ScanMap = tuple[int, tuple[int, int, int] | None, int, int, int]
 
 
-@functools.lru_cache(maxsize=None)
-def _stability_maps(
-    f: NilpotentOperator,
-) -> tuple[tuple[int, tuple[int, int, int] | None], ...]:
-    """(kind, (c, i, j)) descriptors of the maps to scan: f (descriptor
+def _stability_maps(f: NilpotentOperator) -> tuple[_ScanMap, ...]:
+    """The maps to scan, as (kind, (c, i, j), a, m, b): f (descriptor
     None), units I + N_(c,i,j), then projections P_c = N_(c,c,0).
 
     The N are elementary chain maps N_(c,i,j) (`commutant._chain_map`):
@@ -98,6 +104,11 @@ def _stability_maps(
     N_(i,c,0) N_(c,i,0)).  Each unit is I plus a sum of those, so with I
     the unit prefix generates the span of the units as an algebra, and
     the single-chain P_c complete the commutant.
+
+    In chain coordinates each map moves chains onto chains: it sends x
+    to ((x >> a) & m) << b.  f is (0, every bit but the chain ends, 1);
+    N_(c,i,j) is (o_c, 2^(t_i - j) - 1, o_i + j), the first t_i - j
+    entries of chain c moved to position j of chain i.
     """
     u = generator_tuple(f)
     firsts = [ix[0] for _, ix in u.partition]
@@ -109,43 +120,30 @@ def _stability_maps(
     for a, b in zip(firsts, firsts[1:]):
         links += [(a, b, u.exponents[b] - u.exponents[a]), (b, a, 0)]
     links += [(c, c, 1) for c in singles if u.exponents[c] >= 2]
-    return (
-        ((MOVED_BY_F, None),)
-        + tuple((MOVED_BY_UNIT, link) for link in links)
-        + tuple((MOVED_BY_PROJECTION, (c, c, 0)) for c in singles)
+    chain_maps = [(MOVED_BY_UNIT, link) for link in links]
+    chain_maps += [(MOVED_BY_PROJECTION, (c, c, 0)) for c in singles]
+    o, t = u.offsets, u.exponents
+    ends = _tail_mask(u, [e - 1 for e in t])
+    return ((MOVED_BY_F, None, 0, (1 << f.dim) - 1 - ends, 1),) + tuple(
+        (kind, (c, i, j), o[c], (1 << (t[i] - j)) - 1, o[i] + j) for kind, (c, i, j) in chain_maps
     )
 
 
 @functools.lru_cache(maxsize=None)
 def _chain_coordinates(
     f: NilpotentOperator,
-) -> tuple[Gf2Matrix | None, tuple[tuple[int, int, int, int], ...], tuple[int, ...]]:
-    """P^-1 (None when it is the identity), the stability maps as shifts,
-    and the images of the powers of f as masks, in chain coordinates.
-
-    Bit o_i + k stands for f^k u_i (`commutant._chain_frame`), and each
-    scanned map moves chains onto chains: (kind, a, m, b) sends x to
-    ((x >> a) & m) << b.  f is (0, every bit but the chain ends, 1);
-    N_(c,i,j) is (o_c, 2^(t_i - j) - 1, o_i + j), the first t_i - j
-    entries of chain c moved to position j of chain i.  images[m], the
-    bits with k >= m, spans Im f^m, and f^m is (x << m) & images[m].
+) -> tuple[Gf2Matrix | None, tuple[_ScanMap, ...], tuple[int, ...]]:
+    """Classification's one per-operator cache: P^-1 (None when it is the
+    identity), the `_stability_maps`, and the masks images[m] of Im f^m in
+    chain coordinates, where f^m is (x << m) & images[m].
     """
-    _, p_inv, offsets = _chain_frame(f)
-    lengths = generator_tuple(f).exponents
-    ends = sum(1 << (o - 1) for o in offsets[1:])
-    shifts = []
-    for kind, link in _stability_maps(f):
-        if link is None:
-            shifts.append((kind, 0, (1 << f.dim) - 1 - ends, 1))
-        else:
-            c, i, j = link
-            shifts.append((kind, offsets[c], (1 << (lengths[i] - j)) - 1, offsets[i] + j))
+    _, p_inv = chain_frame(f)
+    u = generator_tuple(f)
     images = tuple(
-        sum(((1 << t) - (1 << min(m, t))) << o for o, t in zip(offsets, lengths))
-        for m in range(f.index + 1)
+        _tail_mask(u, [min(m, t) for t in u.exponents]) for m in range(f.index + 1)
     )
     to_chain = None if p_inv == Gf2Matrix.identity(f.dim) else p_inv
-    return to_chain, tuple(shifts), images
+    return to_chain, _stability_maps(f), images
 
 
 def _in_chains(s: Subspace, to_chain: Gf2Matrix | None) -> tuple[Sequence[int], ...]:
@@ -166,7 +164,7 @@ def _witness(f: NilpotentOperator, at: int, row: int) -> Witness:
     f is f.mat; each other map is P E P^-1 (`commutant._chain_map`, which
     checks that it commutes with f), plus I for a unit.
     """
-    kind, link = _stability_maps(f)[at]
+    kind, link, *_ = _chain_coordinates(f)[1][at]
     if link is None:
         g = f.mat
     else:
@@ -202,9 +200,9 @@ def _first_exit(
             if not s.contains_bits(f.mat.apply_bits(r)):
                 return MOVED_BY_F, Witness(f.mat, Gf2Vector(r, f.dim))
         return STABLE, None
-    to_chain, shifts, _ = _chain_coordinates(f)
+    to_chain, maps, _ = _chain_coordinates(f)
     xs, basis, pivots = _in_chains(s, to_chain)
-    for at, (kind, a, m, b) in enumerate(shifts):
+    for at, (kind, _, a, m, b) in enumerate(maps):
         if kind > through:
             break
         if kind < since:
@@ -413,18 +411,16 @@ def _hyperinvariant_nodes(f: NilpotentOperator) -> tuple[tuple[Subspace, int], .
     """Every hyperinvariant subspace with its chain-tail mask, sorted by
     dimension and basis.
 
-    Bit o_i + k of the mask stands for f^k u_i, o_i being the total
-    length of the chains before chain i; the mask holds the chain
-    vectors that span the subspace.  The chains are a basis, so one
+    The mask (`nilpotent._tail_mask`) holds the chain coordinates of the
+    chain vectors that span the subspace.  The chains are a basis, so one
     subspace lies inside another exactly when its mask is a subset of
     the other's, and distinct shift tuples give distinct subspaces.
     """
     u = generator_tuple(f)
-    offsets = tuple(itertools.accumulate(u.exponents, initial=0))
-    nodes = []
-    for r in _monotone_shifts(u.exponents):
-        mask = sum(((1 << t) - (1 << s)) << o for o, t, s in zip(offsets, u.exponents, r))
-        nodes.append((shifted_chain_span(f, u, AdmissibleTuple(r)), mask))
+    nodes = [
+        (shifted_chain_span(f, u, AdmissibleTuple(r)), _tail_mask(u, r))
+        for r in _monotone_shifts(u.exponents)
+    ]
     return tuple(sorted(nodes, key=lambda node: (node[0].dim, node[0].rows)))
 
 

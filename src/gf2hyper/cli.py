@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import verify as verify_mod
@@ -51,11 +51,6 @@ from .nilpotent import (
 )
 from .shoda import ShodaWitness, counterexample
 
-# also the largest --cap: the lifting enumerates each kernel level through
-# gf2._subspace_rows, which refuses more
-DEFAULT_LATTICE_CAP = SUBSPACE_ENUM_CAP
-
-
 def _matrix_to_obj(m: Gf2Matrix) -> dict:
     return {
         "n_rows": m.n_rows,
@@ -68,6 +63,8 @@ def _matrix_from_obj(obj: dict) -> Gf2Matrix:
     rows = obj["rows"]
     if len(rows) != obj["n_rows"]:
         raise ParseError("row count does not match n_rows")
+    if any(len(r) != obj["n_cols"] for r in rows):
+        raise ParseError("row length does not match n_cols")
     if not rows:
         return Gf2Matrix.zeros(0, obj["n_cols"])
     return Gf2Matrix.from_rows(rows)
@@ -115,21 +112,11 @@ class LatticeCensusDocument:
     characteristic_not_hyperinvariant: int
 
     def to_obj(self) -> dict:
-        return {
-            "invariant": self.invariant,
-            "characteristic": self.characteristic,
-            "hyperinvariant": self.hyperinvariant,
-            "characteristic_not_hyperinvariant": self.characteristic_not_hyperinvariant,
-        }
+        return asdict(self)
 
     @classmethod
     def from_obj(cls, obj: dict) -> LatticeCensusDocument:
-        return cls(
-            obj["invariant"],
-            obj["characteristic"],
-            obj["hyperinvariant"],
-            obj["characteristic_not_hyperinvariant"],
-        )
+        return cls(**obj)
 
 
 @dataclass(frozen=True)
@@ -211,7 +198,7 @@ def build_analysis(f: NilpotentOperator, census: bool = False) -> AnalysisDocume
     census_doc = None
     if census:
         # counted as they are lifted; none is kept
-        _check_subspace_cap(f.dim, DEFAULT_LATTICE_CAP)
+        _check_subspace_cap(f.dim, SUBSPACE_ENUM_CAP)
         invariant = char = 0
         for s in invariant_subspaces(f):
             invariant += 1
@@ -360,27 +347,26 @@ def _covering_edges(keys: list[int]) -> list[tuple[int, int]]:
     return edges
 
 
-def _lattice_nodes(
-    f: NilpotentOperator, which: str, cap: int
-) -> tuple[list[Subspace], list[int]]:
+def _lattice_nodes(f: NilpotentOperator, which: str) -> tuple[list[Subspace], list[int]]:
     """The nodes, sorted by dimension and basis, and their `_covering_edges` keys."""
     if which == "hinv":
         # hyperinvariant_lattice builds the nodes, and their chain-tail masks
         # in the same cached pass
         return list(hyperinvariant_lattice(f)), [key for _, key in _hyperinvariant_nodes(f)]
-    # the cap bounds the subspaces of GF(2)^n, checked before any is built
-    _check_subspace_cap(f.dim, cap)
+    # the cap bounds the subspaces of GF(2)^n, checked before any is built, as
+    # the lifting enumerates through gf2._subspace_rows, which refuses more
+    _check_subspace_cap(f.dim, SUBSPACE_ENUM_CAP)
     nodes = [s for s in invariant_subspaces(f) if which == "inv" or _unit_stable(f, s)]
     nodes.sort(key=lambda s: (s.dim, s.rows))
     # each key is the membership bitset, bit v for each vector v of the node: as
-    # GF(2)^10 has more than the largest cap of 2^24 subspaces, n <= 9 here and
-    # a key has at most 512 bits
+    # GF(2)^10 has more than the cap of 2^24 subspaces, n <= 9 here and a key
+    # has at most 512 bits
     return nodes, [sum(1 << v for v in _span_table(s.rows)) for s in nodes]
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
     f = validate_nilpotent(_read_matrix(args.matrix))
-    nodes, keys = _lattice_nodes(f, args.which, args.cap)
+    nodes, keys = _lattice_nodes(f, args.which)
     edges = _covering_edges(keys)
     if args.dot:
         print("digraph lattice {")
@@ -431,13 +417,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _lattice_cap(text: str) -> int:
-    value = _positive_int(text)
-    if value > DEFAULT_LATTICE_CAP:
-        raise argparse.ArgumentTypeError(f"must be at most {DEFAULT_LATTICE_CAP}, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gf2hyper",
@@ -473,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--dot", action="store_true")
     group.add_argument("--json", action="store_true")
-    p.add_argument("--cap", type=_lattice_cap, default=DEFAULT_LATTICE_CAP)
     p.set_defaults(handler=_cmd_lattice)
 
     p = sub.add_parser("verify", help="run a verification suite")

@@ -7,9 +7,9 @@ identity plus each one, bar the chain projections, generates the unit
 group (the commuting automorphisms), whose order has a closed formula.
 Classification scans the few chain maps whose sums and products give
 the span of the units and the whole commutant
-(`classify._stability_maps`) as bit shifts in the chain coordinates of
-`_chain_frame`, and builds a matrix (`_chain_map`) only for a witness it
-reports.  `commutant_basis`, its canonical basis,
+(`classify._stability_maps`) as bit shifts in the chain coordinates
+that `nilpotent` lays out, and builds a matrix (`_chain_map`) only for a
+witness it reports.  `commutant_basis`, its canonical basis,
 `automorphism_generators`, and capped exhaustive enumeration of the
 units are the oracles.
 """
@@ -24,10 +24,9 @@ from .errors import CapExceeded
 from .gf2 import Gf2Matrix, Subspace
 from .nilpotent import (
     NilpotentOperator,
-    chain_matrix,
+    chain_frame,
     elementary_divisors,
     generator_tuple,
-    jordan_matrix,
     ulm_sequence,
 )
 
@@ -69,21 +68,6 @@ class AutomorphismSet:
         return len(self.elements)
 
 
-@functools.lru_cache(maxsize=None)
-def _chain_frame(f: NilpotentOperator) -> tuple[Gf2Matrix, Gf2Matrix, tuple[int, ...]]:
-    """The chain matrix P of the generator tuple, P^-1, and each chain's first column.
-
-    Column o_i + k of P is f^k u_i, so f P = P J for the Jordan matrix J
-    of the chain lengths; that is checked here, once per operator, for
-    every map later written as a shift in these chain coordinates.
-    """
-    u = generator_tuple(f)
-    p = chain_matrix(f, u)
-    if f.mat @ p != p @ jordan_matrix(u.exponents):
-        raise AssertionError("the chains do not carry f to its Jordan form")
-    return p, p.inverse(), tuple(itertools.accumulate(u.exponents, initial=0))
-
-
 def _chain_map(f: NilpotentOperator, c: int, i: int, j: int) -> Gf2Matrix:
     """The elementary chain map N_(c,i,j), checked to commute with f.
 
@@ -92,7 +76,8 @@ def _chain_map(f: NilpotentOperator, c: int, i: int, j: int) -> Gf2Matrix:
     P E P^-1, with P the chain matrix of the generator tuple and E the
     shift written in chain coordinates.
     """
-    p, p_inv, offsets = _chain_frame(f)
+    p, p_inv = chain_frame(f)
+    offsets = generator_tuple(f).offsets
     rows = [0] * f.dim
     # E P^-1 moves row offsets[c] + k of P^-1 to row offsets[i] + j + k
     for k in range(offsets[i + 1] - offsets[i] - j):

@@ -6,12 +6,18 @@ multiplicities), elementary divisors, and a deterministic generator tuple
 (cyclic decomposition).  The tuple keeps its Jordan chains f^k u_i, walked
 once when it is built; the chain matrix, the equal-exponent summands and
 every chain span elsewhere in the package read them.
+
+It also owns the chain coordinates the package computes in: bit
+offsets[i] + k stands for f^k u_i, `chain_frame` gives the change of
+basis P, P^-1, and `_tail_mask` the masks of chain tails.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .errors import DimensionMismatch, NotAGeneratorTuple, NotNilpotent, NotSquare
 from .gf2 import Gf2Matrix, Gf2Vector, Subspace
@@ -119,13 +125,16 @@ class GeneratorTuple:
 
     ``partition`` groups generator indices by exponent, ascending, so
     partition[mu] = (exponent, indices) mirrors the equal-exponent
-    summands of the space.  ``chains[i][k]`` is the bits of f^k u_i.
+    summands of the space.  ``chains[i][k]`` is the bits of f^k u_i, and
+    ``offsets[i]`` the chain coordinate of u_i: f^k u_i is coordinate
+    offsets[i] + k, and offsets[-1] is the dimension.
     """
 
     generators: tuple[Gf2Vector, ...]
     exponents: tuple[int, ...]
     partition: tuple[tuple[int, tuple[int, ...]], ...]
     chains: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    offsets: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def class_count(self) -> int:
@@ -264,7 +273,8 @@ def make_generator_tuple(
         else:
             partition.append((a, [i]))
     frozen = tuple((a, tuple(ix)) for a, ix in partition)
-    return GeneratorTuple(gens, exps, frozen, tuple(chains))
+    offsets = tuple(itertools.accumulate(exps, initial=0))
+    return GeneratorTuple(gens, exps, frozen, tuple(chains), offsets)
 
 
 @functools.lru_cache(maxsize=None)
@@ -310,6 +320,26 @@ def generator_tuple(f: NilpotentOperator) -> GeneratorTuple:
 def chain_matrix(f: NilpotentOperator, u: GeneratorTuple) -> Gf2Matrix:
     """Basis-change matrix whose columns are the Jordan chains of u."""
     return Gf2Matrix.from_columns(Gf2Vector(b, f.dim) for c in u.chains for b in c)
+
+
+@functools.lru_cache(maxsize=None)
+def chain_frame(f: NilpotentOperator) -> tuple[Gf2Matrix, Gf2Matrix]:
+    """The chain matrix P of the generator tuple and P^-1.
+
+    f P = P J for the Jordan matrix J of the chain lengths; that is
+    checked here, once per operator, for every map later written as a
+    shift in these chain coordinates.
+    """
+    u = generator_tuple(f)
+    p = chain_matrix(f, u)
+    if f.mat @ p != p @ jordan_matrix(u.exponents):
+        raise AssertionError("the chains do not carry f to its Jordan form")
+    return p, p.inverse()
+
+
+def _tail_mask(u: GeneratorTuple, shifts: Iterable[int]) -> int:
+    """The bits of the chain coordinates of f^k u_i for k >= shifts[i]."""
+    return sum(((1 << t) - (1 << r)) << o for o, t, r in zip(u.offsets, u.exponents, shifts))
 
 
 def class_span(f: NilpotentOperator, u: GeneratorTuple, mu: int) -> Subspace:

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 from .errors import ShodaConditionFails
 from .classify import MOVED_BY_PROJECTION, STABLE, _first_exit
-from .commutant import _chain_frame
 from .gf2 import Gf2Vector, Subspace
 from .nilpotent import (
     GeneratorTuple,
     NilpotentOperator,
     UlmSequence,
+    _tail_mask,
+    chain_frame,
     exponent,
     generator_tuple,
     height,
@@ -162,9 +163,10 @@ def counterexample(
     if kind == STABLE:
         raise AssertionError("constructed span is unexpectedly hyperinvariant")
     # P_r z, the projection onto the short chain: z's chain coordinates on chain r
-    p, p_inv, offsets = _chain_frame(f)
+    p, p_inv = chain_frame(f)
     r = u.class_indices(rho)[0]
-    on_chain = p_inv.apply_bits(z.bits) & (((1 << a_rho) - 1) << offsets[r])
+    chain_r = _tail_mask(u, [0 if i == r else t for i, t in enumerate(u.exponents)])
+    on_chain = p_inv.apply_bits(z.bits) & chain_r
     if y_span.contains_bits(p.apply_bits(on_chain)):
         raise AssertionError("projection witness failed")
     witness = ShodaWitness(rho, tau, a_rho, a_tau, z, y_span)

@@ -32,6 +32,7 @@ from gf2hyper.cli import _covering_edges, _subspace_from_obj, build_analysis, ma
 from gf2hyper.classify import (
     MOVED_BY_F,
     MOVED_BY_UNIT,
+    _chain_coordinates,
     _first_exit,
     _hyperinvariant_nodes,
     _monotone_shifts,
@@ -285,7 +286,9 @@ def test_unit_prefix_and_projections_generate_the_commutant(conjugate):
     operators += [conjugate(sizes, rng) for n in range(1, 7) for sizes in partitions(n)]
     for f in operators:
         n = f.dim
-        maps = tuple((kind, _scanned_matrix(f, kind, link)) for kind, link in _stability_maps(f))
+        maps = tuple(
+            (kind, _scanned_matrix(f, kind, link)) for kind, link, *_ in _stability_maps(f)
+        )
         assert maps == stability_matrices(f), f.mat.rows
         assert maps[0][1] == f.mat
         prefix = [g for kind, g in maps if kind <= MOVED_BY_UNIT]
@@ -386,7 +389,7 @@ def test_invariance_scans_f_alone(monkeypatch):
     outside = Subspace.span([Gf2Vector(1 << 1, f.dim)], f.dim)
     # the marked test of an invariant subspace reads the chain coordinates, but builds no map
     assert is_marked(f, inside)
-    for name in ("_stability_maps", "_chain_coordinates", "_chain_frame"):
+    for name in ("_stability_maps", "_chain_coordinates", "chain_frame"):
         monkeypatch.setattr(module, name, refuse)
     assert is_invariant(f, inside) and not is_invariant(f, outside)
     assert not is_marked(f, outside)
@@ -469,7 +472,7 @@ def test_classification_paths_never_build_the_commutant_basis(monkeypatch):
             if module_name.split(".")[0] == "gf2hyper" and hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     census.cache_clear()
-    _stability_maps.cache_clear()
+    _chain_coordinates.cache_clear()
     for sizes in [(1, 3), (1, 1, 2), (2, 2), (1, 2, 3)]:
         f = jordan_operator(sizes)
         for s in census(sizes).invariant:

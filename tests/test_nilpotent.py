@@ -19,7 +19,8 @@ from gf2hyper import (
     ulm_sequence,
     validate_nilpotent,
 )
-from gf2hyper.nilpotent import UlmSequence, chain_matrix
+from gf2hyper.classify import _hyperinvariant_nodes, _monotone_shifts
+from gf2hyper.nilpotent import UlmSequence, _tail_mask, chain_frame, chain_matrix
 from gf2hyper.verify import jordan_operator, partitions
 
 from conftest import cyclic_subspace, random_invertible
@@ -198,6 +199,34 @@ def test_image_chain_matches_the_power_images(conjugate):
         for sizes in partitions(n):
             for f in (jordan_operator(sizes), conjugate(sizes, rng)):
                 assert f.image_chain == tuple(p.image() for p in f.powers), sizes
+
+
+def _columns_span(p, mask):
+    """The span of the columns of p at the bits of mask."""
+    n = p.n_cols
+    return Subspace.span_bits((p.apply_bits(1 << b) for b in range(n) if mask >> b & 1), n)
+
+
+def test_chain_tail_masks_span_the_operators_own_chains(conjugate):
+    # the chain layout (offsets, tail masks, P) against the kernel and image
+    # chains that validate_nilpotent computes from the matrix alone
+    rng = random.Random(79)
+    for n in range(1, 8):
+        for sizes in partitions(n):
+            for f in (jordan_operator(sizes), conjugate(sizes, rng)):
+                u = generator_tuple(f)
+                p, p_inv = chain_frame(f)
+                assert p == chain_matrix(f, u) and p @ p_inv == Gf2Matrix.identity(n)
+                assert u.offsets[-1] == n
+                for m in range(f.index + 1):
+                    images = _tail_mask(u, [min(m, t) for t in u.exponents])
+                    assert _columns_span(p, images) == f.image_chain[m], (sizes, m)
+                    kernels = _tail_mask(u, [max(t - m, 0) for t in u.exponents])
+                    assert _columns_span(p, kernels) == f.kernel_chain[m], (sizes, m)
+                nodes = _hyperinvariant_nodes(f)
+                masks = {_tail_mask(u, r) for r in _monotone_shifts(u.exponents)}
+                assert {key for _, key in nodes} == masks and len(nodes) == len(masks)
+                assert all(_columns_span(p, key) == s for s, key in nodes), sizes
 
 
 def test_ulm_invariant_under_conjugation(golden):

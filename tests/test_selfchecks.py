@@ -113,3 +113,23 @@ def test_no_unused_module_imports():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
     assert not found, found
+
+
+def test_every_traced_name_is_a_module_level_function():
+    # bench/spans.py wraps these by name with getattr; a renamed or moved function
+    # would break `bench/run.py --trace 1`, so the table is read here, not imported
+    spans = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    tree = ast.parse(spans.read_text(), filename=str(spans))
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]
+    ]
+    package = Path(gf2hyper.__file__).parent
+    missing = []
+    for module, names in traced.items():
+        source = ast.parse((package / f"{module}.py").read_text())
+        defined = {node.name for node in source.body if isinstance(node, ast.FunctionDef)}
+        missing += [f"{module}.{name}" for name in names if name not in defined]
+    assert traced and not missing, missing
