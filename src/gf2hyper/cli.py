@@ -12,8 +12,9 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from . import verify as verify_mod
 from .classify import (
@@ -51,12 +52,60 @@ from .nilpotent import (
 )
 from .shoda import ShodaWitness, counterexample
 
-def _matrix_to_obj(m: Gf2Matrix) -> dict:
-    return {
-        "n_rows": m.n_rows,
-        "n_cols": m.n_cols,
-        "rows": [list(m.row(i).coords()) for i in range(m.n_rows)],
-    }
+
+def _to_obj(x):
+    """The JSON form of x: a matrix, subspace or vector by its 0/1 coordinates,
+    any other dataclass by its fields in declaration order, a tuple as a list."""
+    if isinstance(x, Gf2Matrix):
+        return {"n_rows": x.n_rows, "n_cols": x.n_cols, "rows": _coords(x.rows, x.n_cols)}
+    if isinstance(x, Subspace):
+        return {"ambient_dim": x.ambient_dim, "basis": _coords(x.rows, x.ambient_dim)}
+    if isinstance(x, Gf2Vector):
+        return list(x.coords())
+    if is_dataclass(x):
+        return {f.name: _to_obj(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, tuple):
+        return [_to_obj(v) for v in x]
+    return x
+
+
+def _coords(rows: tuple[int, ...], width: int) -> list[list[int]]:
+    return [[r >> j & 1 for j in range(width)] for r in rows]
+
+
+def _from_obj(kind, obj):
+    """The value of type `kind` that `_to_obj` wrote as obj: ParseError for a key
+    too many or too few or a value of the wrong JSON type, while the constructors
+    reject coordinates other than 0/1 and mismatched dimensions."""
+    args = get_args(kind)
+    if type(None) in args:  # X | None
+        return None if obj is None else _from_obj(args[0], obj)
+    if get_origin(kind) is tuple:  # tuple[X, ...]
+        if not isinstance(obj, list):
+            raise ParseError(f"expected a list, got {type(obj).__name__}")
+        return tuple(_from_obj(args[0], v) for v in obj)
+    if kind in (int, bool):
+        if type(obj) is not kind:  # a bool is no int here
+            raise ParseError(f"expected {kind.__name__}, got {type(obj).__name__}")
+        return obj
+    if kind is Gf2Vector:
+        return Gf2Vector.from_coords(_from_obj(tuple[int, ...], obj))
+    if kind is Gf2Matrix:
+        rows = tuple[tuple[int, ...], ...]
+        return _matrix_from_obj(_fields(obj, {"n_rows": int, "n_cols": int, "rows": rows}))
+    if kind is Subspace:
+        values = _fields(obj, {"ambient_dim": int, "basis": tuple[Gf2Vector, ...]})
+        return Subspace.span(values["basis"], values["ambient_dim"])
+    return kind(**_fields(obj, get_type_hints(kind)))
+
+
+def _fields(obj, kinds: dict) -> dict:
+    """The values of a JSON object with exactly the keys of `kinds`, decoded."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"expected an object, got {type(obj).__name__}")
+    if obj.keys() != kinds.keys():
+        raise ParseError(f"expected the keys {', '.join(kinds)}, got {', '.join(obj)}")
+    return {key: _from_obj(kind, obj[key]) for key, kind in kinds.items()}
 
 
 def _matrix_from_obj(obj: dict) -> Gf2Matrix:
@@ -70,53 +119,12 @@ def _matrix_from_obj(obj: dict) -> Gf2Matrix:
     return Gf2Matrix.from_rows(rows)
 
 
-def _subspace_to_obj(s: Subspace) -> dict:
-    return {
-        "ambient_dim": s.ambient_dim,
-        "basis": [list(v.coords()) for v in s.basis],
-    }
-
-
-def _subspace_from_obj(obj: dict) -> Subspace:
-    vectors = [Gf2Vector.from_coords(c) for c in obj["basis"]]
-    return Subspace.span(vectors, obj["ambient_dim"])
-
-
-def _witness_to_obj(w: ShodaWitness) -> dict:
-    return {
-        "rho_index": w.rho_index,
-        "tau_index": w.tau_index,
-        "a_rho": w.a_rho,
-        "a_tau": w.a_tau,
-        "z": list(w.z.coords()),
-        "y_span": _subspace_to_obj(w.y_span),
-    }
-
-
-def _witness_from_obj(obj: dict) -> ShodaWitness:
-    return ShodaWitness(
-        obj["rho_index"],
-        obj["tau_index"],
-        obj["a_rho"],
-        obj["a_tau"],
-        Gf2Vector.from_coords(obj["z"]),
-        _subspace_from_obj(obj["y_span"]),
-    )
-
-
 @dataclass(frozen=True)
 class LatticeCensusDocument:
     invariant: int
     characteristic: int
     hyperinvariant: int
     characteristic_not_hyperinvariant: int
-
-    def to_obj(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> LatticeCensusDocument:
-        return cls(**obj)
 
 
 @dataclass(frozen=True)
@@ -134,62 +142,34 @@ class AnalysisDocument:
     lattice_census: LatticeCensusDocument | None
 
     def to_obj(self) -> dict:
-        return {
-            "matrix": _matrix_to_obj(self.matrix),
-            "nilpotency_index": self.nilpotency_index,
-            "elementary_divisors": list(self.elementary_divisors),
-            "ulm_sequence": list(self.ulm_sequence),
-            "commutant_dimension": self.commutant_dimension,
-            "automorphism_count": self.automorphism_count,
-            "shoda_holds": self.shoda_holds,
-            "shoda_witness": (
-                _witness_to_obj(self.shoda_witness) if self.shoda_witness else None
-            ),
-            "lattice_census": self.lattice_census.to_obj() if self.lattice_census else None,
-        }
+        return _to_obj(self)
 
     @classmethod
     def from_obj(cls, obj: dict) -> AnalysisDocument:
-        return cls(
-            matrix=_matrix_from_obj(obj["matrix"]),
-            nilpotency_index=obj["nilpotency_index"],
-            elementary_divisors=tuple(obj["elementary_divisors"]),
-            ulm_sequence=tuple(obj["ulm_sequence"]),
-            commutant_dimension=obj["commutant_dimension"],
-            automorphism_count=obj["automorphism_count"],
-            shoda_holds=obj["shoda_holds"],
-            shoda_witness=(
-                _witness_from_obj(obj["shoda_witness"]) if obj["shoda_witness"] else None
-            ),
-            lattice_census=(
-                LatticeCensusDocument.from_obj(obj["lattice_census"])
-                if obj["lattice_census"]
-                else None
-            ),
-        )
+        """The document `to_obj` wrote; ParseError for anything else."""
+        try:
+            return _from_obj(cls, obj)
+        except (ValueError, DimensionMismatch) as exc:
+            raise ParseError(f"malformed analysis document: {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> AnalysisDocument:
-        return cls.from_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:
+            raise ParseError(f"analysis document is not JSON: {exc}") from exc
+        return cls.from_obj(obj)
 
 
-def _read_matrix(path: str) -> Gf2Matrix:
+def _read(path: str, parse):
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_matrix(text)
-
-
-def _read_subspace(path: str) -> Subspace:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_subspace(text)
+    return parse(text)
 
 
 def build_analysis(f: NilpotentOperator, census: bool = False) -> AnalysisDocument:
@@ -219,7 +199,7 @@ def build_analysis(f: NilpotentOperator, census: bool = False) -> AnalysisDocume
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    f = validate_nilpotent(_read_matrix(args.matrix))
+    f = validate_nilpotent(_read(args.matrix, parse_matrix))
     doc = build_analysis(f, census=args.census)
     if args.json:
         print(doc.to_json())
@@ -251,8 +231,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    f = validate_nilpotent(_read_matrix(args.matrix))
-    s = _read_subspace(args.subspace)
+    f = validate_nilpotent(_read(args.matrix, parse_matrix))
+    s = _read(args.subspace, parse_subspace)
     if s.ambient_dim != f.dim:
         raise DimensionMismatch(
             f"subspace lives in GF(2)^{s.ambient_dim}, operator in GF(2)^{f.dim}"
@@ -260,7 +240,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     report = classify(f, s)
     if args.json:
         obj = {
-            "subspace": _subspace_to_obj(report.subspace),
+            "subspace": _to_obj(report.subspace),
             "invariant": report.invariant,
             "marked": report.marked,
             "characteristic": report.characteristic,
@@ -268,19 +248,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             "characteristic_complete": True,
             "hyperinvariant": report.hyperinvariant,
         }
-        for key, witness in (
-            ("invariance_witness", report.invariance_witness),
-            ("characteristic_witness", report.characteristic_witness),
-            ("hyperinvariance_witness", report.hyperinvariance_witness),
-        ):
-            obj[key] = (
-                None
-                if witness is None
-                else {
-                    "matrix": _matrix_to_obj(witness.matrix),
-                    "vector": list(witness.vector.coords()),
-                }
-            )
+        for key in ("invariance_witness", "characteristic_witness", "hyperinvariance_witness"):
+            obj[key] = _to_obj(getattr(report, key))
         print(json.dumps(obj, indent=2))
         return 0
     print(
@@ -306,10 +275,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> int:
-    f = validate_nilpotent(_read_matrix(args.matrix))
+    f = validate_nilpotent(_read(args.matrix, parse_matrix))
     found = counterexample(f)
     if args.json:
-        obj = None if found is None else _witness_to_obj(found[1])
+        obj = _to_obj(found[1] if found else None)
         print(json.dumps({"counterexample": obj}, indent=2))
         return 0
     if found is None:
@@ -365,7 +334,7 @@ def _lattice_nodes(f: NilpotentOperator, which: str) -> tuple[list[Subspace], li
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
-    f = validate_nilpotent(_read_matrix(args.matrix))
+    f = validate_nilpotent(_read(args.matrix, parse_matrix))
     nodes, keys = _lattice_nodes(f, args.which)
     edges = _covering_edges(keys)
     if args.dot:
@@ -382,9 +351,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
         return 0
     obj = {
         "which": args.which,
-        "nodes": [
-            {"id": _node_digest(s), "dim": s.dim, **_subspace_to_obj(s)} for s in nodes
-        ],
+        "nodes": [{"id": _node_digest(s), "dim": s.dim, **_to_obj(s)} for s in nodes],
         "edges": list(map(list, edges)),
     }
     if args.json:
@@ -462,26 +429,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each domain error; the first matching entry wins
+_EXIT_CODES = (
+    (ParseError, 2),
+    ((NotSquare, NotNilpotent), 3),
+    (DimensionMismatch, 4),
+    (CapExceeded, 5),
+    (Gf2HyperError, 1),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotSquare, NotNilpotent) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DimensionMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except Gf2HyperError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

@@ -207,12 +207,6 @@ class Gf2Matrix:
             raise DimensionMismatch("matrix shapes differ")
         return Gf2Matrix(tuple(a ^ b for a, b in zip(self.rows, other.rows)), self.n_cols)
 
-    def rref(self) -> Gf2Matrix:
-        """Reduced row echelon form, padded with zero rows to keep the shape."""
-        basis, _ = _echelonize(self.rows)
-        basis += [0] * (self.n_rows - len(basis))
-        return Gf2Matrix(tuple(basis), self.n_cols)
-
     def rank(self) -> int:
         basis, _ = _echelonize(self.rows)
         return len(basis)

@@ -23,6 +23,7 @@ from .errors import DimensionMismatch, NotAGeneratorTuple, NotNilpotent, NotSqua
 from .gf2 import Gf2Matrix, Gf2Vector, Subspace
 
 
+@functools.total_ordering
 class _InfiniteHeight:
     """Sentinel for the height of the zero vector.
 
@@ -44,25 +45,6 @@ class _InfiniteHeight:
     def __lt__(self, other):
         if isinstance(other, (int, _InfiniteHeight)):
             return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, _InfiniteHeight):
-            return True
-        if isinstance(other, int):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, _InfiniteHeight):
-            return False
-        if isinstance(other, int):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (int, _InfiniteHeight)):
-            return True
         return NotImplemented
 
 

@@ -28,7 +28,7 @@ from gf2hyper import (
     validate_nilpotent,
 )
 from gf2hyper import verify
-from gf2hyper.cli import _covering_edges, _subspace_from_obj, build_analysis, main
+from gf2hyper.cli import _covering_edges, _from_obj, build_analysis, main
 from gf2hyper.classify import (
     MOVED_BY_F,
     MOVED_BY_UNIT,
@@ -112,7 +112,8 @@ def test_lattice_matches_the_filter_oracle(which, conjugate, tmp_path, capsys):
             ),
             key=lambda s: (s.dim, s.rows),
         )
-        assert [_subspace_from_obj(node) for node in doc["nodes"]] == nodes
+        bases = [{"ambient_dim": n["ambient_dim"], "basis": n["basis"]} for n in doc["nodes"]]
+        assert [_from_obj(Subspace, basis) for basis in bases] == nodes
         keys = [sum(1 << v.bits for v in s.enumerate_vectors()) for s in nodes]
         assert doc["edges"] == [list(e) for e in _covering_edges(keys)]
 

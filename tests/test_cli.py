@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -136,10 +137,62 @@ def test_analyze_exit_codes(tmp_path, capsys):
     assert main(["analyze", str(rect)]) == 3
 
 
-def test_analysis_document_roundtrip(golden_file):
-    f = jordan_operator((1, 3))
-    doc = build_analysis(f, census=True)
-    assert AnalysisDocument.from_json(doc.to_json()) == doc
+def test_analysis_document_roundtrip(conjugate):
+    rng = random.Random(41)
+    witnesses = set()
+    for n in range(1, 7):
+        for sizes in partitions(n):
+            for f in (jordan_operator(sizes), conjugate(sizes, rng)):
+                for census in (False, True):
+                    doc = build_analysis(f, census=census)
+                    assert AnalysisDocument.from_json(doc.to_json()) == doc, sizes
+                    witnesses.add(doc.shoda_witness is None)
+    assert witnesses == {False, True}
+
+
+DROP = object()
+# (path, value): the analysis document of (1,3) with the value at the path
+# replaced, added, or dropped
+MALFORMED_DOCUMENTS = {
+    "missing-key": (("ulm_sequence",), DROP),
+    "extra-key": (("comment",), "x"),
+    "extra-census-key": (("lattice_census", "extra"), 0),
+    "empty-census": (("lattice_census",), {}),
+    "empty-witness": (("shoda_witness",), {}),
+    "bool-for-int": (("nilpotency_index",), True),
+    "string-for-int": (("elementary_divisors", 0), "1"),
+    "matrix-coordinate-2": (("matrix", "rows", 0, 0), 2),
+    "vector-coordinate-2": (("shoda_witness", "z", 1), 2),
+    "float-coordinate": (("shoda_witness", "y_span", "basis", 0, 0), 1.0),
+    "basis-row-of-the-wrong-length": (("shoda_witness", "y_span", "basis", 0), [1, 0, 1]),
+    "zero-width-vector": (("shoda_witness", "z"), []),
+    "matrix-not-an-object": (("matrix",), [1]),
+    "missing-n_cols": (("matrix", "n_cols"), DROP),
+    "int-for-list": (("ulm_sequence",), 1),
+}
+
+
+@pytest.mark.parametrize("path, value", MALFORMED_DOCUMENTS.values(), ids=MALFORMED_DOCUMENTS)
+def test_analysis_document_rejects_what_analyze_did_not_write(path, value):
+    obj = build_analysis(jordan_operator((1, 3)), census=True).to_obj()
+    *head, last = path
+    target = obj
+    for key in head:
+        target = target[key]
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value
+    with pytest.raises(ParseError):
+        AnalysisDocument.from_obj(obj)
+    with pytest.raises(ParseError):
+        AnalysisDocument.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("text", ["", "{", '{"matrix": ', "[]", "null", "3"])
+def test_analysis_document_rejects_text_that_is_no_document(text):
+    with pytest.raises(ParseError):
+        AnalysisDocument.from_json(text)
 
 
 @pytest.mark.parametrize("rows", [[[0, 1]], [[0, 1, 0, 0, 1, 1]], [[0, 1, 0, 0, 1], [1]]])
@@ -401,6 +454,56 @@ def test_lattice_dot_output(golden_file, capsys):
     assert out.rstrip().endswith("}")
     assert out.count("->") == 6
     assert out.count("label=") == 6
+
+
+# sha256 of the stdout of each JSON command, taken before the JSON codec was
+# rewritten field by field: the layout of every document is part of the CLI
+# contract, so a change to it must show here
+PINNED_JSON_STDOUT = {
+    "analyze golden.txt --census --json": "fb0a51eb94152b72650347db34ccabf20f8494da6ef456321ba98a7ac81c4c3a",
+    "counterexample golden.txt --json": "46a70f497f3cba8a20e99bdcf7bb9489ee81a428b087d8f9b3dcbb467c70a861",
+    "classify golden.txt golden.y.txt --json": "8a9089b8926c2ca8dd6c38b80cd83d81abac6bff454db5f02ed162eb728f5ad4",
+    "classify golden.txt golden.line.txt --json": "b8ebec2a02c30f54ea720adb0f06dc062e76c351c6ed7f2104873019f665b6f8",
+    "lattice golden.txt --which hinv --json": "4c983e54a55e5db4ad820aa7b61bc241ef4f1023eb50155b9720470d69e0a6ce",
+    "lattice golden.txt --which chinv --json": "650a091d2953383751c7c18e05d16a8773918812a78aebfca7ca2d01a3a486f5",
+    "lattice golden.txt --which inv --json": "6f7cba226a40f16267e0b1e51dd459803dee925246561dab82f88c9009584db8",
+    "analyze conjugate-1-2-4.txt --census --json": "dc59f4792ca1b16bab502c7f6b1f2e78fb636ef43dcfb7cf7aedd9d52621207a",
+    "counterexample conjugate-1-2-4.txt --json": "a10f8ffefa59aa3b1c302f3e12829a483b19e53bdc45525c884ef88a03f0c62f",
+    "classify conjugate-1-2-4.txt conjugate-1-2-4.y.txt --json": "e54c5cdac7239fc13eb4241fb56b00e23d4c468e99932e46cf3c7f2411c7d2e9",
+    "classify conjugate-1-2-4.txt conjugate-1-2-4.line.txt --json": "d43711e44aca58fba698139337d8d76af3d70e6e35395f7aa8bfb331b523e80e",
+    "lattice conjugate-1-2-4.txt --which hinv --json": "383201860fff21fc49c6e36842985d37cfe85320caf31c48c4dba4ad20d9c702",
+    "lattice conjugate-1-2-4.txt --which chinv --json": "7e0b9f7a7bace5a9853b46cefe70917d0e0ee3f04b3163ca26dc85fa64223cb3",
+    "lattice conjugate-1-2-4.txt --which inv --json": "7492567af3cd7d2edefd1f389db656911160d4eb827dafb88f57b6acaf2bf041",
+}
+
+
+def test_json_stdout_is_pinned(tmp_path, capsys):
+    p = random_invertible(random.Random(15), 7)
+    operators = {
+        "golden": GOLDEN,
+        "conjugate-1-2-4": format_matrix(p @ jordan_matrix([1, 2, 4]) @ p.inverse()),
+    }
+    digests = {}
+    for name, text in operators.items():
+        m = tmp_path / f"{name}.txt"
+        m.write_text(text)
+        assert main(["counterexample", str(m)]) == 0
+        y = tmp_path / f"{name}.y.txt"
+        y.write_text(capsys.readouterr().out)
+        n = int(text.split()[0])
+        line = tmp_path / f"{name}.line.txt"
+        line.write_text(f"1 {n}\n0 1" + " 0" * (n - 2))
+        argvs = [
+            ["analyze", m, "--census", "--json"],
+            ["counterexample", m, "--json"],
+            ["classify", m, y, "--json"],
+            ["classify", m, line, "--json"],
+        ] + [["lattice", m, "--which", which, "--json"] for which in ("hinv", "chinv", "inv")]
+        for argv in argvs:
+            assert main(list(map(str, argv))) == 0
+            key = " ".join(str(a).replace(str(tmp_path) + "/", "") for a in argv)
+            digests[key] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == PINNED_JSON_STDOUT
 
 
 def test_lattice_cap_exceeded(tmp_path, capsys):

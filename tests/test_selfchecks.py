@@ -54,7 +54,6 @@ UNCALLED_EXPORTS = {
 }
 # public class members that production code may leave uncalled, each for a reason
 UNCALLED_MEMBERS = {
-    "Gf2Matrix.rref",  # the echelon tests reach _echelonize through it
     "AnalysisDocument.from_json",  # the documented JSON round trip of `analyze --json`
 }
 
