@@ -167,7 +167,7 @@ class AnalysisDocument:
 def _read(path: str, parse):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse(text)
 

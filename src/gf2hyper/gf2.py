@@ -8,8 +8,8 @@ increasing pivots, which makes equality of spans plain value equality.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from bisect import bisect
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -28,28 +28,45 @@ def _lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
+def _rref_extend(form: dict[int, int], pivot_mask: int, rows: Iterable[int]) -> int:
+    """Add rows to an RREF kept as {pivot bit: row}; returns the new pivot mask.
+
+    `pivot_mask` is the OR of the pivot bits (each row's lowest set bit).
+    Every row is zero at every other row's pivot, so one XOR clears
+    exactly one pivot bit of an incoming row, and only the pivot bits it
+    holds are visited.  The mask grows exactly when a row is independent.
+    """
+    for row in rows:
+        hits = row & pivot_mask
+        while hits:
+            low = hits & -hits
+            row ^= form[low]
+            hits ^= low
+        if row:
+            low = row & -row
+            for p, other in form.items():
+                if other & low:
+                    form[p] = other ^ row
+            form[low] = row
+            pivot_mask |= low
+    return pivot_mask
+
+
+def _rref_rows(form: dict[int, int]) -> tuple[list[int], list[int]]:
+    """The rows of an `_rref_extend` form and their pivot columns, by pivot."""
+    order = sorted(form)
+    return [form[p] for p in order], [p.bit_length() - 1 for p in order]
+
+
 def _echelonize(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     """Reduce int-packed rows to RREF.
 
     Returns (basis, pivots), both sorted by pivot column; zero rows are
     dropped and every pivot column is cleared in all other rows.
     """
-    basis: list[int] = []
-    pivots: list[int] = []
-    for row in rows:
-        for p, b in zip(pivots, basis):
-            if (row >> p) & 1:
-                row ^= b
-        if row == 0:
-            continue
-        p = _lowest_bit(row)
-        at = bisect(pivots, p)
-        pivots.insert(at, p)
-        basis.insert(at, row)
-        for i, other in enumerate(basis):
-            if i != at and (other >> p) & 1:
-                basis[i] = other ^ row
-    return basis, pivots
+    form: dict[int, int] = {}
+    _rref_extend(form, 0, rows)
+    return _rref_rows(form)
 
 
 def _reduce_against(bits: int, basis: tuple[int, ...], pivots: tuple[int, ...]) -> int:
@@ -166,11 +183,16 @@ class Gf2Matrix:
     def row(self, i: int) -> Gf2Vector:
         return Gf2Vector(self.rows[i], self.n_cols)
 
-    def column(self, j: int) -> Gf2Vector:
-        bits = 0
-        for i, r in enumerate(self.rows):
-            bits |= ((r >> j) & 1) << i
-        return Gf2Vector(bits, self.n_rows)
+    @functools.cached_property
+    def _columns(self) -> tuple[int, ...]:
+        """Column j packed over the rows, built once per matrix and kept out of
+        the fields, so equality, hashing and repr still read the rows alone."""
+        if not self.rows:
+            return (0,) * self.n_cols
+        # each row in binary, top bit first; read from the last row up, the
+        # c-th character of every row is column n_cols - 1 - c, row 0 lowest
+        text = [format(r, f"0{self.n_cols}b") for r in reversed(self.rows)]
+        return tuple(int("".join(col), 2) for col in reversed(tuple(zip(*text))))
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.rows)
@@ -179,9 +201,13 @@ class Gf2Matrix:
         return self.n_rows == self.n_cols
 
     def apply_bits(self, bits: int) -> int:
+        """Mv as the sum of the columns at the set bits of v."""
+        columns = self._columns
         out = 0
-        for i, r in enumerate(self.rows):
-            out |= ((r & bits).bit_count() & 1) << i
+        while bits:
+            low = bits & -bits
+            out ^= columns[low.bit_length() - 1]
+            bits ^= low
         return out
 
     def apply(self, v: Gf2Vector) -> Gf2Vector:
@@ -230,8 +256,7 @@ class Gf2Matrix:
         """The column space {Mv}, canonicalized."""
         if self.n_rows == 0:
             raise DimensionMismatch("image of an empty matrix is undefined")
-        cols = (self.column(j).bits for j in range(self.n_cols))
-        return Subspace.span_bits(cols, self.n_rows)
+        return Subspace.span_bits(self._columns, self.n_rows)
 
     def map_subspace(self, s: Subspace) -> Subspace:
         """The image {Mv : v in s}, canonicalized."""

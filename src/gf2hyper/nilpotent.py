@@ -1,11 +1,13 @@
 """Structure theory of a nilpotent operator over GF(2).
 
-Validates nilpotency, caches the kernel/image chains, and derives the
-classical invariants: exponents, heights, the Ulm sequence (block-size
-multiplicities), elementary divisors, and a deterministic generator tuple
-(cyclic decomposition).  The tuple keeps its Jordan chains f^k u_i, walked
-once when it is built; the chain matrix, the equal-exponent summands and
-every chain span elsewhere in the package read them.
+Validates nilpotency in one paired walk down the image chain, which
+also yields a Jordan basis and from it the kernel chain; caches both
+chains and derives the classical invariants: exponents, heights, the
+Ulm sequence (block-size multiplicities), elementary divisors, and a
+deterministic generator tuple (cyclic decomposition).  The tuple keeps
+its Jordan chains f^k u_i, walked once when it is built; the chain
+matrix, the equal-exponent summands and every chain span elsewhere in
+the package read them.
 
 It also owns the chain coordinates the package computes in: bit
 offsets[i] + k stands for f^k u_i, `chain_frame` gives the change of
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import DimensionMismatch, NotAGeneratorTuple, NotNilpotent, NotSquare
-from .gf2 import Gf2Matrix, Gf2Vector, Subspace
+from .gf2 import Gf2Matrix, Gf2Vector, Subspace, _rref_extend, _rref_rows
 
 
 @functools.total_ordering
@@ -56,15 +58,14 @@ class NilpotentOperator:
     """A validated nilpotent matrix with its kernel and image chains.
 
     ``kernel_chain[j]`` is Ker f^j (strictly increasing up to the whole
-    space), ``image_chain[j]`` is Im f^j (strictly decreasing down to
-    zero), and ``powers[j]`` is f^j, all for j = 0..index.
+    space) and ``image_chain[j]`` is Im f^j (strictly decreasing down to
+    zero), both canonical, for j = 0..index.
     """
 
     mat: Gf2Matrix
     index: int
     kernel_chain: tuple[Subspace, ...] = field(compare=False, repr=False)
     image_chain: tuple[Subspace, ...] = field(compare=False, repr=False)
-    powers: tuple[Gf2Matrix, ...] = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -136,27 +137,74 @@ class GeneratorTuple:
 
 
 def validate_nilpotent(m: Gf2Matrix) -> NilpotentOperator:
-    """Check m^n = 0 and cache powers plus both chains."""
+    """Check that m is nilpotent and build its kernel and image chains.
+
+    One paired walk down the image chain: at level j the rows f(b) | b << n,
+    for b in the RREF basis of Im f^j, reduce to rows pivoted below n,
+    whose low halves are the RREF of Im f^(j+1) and whose high halves are
+    preimages in Im f^j, and to rows pivoted at n or above, whose high
+    halves span Ker f ∩ Im f^j.  Lifting socle vectors through those
+    preimages and walking them under f gives a Jordan basis; Ker f^j is
+    the span of its vectors of exponent at most j.
+    """
     if not m.is_square():
         raise NotSquare(f"operator must be square, got {m.n_rows}x{m.n_cols}")
     n = m.n_cols
-    powers = [Gf2Matrix.identity(n)]
-    while not powers[-1].is_zero():
-        if len(powers) > n:
+    low_half = (1 << n) - 1
+    rows = tuple(1 << i for i in range(n))
+    image_chain = [Subspace._canonical(rows, tuple(range(n)), n)]
+    walk: list[tuple[dict[int, int], int]] = []   # level j: its paired form and pivot mask
+    socles: list[list[int]] = []                  # level j: a basis of Ker f ∩ Im f^j
+    while rows:
+        paired: dict[int, int] = {}
+        mask = _rref_extend(paired, 0, (m.apply_bits(b) | b << n for b in rows))
+        basis, pivots = _rref_rows(paired)
+        k = sum(p < n for p in pivots)
+        if k == len(basis):
             raise NotNilpotent(f"matrix is not nilpotent: f^{n} != 0")
-        powers.append(powers[-1] @ m)
-    index = len(powers) - 1
-    kernel_chain = tuple(p.kernel() for p in powers)
-    # Im f^(j+1) = f(Im f^j), from the whole space down
-    image_chain = [Subspace.span_bits((1 << i for i in range(n)), n)]
-    for _ in range(index):
-        image_chain.append(m.map_subspace(image_chain[-1]))
-    for j in range(index):
-        if kernel_chain[j].dim >= kernel_chain[j + 1].dim:
-            raise AssertionError("kernel chain must strictly increase")
-        if image_chain[j].dim <= image_chain[j + 1].dim:
-            raise AssertionError("image chain must strictly decrease")
-    return NilpotentOperator(m, index, kernel_chain, tuple(image_chain), tuple(powers))
+        walk.append((paired, mask))
+        socles.append([b >> n for b in basis[k:]])
+        rows = tuple(b & low_half for b in basis[:k])
+        image_chain.append(Subspace._canonical(rows, tuple(pivots[:k]), n))
+    index = len(walk)
+    # Ker f ∩ Im f^(a-1) holds the chain ends of the blocks of size at least a
+    taken: dict[int, int] = {}
+    taken_mask = 0
+    by_exponent: list[list[int]] = [[] for _ in range(index + 1)]
+    for a in range(index, 0, -1):
+        for bits in socles[a - 1]:
+            grown = _rref_extend(taken, taken_mask, (bits,))
+            if grown == taken_mask:
+                continue
+            taken_mask = grown
+            for paired, mask in reversed(walk[: a - 1]):
+                # bits lies in the span of the low halves, so its coordinates
+                # are its bits at their pivots; the high halves sum to a preimage
+                hits = bits & mask
+                bits = 0
+                while hits:
+                    pivot = hits & -hits
+                    bits ^= paired[pivot] >> n
+                    hits ^= pivot
+            chain = []
+            while bits:
+                chain.append(bits)
+                bits = m.apply_bits(bits)
+            for steps, v in enumerate(chain):
+                by_exponent[len(chain) - steps].append(v)
+    kernel: dict[int, int] = {}
+    kernel_mask = 0
+    kernel_chain = [Subspace.zero(n)]
+    for j in range(1, index + 1):
+        kernel_mask = _rref_extend(kernel, kernel_mask, by_exponent[j])
+        basis, pivots = _rref_rows(kernel)
+        kernel_chain.append(Subspace._canonical(tuple(basis), tuple(pivots), n))
+    # vectors of exponent at most j lie in Ker f^j; rank-nullity makes their
+    # span all of it, and Ker f^index the whole space
+    for ker, im in zip(kernel_chain, image_chain):
+        if ker.dim + im.dim != n:
+            raise AssertionError("the Jordan basis does not span the kernel chain")
+    return NilpotentOperator(m, index, tuple(kernel_chain), tuple(image_chain))
 
 
 def exponent(f: NilpotentOperator, x: Gf2Vector) -> int:
@@ -279,12 +327,14 @@ def generator_tuple(f: NilpotentOperator) -> GeneratorTuple:
             continue
         deeper = socle.intersect(f.image_chain[min(a, f.index)])
         blocked = deeper.sum(Subspace.span_bits(committed, f.dim))
-        candidates = f.kernel_chain[a]
-        f_top = f.powers[a - 1]
+        # a row passed over stays blocked, so each pick resumes the scan
+        candidates = iter(f.kernel_chain[a].rows)
         picks = []
         for _ in range(need):
-            for b in candidates.rows:
-                w = f_top.apply_bits(b)
+            for b in candidates:
+                w = b
+                for _ in range(a - 1):
+                    w = f.mat.apply_bits(w)
                 if not blocked.contains_bits(w):
                     picks.append(b)
                     committed.append(w)

@@ -1,4 +1,5 @@
 import functools
+from bisect import bisect
 
 import pytest
 
@@ -92,6 +93,43 @@ def first_exit_by_matrices(
             if not s.contains_bits(g.apply_bits(r)):
                 return kind, Witness(g, Gf2Vector(r, f.dim))
     return STABLE, None
+
+
+def echelonize_by_insertion(rows):
+    """Oracle for gf2._echelonize: reduce each row against every pivot in
+    turn, insert it in pivot order and clear its pivot from the others."""
+    basis = []
+    pivots = []
+    for row in rows:
+        for p, b in zip(pivots, basis):
+            if (row >> p) & 1:
+                row ^= b
+        if row == 0:
+            continue
+        p = (row & -row).bit_length() - 1
+        at = bisect(pivots, p)
+        pivots.insert(at, p)
+        basis.insert(at, row)
+        for i, other in enumerate(basis):
+            if i != at and (other >> p) & 1:
+                basis[i] = other ^ row
+    return basis, pivots
+
+
+def apply_by_row_parity(m, bits):
+    """Oracle for Gf2Matrix.apply_bits: coordinate i of Mv is the parity of row i and v."""
+    out = 0
+    for i, r in enumerate(m.rows):
+        out |= ((r & bits).bit_count() & 1) << i
+    return out
+
+
+def power_tower(f):
+    """Oracle for validate_nilpotent: the powers f^j for j = 0..index, by products."""
+    powers = [Gf2Matrix.identity(f.dim)]
+    for _ in range(f.index):
+        powers.append(powers[-1] @ f.mat)
+    return tuple(powers)
 
 
 def random_invertible(rng, n):

@@ -50,6 +50,7 @@ from conftest import (
     cyclic_subspace,
     first_exit_by_matrices,
     monotone_shift_condition,
+    power_tower,
     random_invertible,
     stability_matrices,
 )
@@ -188,11 +189,12 @@ def _is_marked_by_every_pair(f, s):
     """Oracle for is_marked: the intersection criterion on all (index + 1)^2 pairs."""
     if not is_invariant(f, s):
         return False
+    powers = power_tower(f)
     for a in range(f.index + 1):
-        mapped = f.powers[a].map_subspace(s)
+        mapped = powers[a].map_subspace(s)
         for r in range(f.index + 1):
             lhs = mapped.intersect(f.image_of_power(a + r))
-            rhs = f.powers[a].map_subspace(s.intersect(f.image_chain[r]))
+            rhs = powers[a].map_subspace(s.intersect(f.image_chain[r]))
             if lhs != rhs:
                 return False
     return True
@@ -397,17 +399,18 @@ def test_invariance_scans_f_alone(monkeypatch):
 
 
 def test_stored_chains_and_chain_spans_match_the_cyclic_oracle(conjugate):
-    # oracle: chains and spans rebuilt from the generators through f.powers
+    # oracle: chains and spans rebuilt from the generators through the power tower
     rng = random.Random(53)
     for n in range(1, 8):
         for sizes in partitions(n):
             for f in (jordan_operator(sizes), conjugate(sizes, rng)):
                 u = generator_tuple(f)
+                powers = power_tower(f)
                 for g, chain, t in zip(u.generators, u.chains, u.exponents):
-                    assert chain == tuple(f.powers[k].apply_bits(g.bits) for k in range(t))
-                    assert f.powers[t].apply_bits(g.bits) == 0 and 0 not in chain
+                    assert chain == tuple(powers[k].apply_bits(g.bits) for k in range(t))
+                    assert powers[t].apply_bits(g.bits) == 0 and 0 not in chain
                 tails = [
-                    [cyclic_subspace(f, f.powers[r].apply(g)) for r in range(t + 1)]
+                    [cyclic_subspace(f, powers[r].apply(g)) for r in range(t + 1)]
                     for g, t in zip(u.generators, u.exponents)
                 ]
                 for shifts in itertools.product(*(range(t + 1) for t in u.exponents)):
@@ -664,6 +667,7 @@ def test_characteristic_class_intersections_are_shifted_chains():
     for sizes in [(1, 3), (1, 1, 2), (2, 3), (1, 2, 2)]:
         f = jordan_operator(sizes)
         u = generator_tuple(f)
+        powers = power_tower(f)
         for s in census(sizes).characteristic:
             profile = []
             for mu in range(u.class_count):
@@ -673,7 +677,7 @@ def test_characteristic_class_intersections_are_shifted_chains():
                 matches = [
                     c
                     for c in range(a + 1)
-                    if f.powers[c].map_subspace(summand) == slice_
+                    if powers[c].map_subspace(summand) == slice_
                 ]
                 assert matches, (sizes, s.rows, mu)
                 profile.append((a, matches[0]))

@@ -137,6 +137,16 @@ def test_analyze_exit_codes(tmp_path, capsys):
     assert main(["analyze", str(rect)]) == 3
 
 
+def test_non_utf8_file_exits_2(golden_file, tmp_path, capsys):
+    p = tmp_path / "binary.txt"
+    p.write_bytes(b"\xff\xfe\x00")
+    # not UTF-8: an error line and exit 2, no traceback
+    assert main(["analyze", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["classify", golden_file, str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_analysis_document_roundtrip(conjugate):
     rng = random.Random(41)
     witnesses = set()

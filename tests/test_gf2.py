@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -22,7 +23,12 @@ from gf2hyper import (
 from gf2hyper.gf2 import _echelonize, _subspace_rows, enumerate_subspaces
 from gf2hyper.verify import jordan_operator, partitions
 
-from conftest import contains_subspace
+from conftest import (
+    apply_by_row_parity,
+    contains_subspace,
+    echelonize_by_insertion,
+    power_tower,
+)
 
 
 def span_members(rows, n):
@@ -89,6 +95,46 @@ def test_rref_idempotent():
         assert _echelonize(basis) == (basis, pivots)
 
 
+def test_echelonize_matches_the_insertion_oracle():
+    # zero, repeated and dependent rows, dense and sparse, on widths past one machine word
+    rng = random.Random(4)
+    for width in (1, 5, 63, 64, 65, 130, 257):
+        for trial in range(30):
+            if trial % 2:
+                base = [rng.getrandbits(width) for _ in range(rng.randint(0, 9))]
+            else:
+                base = [
+                    sum(1 << rng.randrange(width) for _ in range(3))
+                    for _ in range(rng.randint(0, 9))
+                ]
+            rows = base + [0] * rng.randint(0, 2)
+            rows += [rng.choice(base) for _ in range(2)] if base else []
+            rows += [a ^ b for a, b in zip(base, base[2:])]
+            rng.shuffle(rows)
+            assert _echelonize(rows) == echelonize_by_insertion(rows), (width, rows)
+
+
+def test_apply_bits_matches_the_row_parity_oracle():
+    rng = random.Random(6)
+    for n_rows, n_cols in [(1, 1), (3, 5), (5, 3), (0, 4), (70, 9), (9, 70), (65, 65), (130, 3)]:
+        m = random_matrix(rng, n_rows, n_cols)
+        for bits in [0, (1 << n_cols) - 1] + [rng.getrandbits(n_cols) for _ in range(20)]:
+            assert m.apply_bits(bits) == apply_by_row_parity(m, bits), (n_rows, n_cols)
+        if n_rows:
+            units = (apply_by_row_parity(m, 1 << j) for j in range(n_cols))
+            assert m.image() == Subspace.span_bits(units, n_rows)
+
+
+def test_column_cache_is_not_a_field():
+    # the columns are kept per matrix, outside eq, hash, repr and the JSON codec
+    assert [f.name for f in dataclasses.fields(Gf2Matrix)] == ["rows", "n_cols"]
+    a = random_matrix(random.Random(7), 6, 4)
+    a.apply_bits(0b1011)
+    b = Gf2Matrix(a.rows, a.n_cols)
+    assert "_columns" in vars(a) and "_columns" not in vars(b)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
 def test_rank_examples(golden):
     assert Gf2Matrix.zeros(4, 4).rank() == 0
     assert Gf2Matrix.identity(5).rank() == 5
@@ -111,14 +157,14 @@ def test_kernel_examples(golden, e):
     f2 = golden.mat @ golden.mat
     oracle = [v for v in range(16) if f2.apply_bits(v) == 0]
     assert golden.mat.kernel().contains_bits(0)
-    assert (golden.powers[2]).kernel() == Subspace.span_bits(oracle, 4)
-    assert golden.powers[2].kernel() == Subspace.span([e[0], e[2], e[3]], 4)
+    assert power_tower(golden)[2].kernel() == Subspace.span_bits(oracle, 4)
+    assert power_tower(golden)[2].kernel() == Subspace.span([e[0], e[2], e[3]], 4)
 
 
 def test_image_examples(golden, e):
     assert golden.mat.image() == Subspace.span([e[2], e[3]], 4)
     assert Gf2Matrix.zeros(3, 3).image() == Subspace.zero(3)
-    f2 = golden.powers[2]
+    f2 = power_tower(golden)[2]
     oracle = {f2.apply_bits(v) for v in range(16)}
     assert f2.image() == Subspace.span_bits(oracle, 4)
     assert f2.image() == Subspace.span([e[3]], 4)

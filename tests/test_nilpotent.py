@@ -20,10 +20,16 @@ from gf2hyper import (
     validate_nilpotent,
 )
 from gf2hyper.classify import _hyperinvariant_nodes, _monotone_shifts
-from gf2hyper.nilpotent import UlmSequence, _tail_mask, chain_frame, chain_matrix
+from gf2hyper.nilpotent import (
+    UlmSequence,
+    _tail_mask,
+    chain_frame,
+    chain_matrix,
+    jordan_matrix,
+)
 from gf2hyper.verify import jordan_operator, partitions
 
-from conftest import cyclic_subspace, random_invertible
+from conftest import cyclic_subspace, power_tower, random_invertible
 
 
 def test_jordan_matrix_matches_published_example(golden):
@@ -198,7 +204,30 @@ def test_image_chain_matches_the_power_images(conjugate):
     for n in range(1, 8):
         for sizes in partitions(n):
             for f in (jordan_operator(sizes), conjugate(sizes, rng)):
-                assert f.image_chain == tuple(p.image() for p in f.powers), sizes
+                assert f.image_chain == tuple(p.image() for p in power_tower(f)), sizes
+
+
+def test_validate_nilpotent_matches_the_power_tower(conjugate):
+    # oracle: the index, Ker f^j and Im f^j read off the products f^j, not the paired walk
+    rng = random.Random(83)
+    for n in range(1, 9):
+        for sizes in partitions(n):
+            for f in (jordan_operator(sizes), conjugate(sizes, rng)):
+                powers = power_tower(f)
+                assert powers[-1].is_zero() and not any(p.is_zero() for p in powers[:-1])
+                assert f.index == max(sizes) == len(powers) - 1, sizes
+                assert f.kernel_chain == tuple(p.kernel() for p in powers), sizes
+                assert f.image_chain == tuple(p.image() for p in powers), sizes
+
+
+def test_validate_nilpotent_rejects_what_never_vanishes():
+    rng = random.Random(89)
+    j3 = jordan_matrix([3])
+    # diag(J_3, [1]): nilpotent on a 3-dimensional summand, the identity on the other
+    mixed = Gf2Matrix(j3.rows + (1 << 3,), 4)
+    for m in (Gf2Matrix.identity(1), Gf2Matrix.identity(5), random_invertible(rng, 6), mixed):
+        with pytest.raises(NotNilpotent, match=f"f\\^{m.n_cols} != 0"):
+            validate_nilpotent(m)
 
 
 def _columns_span(p, mask):
