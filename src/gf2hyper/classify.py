@@ -34,6 +34,7 @@ from .gf2 import (
 from .nilpotent import (
     GeneratorTuple,
     NilpotentOperator,
+    _lift,
     _tail_mask,
     chain_frame,
     class_span,
@@ -158,11 +159,12 @@ def _in_chains(s: Subspace, to_chain: Gf2Matrix | None) -> tuple[Sequence[int], 
     return (xs, *_echelonize(xs))
 
 
-def _witness(f: NilpotentOperator, at: int, row: int) -> Witness:
-    """Stability map number `at` as a matrix, with the basis row it moves out.
+def _witness(f: NilpotentOperator, s: Subspace, at: int, row: int) -> Witness:
+    """Stability map number `at` as a matrix, with the basis row of s it moves out.
 
     f is f.mat; each other map is P E P^-1 (`commutant._chain_map`, which
-    checks that it commutes with f), plus I for a unit.
+    checks that it commutes with f), plus I for a unit.  The built map is
+    checked to move the row out of s.
     """
     kind, link, *_ = _chain_coordinates(f)[1][at]
     if link is None:
@@ -173,6 +175,8 @@ def _witness(f: NilpotentOperator, at: int, row: int) -> Witness:
             g = Gf2Matrix.identity(f.dim) + g
             if not g.is_invertible():
                 raise AssertionError("stability unit is not invertible")
+    if s.contains_bits(g.apply_bits(row)):
+        raise AssertionError("the witness map keeps its row inside the subspace")
     return Witness(g, Gf2Vector(row, f.dim))
 
 
@@ -209,7 +213,7 @@ def _first_exit(
             continue
         for row, x in enumerate(xs):
             if _reduce_against(((x >> a) & m) << b, basis, pivots):
-                return kind, _witness(f, at, s.rows[row]) if witness else None
+                return kind, _witness(f, s, at, s.rows[row]) if witness else None
     return STABLE, None
 
 
@@ -337,31 +341,19 @@ def _lifts(f: NilpotentOperator, k: int, below: Iterable[Subspace]) -> Iterator[
     of D, and X = Y ⊕ T.  In the coordinates of the D rows, then the E
     rows, those T are the RREF shapes with a pivot at each of the first
     dim D positions (`_subspace_rows` with onto = dim D).  dim D + dim E
-    = dim K, which is at least 1 at every level below the index.
+    = dim K, which is at least 1 at every level below the index.  K and
+    the preimages in U of the rows of Y are read from level k of the
+    walk that built f (`NilpotentOperator.walk`).
     """
-    n = f.dim
-    u = f.image_chain[k]
-    kernel = f.kernel_chain[1].intersect(u)
-    # rows f(b) | b << n for b in U: the RREF pairs each basis row of f(U)
-    # (low half) with a preimage in U (high half)
-    mask = (1 << n) - 1
-    paired, _ = _echelonize(f.mat.apply_bits(b) | b << n for b in u.rows)
-    sections = [(_lowest_bit(r), r >> n) for r in paired if r & mask]
+    preimages, kernel = f.walk[k]
     for y in below:
         e_rows = _complement(y.intersect(kernel), kernel.rows)
-        lifted = []
-        for b in y.rows:
-            pre = 0
-            for p, x in sections:
-                if (b >> p) & 1:
-                    pre ^= x
-            lifted.append(pre)
-        d_rows = _complement(y.sum(kernel), tuple(lifted))
+        d_rows = _complement(y.sum(kernel), tuple(_lift(preimages, b) for b in y.rows))
         for t, _ in _subspace_rows(d_rows + e_rows, onto=len(d_rows)):
             basis, pivots = _echelonize(y.rows + t)
             if len(basis) != y.dim + len(t):
                 raise AssertionError("lifted subspace has the wrong dimension")
-            yield Subspace._canonical(tuple(basis), tuple(pivots), n)
+            yield Subspace._canonical(tuple(basis), tuple(pivots), f.dim)
 
 
 def invariant_subspaces(f: NilpotentOperator) -> Iterator[Subspace]:

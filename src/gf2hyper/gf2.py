@@ -133,6 +133,7 @@ class Gf2Matrix:
     n_cols: int
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(self.rows))
         if self.n_cols < 1:
             raise ValueError("matrix width must be positive")
         for r in self.rows:
@@ -297,6 +298,7 @@ class Subspace:
     pivots: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(self.rows))
         if self.ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
         pivots = []

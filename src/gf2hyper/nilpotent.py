@@ -1,13 +1,14 @@
 """Structure theory of a nilpotent operator over GF(2).
 
 Validates nilpotency in one paired walk down the image chain, which
-also yields a Jordan basis and from it the kernel chain; caches both
-chains and derives the classical invariants: exponents, heights, the
-Ulm sequence (block-size multiplicities), elementary divisors, and a
-deterministic generator tuple (cyclic decomposition).  The tuple keeps
-its Jordan chains f^k u_i, walked once when it is built; the chain
-matrix, the equal-exponent summands and every chain span elsewhere in
-the package read them.
+also yields a Jordan basis and from it the kernel chain; keeps both
+chains and the walk, the one source of preimages and of the socles
+Ker f ∩ Im f^j, and derives the classical invariants: exponents,
+heights, the Ulm sequence (block-size multiplicities), elementary
+divisors, and a deterministic generator tuple (cyclic decomposition).
+The tuple keeps its Jordan chains f^k u_i, walked once when it is
+built; the chain matrix, the equal-exponent summands and every chain
+span elsewhere in the package read them.
 
 It also owns the chain coordinates the package computes in: bit
 offsets[i] + k stands for f^k u_i, `chain_frame` gives the change of
@@ -59,13 +60,17 @@ class NilpotentOperator:
 
     ``kernel_chain[j]`` is Ker f^j (strictly increasing up to the whole
     space) and ``image_chain[j]`` is Im f^j (strictly decreasing down to
-    zero), both canonical, for j = 0..index.
+    zero), both canonical, for j = 0..index.  ``walk[j]``, j < index, is
+    level j of the paired walk: {pivot bit of a row y of Im f^(j+1): a
+    preimage of y in Im f^j} (read by `_lift`) and the canonical
+    Ker f ∩ Im f^j.
     """
 
     mat: Gf2Matrix
     index: int
     kernel_chain: tuple[Subspace, ...] = field(compare=False, repr=False)
     image_chain: tuple[Subspace, ...] = field(compare=False, repr=False)
+    walk: tuple[tuple[dict[int, int], Subspace], ...] = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -136,6 +141,19 @@ class GeneratorTuple:
         raise ValueError(f"no exponent class of size {a}")
 
 
+def _lift(preimages: dict[int, int], bits: int) -> int:
+    """A preimage of bits in Im f^(j+1) from level j of the walk.
+
+    In the RREF basis of Im f^(j+1) the coordinates of bits are its bits
+    at the pivots, so the preimages at those pivots sum to one.
+    """
+    out = 0
+    for pivot, b in preimages.items():
+        if bits & pivot:
+            out ^= b
+    return out
+
+
 def validate_nilpotent(m: Gf2Matrix) -> NilpotentOperator:
     """Check that m is nilpotent and build its kernel and image chains.
 
@@ -143,9 +161,9 @@ def validate_nilpotent(m: Gf2Matrix) -> NilpotentOperator:
     for b in the RREF basis of Im f^j, reduce to rows pivoted below n,
     whose low halves are the RREF of Im f^(j+1) and whose high halves are
     preimages in Im f^j, and to rows pivoted at n or above, whose high
-    halves span Ker f ∩ Im f^j.  Lifting socle vectors through those
-    preimages and walking them under f gives a Jordan basis; Ker f^j is
-    the span of its vectors of exponent at most j.
+    halves are the RREF of Ker f ∩ Im f^j.  Lifting socle vectors through
+    those preimages and walking them under f gives a Jordan basis; Ker f^j
+    is the span of its vectors of exponent at most j.
     """
     if not m.is_square():
         raise NotSquare(f"operator must be square, got {m.n_rows}x{m.n_cols}")
@@ -153,17 +171,18 @@ def validate_nilpotent(m: Gf2Matrix) -> NilpotentOperator:
     low_half = (1 << n) - 1
     rows = tuple(1 << i for i in range(n))
     image_chain = [Subspace._canonical(rows, tuple(range(n)), n)]
-    walk: list[tuple[dict[int, int], int]] = []   # level j: its paired form and pivot mask
-    socles: list[list[int]] = []                  # level j: a basis of Ker f ∩ Im f^j
+    walk = []
     while rows:
         paired: dict[int, int] = {}
-        mask = _rref_extend(paired, 0, (m.apply_bits(b) | b << n for b in rows))
+        _rref_extend(paired, 0, (m.apply_bits(b) | b << n for b in rows))
         basis, pivots = _rref_rows(paired)
         k = sum(p < n for p in pivots)
         if k == len(basis):
             raise NotNilpotent(f"matrix is not nilpotent: f^{n} != 0")
-        walk.append((paired, mask))
-        socles.append([b >> n for b in basis[k:]])
+        socle = Subspace._canonical(
+            tuple(b >> n for b in basis[k:]), tuple(p - n for p in pivots[k:]), n
+        )
+        walk.append(({b & -b: b >> n for b in basis[:k]}, socle))
         rows = tuple(b & low_half for b in basis[:k])
         image_chain.append(Subspace._canonical(rows, tuple(pivots[:k]), n))
     index = len(walk)
@@ -172,20 +191,13 @@ def validate_nilpotent(m: Gf2Matrix) -> NilpotentOperator:
     taken_mask = 0
     by_exponent: list[list[int]] = [[] for _ in range(index + 1)]
     for a in range(index, 0, -1):
-        for bits in socles[a - 1]:
+        for bits in walk[a - 1][1].rows:
             grown = _rref_extend(taken, taken_mask, (bits,))
             if grown == taken_mask:
                 continue
             taken_mask = grown
-            for paired, mask in reversed(walk[: a - 1]):
-                # bits lies in the span of the low halves, so its coordinates
-                # are its bits at their pivots; the high halves sum to a preimage
-                hits = bits & mask
-                bits = 0
-                while hits:
-                    pivot = hits & -hits
-                    bits ^= paired[pivot] >> n
-                    hits ^= pivot
+            for preimages, _ in reversed(walk[: a - 1]):
+                bits = _lift(preimages, bits)
             chain = []
             while bits:
                 chain.append(bits)
@@ -204,7 +216,7 @@ def validate_nilpotent(m: Gf2Matrix) -> NilpotentOperator:
     for ker, im in zip(kernel_chain, image_chain):
         if ker.dim + im.dim != n:
             raise AssertionError("the Jordan basis does not span the kernel chain")
-    return NilpotentOperator(m, index, tuple(kernel_chain), tuple(image_chain))
+    return NilpotentOperator(m, index, tuple(kernel_chain), tuple(image_chain), tuple(walk))
 
 
 def exponent(f: NilpotentOperator, x: Gf2Vector) -> int:
@@ -312,41 +324,33 @@ def generator_tuple(f: NilpotentOperator) -> GeneratorTuple:
     """Deterministic cyclic decomposition of the space under f.
 
     Works down from the longest chains: at exponent a it walks the
-    canonical basis of Ker f^a and keeps the first vectors whose socle
-    images extend the span already committed (deeper socle plus the
-    picks made so far).  The canonical bases make the output depend only
-    on the matrix.
+    canonical basis of Ker f^a and keeps the first vectors b whose socle
+    images f^(a-1) b are independent of those of the picks so far, until
+    they span Ker f ∩ Im f^(a-1).  The picks at exponents above a left
+    as many independent images in Ker f ∩ Im f^a as it has dimensions,
+    so they span it: one echelon form of the images is the whole test.
+    The canonical bases make the output depend only on the matrix.
     """
-    socle = f.kernel_chain[1]
-    ulm = ulm_sequence(f)
-    committed: list[int] = []
-    picked: dict[int, list[int]] = {}
+    committed: dict[int, int] = {}
+    mask = 0
+    gens: list[int] = []
     for a in range(f.index, 0, -1):
-        need = ulm.count(a)
-        if need == 0:
-            continue
-        deeper = socle.intersect(f.image_chain[min(a, f.index)])
-        blocked = deeper.sum(Subspace.span_bits(committed, f.dim))
-        # a row passed over stays blocked, so each pick resumes the scan
-        candidates = iter(f.kernel_chain[a].rows)
+        target = f.walk[a - 1][1].dim
         picks = []
-        for _ in range(need):
-            for b in candidates:
-                w = b
-                for _ in range(a - 1):
-                    w = f.mat.apply_bits(w)
-                if not blocked.contains_bits(w):
-                    picks.append(b)
-                    committed.append(w)
-                    blocked = blocked.sum(Subspace.span_bits([w], f.dim))
-                    break
-            else:
-                raise AssertionError("socle filtration exhausted prematurely")
-        picked[a] = picks
-    gens = [
-        Gf2Vector(b, f.dim) for a in sorted(picked) for b in picked[a]
-    ]
-    return make_generator_tuple(f, gens)
+        for b in f.kernel_chain[a].rows:
+            if len(committed) == target:
+                break
+            w = b
+            for _ in range(a - 1):
+                w = f.mat.apply_bits(w)
+            grown = _rref_extend(committed, mask, (w,))
+            if grown != mask:
+                mask = grown
+                picks.append(b)
+        if len(committed) != target:
+            raise AssertionError("socle filtration exhausted prematurely")
+        gens[:0] = picks  # exponents ascend in the tuple
+    return make_generator_tuple(f, [Gf2Vector(b, f.dim) for b in gens])
 
 
 def chain_matrix(f: NilpotentOperator, u: GeneratorTuple) -> Gf2Matrix:

@@ -132,6 +132,40 @@ def power_tower(f):
     return tuple(powers)
 
 
+def generator_tuple_by_intersection(f):
+    """Oracle for nilpotent.generator_tuple: the same scan of the canonical
+    basis of Ker f^a, tested against the blocked span Ker f ∩ Im f^a
+    (a Zassenhaus intersection) plus the socle images picked so far,
+    re-summed after every pick.  Returns the generators."""
+    socle = f.kernel_chain[1]
+    ulm = ulm_sequence(f)
+    committed = []
+    picked = {}
+    for a in range(f.index, 0, -1):
+        need = ulm.count(a)
+        if need == 0:
+            continue
+        deeper = socle.intersect(f.image_chain[a])
+        blocked = deeper.sum(Subspace.span_bits(committed, f.dim))
+        # a row passed over stays blocked, so each pick resumes the scan
+        candidates = iter(f.kernel_chain[a].rows)
+        picks = []
+        for _ in range(need):
+            for b in candidates:
+                w = b
+                for _ in range(a - 1):
+                    w = f.mat.apply_bits(w)
+                if not blocked.contains_bits(w):
+                    picks.append(b)
+                    committed.append(w)
+                    blocked = blocked.sum(Subspace.span_bits([w], f.dim))
+                    break
+            else:
+                raise AssertionError("socle filtration exhausted prematurely")
+        picked[a] = picks
+    return tuple(Gf2Vector(b, f.dim) for a in sorted(picked) for b in picked[a])
+
+
 def random_invertible(rng, n):
     while True:
         m = Gf2Matrix(tuple(rng.getrandbits(n) for _ in range(n)), n)

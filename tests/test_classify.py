@@ -381,6 +381,19 @@ def test_units_f_times_a_single_chain_projection_are_needed():
             assert not _stable(s, units)
 
 
+def test_a_witness_that_keeps_its_row_inside_is_refused(monkeypatch):
+    # the scan says the unit I + f P_0 moves s; a built map that fixes s contradicts it
+    monkeypatch.setattr(
+        sys.modules[_stability_maps.__module__],
+        "_chain_map",
+        lambda f, c, i, j: Gf2Matrix.zeros(f.dim, f.dim),
+    )
+    f = jordan_operator((2, 6))
+    s = _span_of_bits(8, (0, 4, 5), (1, 5), (6,), (7,))
+    with pytest.raises(AssertionError, match="keeps its row inside"):
+        classify(f, s)
+
+
 def test_invariance_scans_f_alone(monkeypatch):
     def refuse(*args):
         raise AssertionError("invariance must scan f alone")

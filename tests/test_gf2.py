@@ -15,10 +15,12 @@ from gf2hyper import (
     format_matrix,
     format_subspace,
     gaussian_binomial,
+    generator_tuple,
     invariant_subspaces,
     parse_matrix,
     parse_subspace,
     subspace_count,
+    validate_nilpotent,
 )
 from gf2hyper.gf2 import _echelonize, _subspace_rows, enumerate_subspaces
 from gf2hyper.verify import jordan_operator, partitions
@@ -254,6 +256,15 @@ def test_canonicity():
         s2 = Subspace.span_bits(mixed, 6)
         assert span_members(s1.rows, 6) == span_members(s2.rows, 6)
         assert s1 == s2
+
+
+def test_list_rows_are_kept_as_tuples():
+    # list rows would make the value unhashable, and fail inside cached calls
+    m = Gf2Matrix([0, 1], 2)
+    assert m.rows == (0, 1) and hash(m) == hash(Gf2Matrix((0, 1), 2))
+    assert generator_tuple(validate_nilpotent(m)).exponents == (2,)
+    s = Subspace([1], 2)
+    assert s.rows == (1,) and hash(s) == hash(Subspace((1,), 2))
 
 
 def test_subspace_validation_rejects_non_canonical():

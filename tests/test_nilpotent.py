@@ -29,7 +29,12 @@ from gf2hyper.nilpotent import (
 )
 from gf2hyper.verify import jordan_operator, partitions
 
-from conftest import cyclic_subspace, power_tower, random_invertible
+from conftest import (
+    cyclic_subspace,
+    generator_tuple_by_intersection,
+    power_tower,
+    random_invertible,
+)
 
 
 def test_jordan_matrix_matches_published_example(golden):
@@ -165,6 +170,16 @@ def test_generator_tuple_of_conjugated_operator():
             assert chain_matrix(conj, u).is_invertible()
 
 
+def test_generator_tuple_matches_the_intersection_oracle(conjugate):
+    # oracle: the blocked span rebuilt by Zassenhaus at each exponent, not one echelon form
+    rng = random.Random(97)
+    for n in range(1, 9):
+        for sizes in partitions(n):
+            decreasing = validate_nilpotent(jordan_matrix(sorted(sizes, reverse=True)))
+            for f in (jordan_operator(sizes), conjugate(sizes, rng), decreasing):
+                assert generator_tuple(f).generators == generator_tuple_by_intersection(f), sizes
+
+
 def test_make_generator_tuple_rejections(golden, e):
     with pytest.raises(NotAGeneratorTuple):
         make_generator_tuple(golden, [])
@@ -218,6 +233,17 @@ def test_validate_nilpotent_matches_the_power_tower(conjugate):
                 assert f.index == max(sizes) == len(powers) - 1, sizes
                 assert f.kernel_chain == tuple(p.kernel() for p in powers), sizes
                 assert f.image_chain == tuple(p.image() for p in powers), sizes
+                # each stored level: the socle by Zassenhaus, and f b = y with b in
+                # Im f^j for the preimage b kept at the pivot of each row y of Im f^(j+1)
+                assert len(f.walk) == f.index
+                for j, (preimages, socle) in enumerate(f.walk):
+                    assert socle == f.kernel_chain[1].intersect(f.image_chain[j]), sizes
+                    image = f.image_chain[j + 1]
+                    assert sorted(preimages) == [1 << p for p in image.pivots], sizes
+                    for y in image.rows:
+                        b = preimages[y & -y]
+                        assert f.mat.apply_bits(b) == y, sizes
+                        assert f.image_chain[j].contains_bits(b), sizes
 
 
 def test_validate_nilpotent_rejects_what_never_vanishes():
