@@ -73,6 +73,20 @@ def _coords(rows: tuple[int, ...], width: int) -> list[list[int]]:
     return [[r >> j & 1 for j in range(width)] for r in rows]
 
 
+def _dumps(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2) of a JSON tree with str keys, byte for byte, but
+    a list of plain ints (no bools) in one join, not one string per item."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = (json.dumps(k) + ": " + _dumps(v, inner) for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        ints = all(type(v) is int for v in obj)
+        items = map(str, obj) if ints else (_dumps(v, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(obj)
+
+
 def _from_obj(kind, obj):
     """The value of type `kind` that `_to_obj` wrote as obj: ParseError for a key
     too many or too few or a value of the wrong JSON type, while the constructors
@@ -153,7 +167,7 @@ class AnalysisDocument:
             raise ParseError(f"malformed analysis document: {exc}") from exc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), indent=2)
+        return _dumps(self.to_obj())
 
     @classmethod
     def from_json(cls, text: str) -> AnalysisDocument:
@@ -250,7 +264,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         }
         for key in ("invariance_witness", "characteristic_witness", "hyperinvariance_witness"):
             obj[key] = _to_obj(getattr(report, key))
-        print(json.dumps(obj, indent=2))
+        print(_dumps(obj))
         return 0
     print(
         "invariant={} marked={} characteristic={} hyperinvariant={}".format(
@@ -279,7 +293,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     found = counterexample(f)
     if args.json:
         obj = _to_obj(found[1] if found else None)
-        print(json.dumps({"counterexample": obj}, indent=2))
+        print(_dumps({"counterexample": obj}))
         return 0
     if found is None:
         print("NONE")
@@ -355,7 +369,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
         "edges": list(map(list, edges)),
     }
     if args.json:
-        print(json.dumps(obj, indent=2))
+        print(_dumps(obj))
         return 0
     print(f"{len(nodes)} nodes, {len(edges)} covering edges")
     for s in nodes:

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -8,6 +9,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gf2hyper
 from gf2hyper import (
@@ -25,6 +28,7 @@ from gf2hyper.cli import (
     AnalysisDocument,
     LatticeCensusDocument,
     _covering_edges,
+    _dumps,
     _lattice_nodes,
     build_analysis,
     main,
@@ -514,6 +518,79 @@ def test_json_stdout_is_pinned(tmp_path, capsys):
             key = " ".join(str(a).replace(str(tmp_path) + "/", "") for a in argv)
             digests[key] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digests == PINNED_JSON_STDOUT
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**512), 2**512)
+    | st.floats()
+    | st.text()
+)
+# lists of ints with a bool or a null among them keep the stdlib's form
+INT_LISTS = st.lists(st.integers(0, 1)) | st.lists(st.integers() | st.booleans() | st.none())
+JSON_TREES = st.recursive(
+    JSON_SCALARS | INT_LISTS,
+    lambda children: st.lists(children) | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=30,
+)
+
+
+@given(JSON_TREES)
+@example({})
+@example([])
+@example({"a": {}, "b": [], "c": [[], {}]})
+@example([[[]], [{}]])
+@example([True, 1])
+@example([1, None, 0])
+@example([-7, 2**200, -(10**4000)])
+@example({"é\n\"\\\u2028\x00": ["ключ\t", "\ud83d\ude00"]})
+@settings(max_examples=200, deadline=None)
+def test_dumps_writes_what_the_stdlib_writes(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_json_stdout_is_the_stdlib_indent_2_form(conjugate, tmp_path, capsys):
+    # every Jordan shape with n <= 6 and a seeded conjugate of each, through
+    # every --json command: stdout is what json.dumps(..., indent=2) writes
+    rng = random.Random(18)
+    empty = tmp_path / "empty.txt"
+    for n in range(1, 7):
+        empty.write_text(f"0 {n}\n")
+        for sizes in partitions(n):
+            for f in (jordan_operator(sizes), conjugate(sizes, rng)):
+                m = tmp_path / "f.txt"
+                m.write_text(format_matrix(f.mat))
+                spans = [empty, tmp_path / "ker.txt"]
+                spans[1].write_text(format_subspace(f.kernel_chain[1]))
+                found = counterexample(f)
+                if found:
+                    spans.append(tmp_path / "y.txt")
+                    spans[-1].write_text(format_subspace(found[0]))
+                argvs = [
+                    ["analyze", m, "--census", "--json"],
+                    ["counterexample", m, "--json"],
+                    *(["classify", m, s, "--json"] for s in spans),
+                    *(["lattice", m, "--which", w, "--json"] for w in ("hinv", "chinv", "inv")),
+                ]
+                for argv in argvs:
+                    assert main(list(map(str, argv))) == 0
+                    out = capsys.readouterr().out
+                    assert out == json.dumps(json.loads(out), indent=2) + "\n", (sizes, argv)
+
+
+def test_no_json_dumps_call_under_src_takes_indent():
+    src = Path(gf2hyper.__file__).parent
+    calls = [
+        node
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("json.dumps", "dumps")
+    ]
+    assert calls, "the scan must see the writer's own json.dumps calls"
+    assert not [ast.unparse(c) for c in calls if any(k.arg == "indent" for k in c.keywords)]
 
 
 def test_lattice_cap_exceeded(tmp_path, capsys):
