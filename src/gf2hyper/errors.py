@@ -22,8 +22,7 @@ class SingularMatrix(Gf2HyperError):
 class CapExceeded(Gf2HyperError):
     """An enumeration would exceed the configured budget.
 
-    ``required`` carries the item count the enumeration would need, so
-    callers can decide whether to retry with a larger cap.
+    ``required`` carries the item count the enumeration would need.
     """
 
     def __init__(self, message: str, required: int | None = None):

@@ -2,13 +2,14 @@
 
 Validates nilpotency in one paired walk down the image chain, which
 also yields a Jordan basis and from it the kernel chain; keeps both
-chains and the walk, the one source of preimages and of the socles
-Ker f ∩ Im f^j, and derives the classical invariants: exponents,
-heights, the Ulm sequence (block-size multiplicities), elementary
-divisors, and a deterministic generator tuple (cyclic decomposition).
-The tuple keeps its Jordan chains f^k u_i, walked once when it is
-built; the chain matrix, the equal-exponent summands and every chain
-span elsewhere in the package read them.
+chains, the walk, the one source of preimages and of the socles
+Ker f ∩ Im f^j, and the generators of that basis, and derives the
+classical invariants: exponents, heights, the Ulm sequence (block-size
+multiplicities), elementary divisors, and the generator tuple (cyclic
+decomposition) of those generators.  The tuple keeps its Jordan chains
+f^k u_i, walked once when it is built; the chain matrix, the
+equal-exponent summands and every chain span elsewhere in the package
+read them.
 
 It also owns the chain coordinates the package computes in: bit
 offsets[i] + k stands for f^k u_i, `chain_frame` gives the change of
@@ -63,7 +64,8 @@ class NilpotentOperator:
     zero), both canonical, for j = 0..index.  ``walk[j]``, j < index, is
     level j of the paired walk: {pivot bit of a row y of Im f^(j+1): a
     preimage of y in Im f^j} (read by `_lift`) and the canonical
-    Ker f ∩ Im f^j.
+    Ker f ∩ Im f^j.  ``generators`` holds the bits of the generators u_i
+    of the lifted Jordan basis, exponents ascending (`generator_tuple`).
     """
 
     mat: Gf2Matrix
@@ -71,6 +73,7 @@ class NilpotentOperator:
     kernel_chain: tuple[Subspace, ...] = field(compare=False, repr=False)
     image_chain: tuple[Subspace, ...] = field(compare=False, repr=False)
     walk: tuple[tuple[dict[int, int], Subspace], ...] = field(compare=False, repr=False)
+    generators: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -163,7 +166,9 @@ def validate_nilpotent(m: Gf2Matrix) -> NilpotentOperator:
     preimages in Im f^j, and to rows pivoted at n or above, whose high
     halves are the RREF of Ker f ∩ Im f^j.  Lifting socle vectors through
     those preimages and walking them under f gives a Jordan basis; Ker f^j
-    is the span of its vectors of exponent at most j.
+    is the span of its vectors of exponent at most j.  At exponent a the
+    lifted socle vectors are the rows of Ker f ∩ Im f^(a-1) independent of
+    those already lifted, in row order, so the basis depends only on m.
     """
     if not m.is_square():
         raise NotSquare(f"operator must be square, got {m.n_rows}x{m.n_cols}")
@@ -190,7 +195,9 @@ def validate_nilpotent(m: Gf2Matrix) -> NilpotentOperator:
     taken: dict[int, int] = {}
     taken_mask = 0
     by_exponent: list[list[int]] = [[] for _ in range(index + 1)]
+    generators: list[int] = []
     for a in range(index, 0, -1):
+        lifted = []
         for bits in walk[a - 1][1].rows:
             grown = _rref_extend(taken, taken_mask, (bits,))
             if grown == taken_mask:
@@ -198,12 +205,14 @@ def validate_nilpotent(m: Gf2Matrix) -> NilpotentOperator:
             taken_mask = grown
             for preimages, _ in reversed(walk[: a - 1]):
                 bits = _lift(preimages, bits)
+            lifted.append(bits)
             chain = []
             while bits:
                 chain.append(bits)
                 bits = m.apply_bits(bits)
             for steps, v in enumerate(chain):
                 by_exponent[len(chain) - steps].append(v)
+        generators[:0] = lifted  # exponents ascend in the tuple
     kernel: dict[int, int] = {}
     kernel_mask = 0
     kernel_chain = [Subspace.zero(n)]
@@ -216,7 +225,9 @@ def validate_nilpotent(m: Gf2Matrix) -> NilpotentOperator:
     for ker, im in zip(kernel_chain, image_chain):
         if ker.dim + im.dim != n:
             raise AssertionError("the Jordan basis does not span the kernel chain")
-    return NilpotentOperator(m, index, tuple(kernel_chain), tuple(image_chain), tuple(walk))
+    return NilpotentOperator(
+        m, index, tuple(kernel_chain), tuple(image_chain), tuple(walk), tuple(generators)
+    )
 
 
 def exponent(f: NilpotentOperator, x: Gf2Vector) -> int:
@@ -321,36 +332,9 @@ def make_generator_tuple(
 
 @functools.lru_cache(maxsize=None)
 def generator_tuple(f: NilpotentOperator) -> GeneratorTuple:
-    """Deterministic cyclic decomposition of the space under f.
-
-    Works down from the longest chains: at exponent a it walks the
-    canonical basis of Ker f^a and keeps the first vectors b whose socle
-    images f^(a-1) b are independent of those of the picks so far, until
-    they span Ker f ∩ Im f^(a-1).  The picks at exponents above a left
-    as many independent images in Ker f ∩ Im f^a as it has dimensions,
-    so they span it: one echelon form of the images is the whole test.
-    The canonical bases make the output depend only on the matrix.
-    """
-    committed: dict[int, int] = {}
-    mask = 0
-    gens: list[int] = []
-    for a in range(f.index, 0, -1):
-        target = f.walk[a - 1][1].dim
-        picks = []
-        for b in f.kernel_chain[a].rows:
-            if len(committed) == target:
-                break
-            w = b
-            for _ in range(a - 1):
-                w = f.mat.apply_bits(w)
-            grown = _rref_extend(committed, mask, (w,))
-            if grown != mask:
-                mask = grown
-                picks.append(b)
-        if len(committed) != target:
-            raise AssertionError("socle filtration exhausted prematurely")
-        gens[:0] = picks  # exponents ascend in the tuple
-    return make_generator_tuple(f, [Gf2Vector(b, f.dim) for b in gens])
+    """The cyclic decomposition of the space by the generators that
+    `validate_nilpotent` lifted, which depend only on the matrix."""
+    return make_generator_tuple(f, [Gf2Vector(b, f.dim) for b in f.generators])
 
 
 def chain_matrix(f: NilpotentOperator, u: GeneratorTuple) -> Gf2Matrix:

@@ -310,7 +310,8 @@ def oracle_suite(max_dim: int = ORACLE_MAX_DIM) -> list[CheckResult]:
                     ok = (
                         formula == scanned
                         and formula.dim == expected_dim
-                        and f.mat.map_subspace(formula).dim <= formula.dim
+                        # f X = span{f z} + the socle end of each chain above tau
+                        and f.mat.map_subspace(formula).dim == 1 + tail
                         and all(
                             formula.contains_bits(f.mat.apply_bits(r))
                             for r in formula.rows

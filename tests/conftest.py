@@ -133,10 +133,13 @@ def power_tower(f):
 
 
 def generator_tuple_by_intersection(f):
-    """Oracle for nilpotent.generator_tuple: the same scan of the canonical
-    basis of Ker f^a, tested against the blocked span Ker f ∩ Im f^a
-    (a Zassenhaus intersection) plus the socle images picked so far,
-    re-summed after every pick.  Returns the generators."""
+    """Oracle for nilpotent.generator_tuple on Jordan matrices, in either
+    block order, where the lifted Jordan basis is exactly this pick: scan
+    the canonical basis of Ker f^a, testing f^(a-1) b against the blocked
+    span Ker f ∩ Im f^a (a Zassenhaus intersection) plus the socle images
+    picked so far, re-summed after every pick.  On other bases the two
+    generator tuples differ; only their socle images are pinned there.
+    Returns the generators."""
     socle = f.kernel_chain[1]
     ulm = ulm_sequence(f)
     committed = []

@@ -170,14 +170,37 @@ def test_generator_tuple_of_conjugated_operator():
             assert chain_matrix(conj, u).is_invertible()
 
 
+def _greedy_socle_picks(f, powers):
+    """Class by class from the top, the canonical rows of Ker f ∩ Im f^(a-1),
+    by Zassenhaus on the power tower, independent of those picked before."""
+    socle = powers[1].kernel()
+    picked = Subspace.zero(f.dim)
+    by_class = []
+    for a in range(f.index, 0, -1):
+        picks = []
+        for row in socle.intersect(powers[a - 1].image()).rows:
+            if not picked.contains_bits(row):
+                picks.append(row)
+                picked = picked.sum(Subspace.span_bits([row], f.dim))
+        by_class[:0] = picks
+    return by_class
+
+
 def test_generator_tuple_matches_the_intersection_oracle(conjugate):
-    # oracle: the blocked span rebuilt by Zassenhaus at each exponent, not one echelon form
+    # Jordan matrices: the picks of the blocked span rebuilt by Zassenhaus at each
+    # exponent; any basis: the socle images f^(t_i - 1) u_i, by products of f
     rng = random.Random(97)
     for n in range(1, 9):
         for sizes in partitions(n):
             decreasing = validate_nilpotent(jordan_matrix(sorted(sizes, reverse=True)))
-            for f in (jordan_operator(sizes), conjugate(sizes, rng), decreasing):
+            for f in (jordan_operator(sizes), decreasing):
                 assert generator_tuple(f).generators == generator_tuple_by_intersection(f), sizes
+            f = conjugate(sizes, rng)
+            powers = power_tower(f)
+            u = generator_tuple(f)
+            assert u.exponents == tuple(sorted(sizes)), sizes
+            tops = [powers[t - 1].apply_bits(g.bits) for g, t in zip(u.generators, u.exponents)]
+            assert tops == _greedy_socle_picks(f, powers), sizes
 
 
 def test_make_generator_tuple_rejections(golden, e):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gf2hyper import (
@@ -20,7 +22,7 @@ from gf2hyper import (
     ulm_sequence,
 )
 from gf2hyper.nilpotent import UlmSequence
-from gf2hyper.verify import jordan_operator, partitions
+from gf2hyper.verify import ORACLE_MAX_DIM, jordan_operator, partitions
 
 
 def test_shoda_condition_examples():
@@ -115,6 +117,34 @@ def test_exceptional_subspace_matches_scan_spot_checks():
         assert exceptional_subspace(f, u, rho, tau) == exceptional_subspace_scan(
             f, a_rho, a_tau
         )
+
+
+def test_exceptional_subspace_maps_onto_f_z_and_the_tail_socle(conjugate):
+    # the image dimension the oracle suite checks, 1 + tail, case by case and as
+    # the exact span f X = span{f z} + the socle vectors of the chains above tau
+    rng = random.Random(61)
+    cases = 0
+    for n in range(1, ORACLE_MAX_DIM + 1):
+        for sizes in partitions(n):
+            for f in (jordan_operator(sizes), conjugate(sizes, rng)):
+                u = generator_tuple(f)
+                for rho in range(u.class_count):
+                    for tau in range(rho + 1, u.class_count):
+                        try:
+                            x = exceptional_subspace(f, u, rho, tau)
+                        except ShodaConditionFails:
+                            continue
+                        z = linking_vector(f, u, rho, tau)
+                        tail = [
+                            u.chains[i][-1]
+                            for mu in range(tau + 1, u.class_count)
+                            for i in u.class_indices(mu)
+                        ]
+                        image = f.mat.map_subspace(x)
+                        assert image == Subspace.span_bits([f.mat.apply_bits(z.bits)] + tail, n)
+                        assert image.dim == 1 + len(tail), (sizes, rho, tau)
+                        cases += 1
+    assert cases == 2 * 30
 
 
 def test_scan_with_unsatisfiable_profile_is_zero():
