@@ -4,14 +4,14 @@ Invariant, characteristic and hyperinvariant are one ordered scan over
 a few maps commuting with f: f, then units that with I generate the
 span of every unit, then the projections that complete the commutant.
 Each class tests a prefix, so the first map that moves a basis row
-decides all three.  The scan runs in the coordinates of the Jordan
-chains that `nilpotent` lays out (the offsets, the chain-tail masks and
-`chain_frame`), where each of those maps is a shift and a mask; only a
-witness that is reported is built as a matrix.  Marked checks only the pairs
-(a, r) of the intersection criterion that can fail, by comparing
-dimensions in the same coordinates.  `invariant_subspaces` lists the
-invariant subspaces directly, each once, by lifting them down the image
-chain.
+decides all three.  The scan runs in the Jordan chain coordinates of
+`nilpotent`, where each map is a shift and a mask; only a reported
+witness is built as a matrix.  Marked checks only the pairs (a, r) of
+the intersection criterion that can fail, in the same coordinates.
+`invariant_subspaces` lifts each invariant subspace once, down the image
+chain.  Each lattice yields its own covers: a walk up from zero for the
+invariant and the characteristic subspaces, the shift tuples for the
+hyperinvariant ones.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from .gf2 import (
     _echelonize,
     _lowest_bit,
     _reduce_against,
+    _rref_extend,
+    _span_table,
     _subspace_rows,
 )
 from .nilpotent import (
@@ -87,6 +89,7 @@ class ClassificationReport:
 MOVED_BY_F, MOVED_BY_UNIT, MOVED_BY_PROJECTION, STABLE = range(4)
 # a scanned map: (kind, (c, i, j) or None for f, a, m, b), see _stability_maps
 _ScanMap = tuple[int, tuple[int, int, int] | None, int, int, int]
+_Lattice = tuple[tuple[Subspace, ...], tuple[tuple[int, int], ...]]
 
 
 def _stability_maps(f: NilpotentOperator) -> tuple[_ScanMap, ...]:
@@ -184,18 +187,16 @@ def _first_exit(
     f: NilpotentOperator,
     s: Subspace,
     through: int = MOVED_BY_PROJECTION,
-    since: int = MOVED_BY_F,
     witness: bool = True,
 ) -> tuple[int, Witness | None]:
-    """Scan the stability maps of kinds `since` to `through` over the basis rows of s.
+    """Scan the stability maps of kinds up to `through` over the basis rows of s.
 
     Returns the kind of the first map that moves a row out of s, with
     that map and row as the witness, or (STABLE, None) when none does.
     The scan runs in chain coordinates, where each map is a shift and a
     mask (`_chain_coordinates`); only the witness map is built as a
     matrix, and not at all when `witness` is false (the witness is then
-    None).  Invariance alone scans f.mat and builds no chain coordinates;
-    a caller that knows s is invariant can start after f.
+    None).  Invariance alone scans f.mat and builds no chain coordinates.
     """
     if s.ambient_dim != f.dim:
         raise DimensionMismatch("subspace does not match the operator")
@@ -209,8 +210,6 @@ def _first_exit(
     for at, (kind, _, a, m, b) in enumerate(maps):
         if kind > through:
             break
-        if kind < since:
-            continue
         for row, x in enumerate(xs):
             if _reduce_against(((x >> a) & m) << b, basis, pivots):
                 return kind, _witness(f, s, at, s.rows[row]) if witness else None
@@ -246,12 +245,6 @@ def is_characteristic(f: NilpotentOperator, s: Subspace) -> tuple[bool, Witness 
     """
     _, bad = _first_exit(f, s, MOVED_BY_UNIT)
     return bad is None, bad
-
-
-def _unit_stable(f: NilpotentOperator, s: Subspace) -> bool:
-    """The verdict of `is_characteristic` on an s known to be invariant,
-    from the unit prefix alone: f is not scanned again, and no map is built."""
-    return _first_exit(f, s, MOVED_BY_UNIT, since=MOVED_BY_UNIT, witness=False)[0] == STABLE
 
 
 def is_marked(f: NilpotentOperator, s: Subspace) -> bool:
@@ -371,6 +364,52 @@ def invariant_subspaces(f: NilpotentOperator) -> Iterator[Subspace]:
     return level
 
 
+def _closure(s: Subspace, v: int, maps: Sequence[tuple[int, int, int]]) -> Subspace:
+    """The span of s, v and the images of v under words in the maps, for an s they keep."""
+    form = dict(zip((1 << p for p in s.pivots), s.rows))
+    mask = sum(form)
+    pending = [v]
+    while pending:
+        x = pending.pop()
+        if (grown := _rref_extend(form, mask, (x,))) != mask:
+            mask = grown
+            pending += [((x >> a) & m) << b for a, m, b in maps]
+    return Subspace.span_bits(form.values(), s.ambient_dim)
+
+
+def _stable_lattice(f: NilpotentOperator, through: int) -> _Lattice:
+    """The subspaces that the scan maps of kinds up to `through` keep, sorted by
+    dimension and basis, and the sorted pairs (i, j) with node j covering node
+    i: the invariant subspaces through MOVED_BY_F, the characteristic ones
+    through MOVED_BY_UNIT.  Breadth-first up from zero, in chain coordinates.
+
+    A cover Y of a stable X holds a v outside X with f v in X, as Y/X is
+    a nilpotent module, and the closure of X + v is stable, inside Y and
+    larger than X, so it is Y.  So the covers of X are the minimal
+    closures of X + v over the lines v of f^-1(X)/X, and each closure one
+    dimension up is one.  f^-1(X) is Ker f, spanned by the chain ends,
+    plus x >> 1 for each basis row x of X ∩ Im f.
+    """
+    _, maps, images = _chain_coordinates(f)
+    scan = [(a, m, b) for kind, _, a, m, b in maps if kind <= through]
+    ends = tuple(1 << (o - 1) for o in generator_tuple(f).offsets[1:])
+    covers: dict[Subspace, list[Subspace]] = {}
+    level = [Subspace.zero(f.dim)]
+    while level:
+        for x in level:
+            below = ends + tuple(y >> 1 for y in _meet(x.rows, images[1]))
+            spans = {_closure(x, v, scan) for v in _span_table(_complement(x, below))[1:]}
+            covers[x] = [
+                y for y in spans if y.dim == x.dim + 1 or all(y.sum(z) != y for z in spans - {y})
+            ]
+        level = {y for x in level for y in covers[x] if y not in covers}
+    p, _ = chain_frame(f)
+    std = {x: p.map_subspace(x) for x in covers}
+    at = {x: i for i, x in enumerate(sorted(covers, key=lambda x: (std[x].dim, std[x].rows)))}
+    edges = sorted((at[x], at[y]) for x, ys in covers.items() for y in ys)
+    return tuple(std[x] for x in at), tuple(edges)
+
+
 def shifted_chain_span(
     f: NilpotentOperator, u: GeneratorTuple, shifts: AdmissibleTuple
 ) -> Subspace:
@@ -399,21 +438,20 @@ def _monotone_shifts(exponents: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _hyperinvariant_nodes(f: NilpotentOperator) -> tuple[tuple[Subspace, int], ...]:
-    """Every hyperinvariant subspace with its chain-tail mask, sorted by
-    dimension and basis.
-
-    The mask (`nilpotent._tail_mask`) holds the chain coordinates of the
-    chain vectors that span the subspace.  The chains are a basis, so one
-    subspace lies inside another exactly when its mask is a subset of
-    the other's, and distinct shift tuples give distinct subspaces.
-    """
+def _hyperinvariant_lattice(f: NilpotentOperator) -> _Lattice:
+    """`hyperinvariant_lattice` and its covering pairs: node j covers node i when j's
+    shift tuple is i's with one exponent class's shifts lowered by 1 (checked against
+    `_stable_lattice` through MOVED_BY_PROJECTION in the tests, not proven)."""
     u = generator_tuple(f)
-    nodes = [
-        (shifted_chain_span(f, u, AdmissibleTuple(r)), _tail_mask(u, r))
-        for r in _monotone_shifts(u.exponents)
-    ]
-    return tuple(sorted(nodes, key=lambda node: (node[0].dim, node[0].rows)))
+    spans = {r: shifted_chain_span(f, u, AdmissibleTuple(r)) for r in _monotone_shifts(u.exponents)}
+    at = {r: i for i, r in enumerate(sorted(spans, key=lambda r: (spans[r].dim, spans[r].rows)))}
+    edges = []
+    for r, i in at.items():
+        for _, ix in u.partition:
+            lowered = tuple(s - (k in ix) for k, s in enumerate(r))
+            if lowered in at:
+                edges.append((i, at[lowered]))
+    return tuple(spans[r] for r in at), tuple(sorted(edges))
 
 
 def hyperinvariant_lattice(f: NilpotentOperator) -> tuple[Subspace, ...]:
@@ -422,7 +460,7 @@ def hyperinvariant_lattice(f: NilpotentOperator) -> tuple[Subspace, ...]:
     These are exactly the spans of the monotone-shifted chains (Fillmore,
     Herrero and Longstaff, LAA 17, 1977), one per monotone shift tuple.
     """
-    return tuple(s for s, _ in _hyperinvariant_nodes(f))
+    return _hyperinvariant_lattice(f)[0]
 
 
 def largest_hyperinvariant_inside(

@@ -18,8 +18,10 @@ from typing import get_args, get_origin, get_type_hints
 
 from . import verify as verify_mod
 from .classify import (
-    _hyperinvariant_nodes,
-    _unit_stable,
+    MOVED_BY_F,
+    MOVED_BY_UNIT,
+    _hyperinvariant_lattice,
+    _stable_lattice,
     classify,
     hyperinvariant_lattice,
     invariant_subspaces,
@@ -36,10 +38,8 @@ from .errors import (
 from .gf2 import (
     Gf2Matrix,
     Gf2Vector,
-    SUBSPACE_ENUM_CAP,
     Subspace,
     _check_subspace_cap,
-    _span_table,
     format_subspace,
     parse_matrix,
     parse_subspace,
@@ -191,12 +191,9 @@ def build_analysis(f: NilpotentOperator, census: bool = False) -> AnalysisDocume
     found = counterexample(f)
     census_doc = None
     if census:
-        # counted as they are lifted; none is kept
-        _check_subspace_cap(f.dim, SUBSPACE_ENUM_CAP)
-        invariant = char = 0
-        for s in invariant_subspaces(f):
-            invariant += 1
-            char += _unit_stable(f, s)
+        _check_subspace_cap(f.dim)
+        invariant = sum(1 for _ in invariant_subspaces(f))  # counted as lifted; none is kept
+        char = len(_stable_lattice(f, MOVED_BY_UNIT)[0])
         hyper = len(hyperinvariant_lattice(f))
         census_doc = LatticeCensusDocument(invariant, char, hyper, char - hyper)
     return AnalysisDocument(
@@ -310,47 +307,14 @@ def _node_digest(s: Subspace) -> str:
     return hashlib.sha1(payload).hexdigest()[:8]
 
 
-def _covering_edges(keys: list[int]) -> list[tuple[int, int]]:
-    """Edges of the covering relation only; transitive pairs are dropped.
-
-    keys[i] is a bitset whose subset order is the containment of the
-    nodes: node i lies inside node j exactly when keys[i] is a subset of
-    keys[j].  Node j covers node i when j is above i but above no node
-    that is above i.
-    """
-    # above[i]: the j with node i strictly inside node j
-    above = [[j for j, b in enumerate(keys) if a != b and a & ~b == 0] for a in keys]
-    mask = [sum(1 << j for j in ups) for ups in above]  # the same sets as bitmasks
-    edges = []
-    for i, ups in enumerate(above):
-        beyond = 0
-        for j in ups:
-            beyond |= mask[j]
-        edges += [(i, j) for j in ups if not beyond >> j & 1]
-    return edges
-
-
-def _lattice_nodes(f: NilpotentOperator, which: str) -> tuple[list[Subspace], list[int]]:
-    """The nodes, sorted by dimension and basis, and their `_covering_edges` keys."""
-    if which == "hinv":
-        # hyperinvariant_lattice builds the nodes, and their chain-tail masks
-        # in the same cached pass
-        return list(hyperinvariant_lattice(f)), [key for _, key in _hyperinvariant_nodes(f)]
-    # the cap bounds the subspaces of GF(2)^n, checked before any is built, as
-    # the lifting enumerates through gf2._subspace_rows, which refuses more
-    _check_subspace_cap(f.dim, SUBSPACE_ENUM_CAP)
-    nodes = [s for s in invariant_subspaces(f) if which == "inv" or _unit_stable(f, s)]
-    nodes.sort(key=lambda s: (s.dim, s.rows))
-    # each key is the membership bitset, bit v for each vector v of the node: as
-    # GF(2)^10 has more than the cap of 2^24 subspaces, n <= 9 here and a key
-    # has at most 512 bits
-    return nodes, [sum(1 << v for v in _span_table(s.rows)) for s in nodes]
-
-
 def _cmd_lattice(args: argparse.Namespace) -> int:
     f = validate_nilpotent(_read(args.matrix, parse_matrix))
-    nodes, keys = _lattice_nodes(f, args.which)
-    edges = _covering_edges(keys)
+    if args.which == "hinv":
+        nodes, edges = hyperinvariant_lattice(f), _hyperinvariant_lattice(f)[1]
+    else:
+        # the cap of 2^24 bounds the subspaces of GF(2)^n, checked before the walk starts
+        _check_subspace_cap(f.dim)
+        nodes, edges = _stable_lattice(f, MOVED_BY_F if args.which == "inv" else MOVED_BY_UNIT)
     if args.dot:
         print("digraph lattice {")
         print("  rankdir=BT;")

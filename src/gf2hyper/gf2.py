@@ -414,12 +414,10 @@ def subspace_count(n: int) -> int:
     return sum(gaussian_binomial(n, k) for k in range(n + 1))
 
 
-def _check_subspace_cap(n: int, cap: int) -> None:
-    total = subspace_count(n)
-    if total > cap:
-        raise CapExceeded(
-            f"GF(2)^{n} has {total} subspaces, above the cap of {cap}", required=total
-        )
+def _check_subspace_cap(n: int) -> None:
+    if (total := subspace_count(n)) > SUBSPACE_ENUM_CAP:
+        message = f"GF(2)^{n} has {total} subspaces, above the cap of {SUBSPACE_ENUM_CAP}"
+        raise CapExceeded(message, required=total)
 
 
 def _span_table(rows: Sequence[int]) -> list[int]:
@@ -444,7 +442,7 @@ def _subspace_rows(
     SUBSPACE_ENUM_CAP subspaces.
     """
     m = len(basis)
-    _check_subspace_cap(m, SUBSPACE_ENUM_CAP)
+    _check_subspace_cap(m)
     head = tuple(range(onto))
     for k in range(onto, m + 1):
         for rest in itertools.combinations(range(onto, m), k - onto):

@@ -75,9 +75,7 @@ def stability_matrices(f):
     return tuple(maps)
 
 
-def first_exit_by_matrices(
-    f, s, through=MOVED_BY_PROJECTION, since=MOVED_BY_F, witness=True
-):
+def first_exit_by_matrices(f, s, through=MOVED_BY_PROJECTION, witness=True):
     """Oracle for classify._first_exit: every map of `stability_matrices`
     applied as a matrix to each basis row of s, in order.  Always builds
     the witness, whatever `witness` says."""
@@ -87,12 +85,35 @@ def first_exit_by_matrices(
     for kind, g in maps:
         if kind > through:
             break
-        if kind < since:
-            continue
         for r in s.rows:
             if not s.contains_bits(g.apply_bits(r)):
                 return kind, Witness(g, Gf2Vector(r, f.dim))
     return STABLE, None
+
+
+def covering_edges_by_triple_scan(nodes):
+    """Oracle for the covering pairs of a lattice: (i, j) with node i strictly
+    inside node j, unless some node k sits strictly between."""
+    count = len(nodes)
+    above = [0] * count
+    for i in range(count):
+        for j in range(count):
+            if i != j and nodes[i] != nodes[j] and contains_subspace(nodes[j], nodes[i]):
+                above[i] |= 1 << j
+    edges = []
+    for i in range(count):
+        sup = above[i]
+        m = sup
+        while m:
+            j = (m & -m).bit_length() - 1
+            m &= m - 1
+            if not any(
+                (above[k] >> j) & 1
+                for k in range(count)
+                if k != j and (sup >> k) & 1
+            ):
+                edges.append((i, j))
+    return edges
 
 
 def echelonize_by_insertion(rows):

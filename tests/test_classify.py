@@ -28,25 +28,27 @@ from gf2hyper import (
     validate_nilpotent,
 )
 from gf2hyper import verify
-from gf2hyper.cli import _covering_edges, _from_obj, build_analysis, main
+from gf2hyper.cli import _from_obj, build_analysis, main
 from gf2hyper.classify import (
     MOVED_BY_F,
+    MOVED_BY_PROJECTION,
     MOVED_BY_UNIT,
     _chain_coordinates,
     _first_exit,
-    _hyperinvariant_nodes,
+    _hyperinvariant_lattice,
     _monotone_shifts,
     _stability_maps,
-    _unit_stable,
+    _stable_lattice,
     invariance_witness,
 )
 from gf2hyper.commutant import _chain_map, _chain_maps, automorphism_generators, flatten_matrix
 from gf2hyper.gf2 import enumerate_subspaces
-from gf2hyper.nilpotent import class_span
+from gf2hyper.nilpotent import class_span, jordan_matrix
 from gf2hyper.verify import census, jordan_operator, lattice_closure, partitions
 
 from conftest import (
     contains_subspace,
+    covering_edges_by_triple_scan,
     cyclic_subspace,
     first_exit_by_matrices,
     monotone_shift_condition,
@@ -115,8 +117,7 @@ def test_lattice_matches_the_filter_oracle(which, conjugate, tmp_path, capsys):
         )
         bases = [{"ambient_dim": n["ambient_dim"], "basis": n["basis"]} for n in doc["nodes"]]
         assert [_from_obj(Subspace, basis) for basis in bases] == nodes
-        keys = [sum(1 << v.bits for v in s.enumerate_vectors()) for s in nodes]
-        assert doc["edges"] == [list(e) for e in _covering_edges(keys)]
+        assert doc["edges"] == [list(e) for e in covering_edges_by_triple_scan(nodes)]
 
 
 def test_is_hyperinvariant_golden(golden, golden_x, e):
@@ -303,7 +304,7 @@ def test_unit_prefix_and_projections_generate_the_commutant(conjugate):
 
 def test_scan_matches_the_matrix_oracle(conjugate):
     # kind, witness map and witness vector as the matrix scan gives them, and the
-    # unit-prefix scan of _unit_stable: every subspace up to n = 6, the invariant
+    # scan through the unit prefix: every subspace up to n = 6, the invariant
     # subspaces at n = 7, each shape as a Jordan matrix and one seeded conjugate
     rng = random.Random(59)
     for n in range(1, 8):
@@ -315,8 +316,8 @@ def test_scan_matches_the_matrix_oracle(conjugate):
                     assert (kind, witness) == first_exit_by_matrices(f, s), (f.mat.rows, s.rows)
                     assert _first_exit(f, s, witness=False) == (kind, None)
                     if kind != MOVED_BY_F:
-                        units = (MOVED_BY_UNIT, MOVED_BY_UNIT)
-                        assert _first_exit(f, s, *units) == first_exit_by_matrices(f, s, *units)
+                        units = _first_exit(f, s, MOVED_BY_UNIT)
+                        assert units == first_exit_by_matrices(f, s, MOVED_BY_UNIT)
 
 
 def test_only_a_reported_witness_builds_a_chain_map(monkeypatch, conjugate):
@@ -341,8 +342,7 @@ def test_only_a_reported_witness_builds_a_chain_map(monkeypatch, conjugate):
     for sizes in [(1, 3), (1, 2, 4)]:
         f = conjugate(sizes, rng)
         assert build_analysis(f, census=True).shoda_holds
-        for s in invariant_subspaces(f):
-            _unit_stable(f, s)
+        _stable_lattice(f, MOVED_BY_UNIT)
     assert built == []
     reported = 0
     for sizes in [(1, 3), (1, 1, 2), (2, 2)]:
@@ -583,13 +583,46 @@ def test_lattice_matches_the_closure_off_the_jordan_basis(conjugate):
             assert hyperinvariant_lattice(f) == lattice_closure(f)
 
 
+def test_hyperinvariant_covers_match_the_projection_walk(conjugate):
+    # the shift-tuple cover rule is checked, not proven: pin it to the cover walk
+    # through the whole scan, which reaches the same subspaces by their closures
+    rng = random.Random(83)
+    for n in range(1, 9):
+        for sizes in partitions(n):
+            for f in (jordan_operator(sizes), conjugate(sizes, rng)):
+                walk = _stable_lattice(f, MOVED_BY_PROJECTION)
+                assert _hyperinvariant_lattice(f) == walk, sizes
+    f = conjugate((2, 4, 6, 8, 10), random.Random(41))
+    nodes, edges = _hyperinvariant_lattice(f)
+    assert len(nodes) == 243
+    assert (nodes, edges) == _stable_lattice(f, MOVED_BY_PROJECTION)
+
+
+def test_stable_lattice_nodes_match_the_census():
+    # the walk's nodes are the census's invariant and characteristic subspaces,
+    # on each Jordan matrix and, mapped by P, on a seeded conjugate P J P^-1
+    rng = random.Random(89)
+    for n in range(1, 7):
+        for sizes in partitions(n):
+            data = census(sizes)
+            p = random_invertible(rng, n)
+            conjugated = validate_nilpotent(p @ jordan_matrix(sizes) @ p.inverse())
+            for f, g in ((jordan_operator(sizes), Gf2Matrix.identity(n)), (conjugated, p)):
+                for through, expected in (
+                    (MOVED_BY_F, data.invariant),
+                    (MOVED_BY_UNIT, data.characteristic),
+                ):
+                    mapped = sorted(map(g.map_subspace, expected), key=lambda s: (s.dim, s.rows))
+                    assert _stable_lattice(f, through)[0] == tuple(mapped), (sizes, through)
+
+
 def test_lattice_of_equal_blocks_skips_the_shift_product(monkeypatch):
     # equal chain lengths force equal shifts: 3 tuples among 3^8, 2 among 2^12
     def refuse(*args, **kwargs):
         raise AssertionError("the shift tuples must not come from a product")
 
     monkeypatch.setattr(itertools, "product", refuse)
-    _hyperinvariant_nodes.cache_clear()
+    _hyperinvariant_lattice.cache_clear()
     for sizes, count in [((2,) * 8, 3), ((1,) * 12, 2)]:
         f = jordan_operator(sizes)
         lattice = hyperinvariant_lattice(f)

@@ -27,19 +27,24 @@ from gf2hyper import (
 from gf2hyper.cli import (
     AnalysisDocument,
     LatticeCensusDocument,
-    _covering_edges,
     _dumps,
-    _lattice_nodes,
     build_analysis,
     main,
 )
+from gf2hyper.classify import MOVED_BY_F, MOVED_BY_UNIT, _hyperinvariant_lattice, _stable_lattice
 from gf2hyper.errors import ParseError
 from gf2hyper.gf2 import SUBSPACE_ENUM_CAP
 from gf2hyper.verify import census, jordan_operator, partitions
 
 from gf2hyper.nilpotent import jordan_matrix
 
-from conftest import contains_subspace, cyclic_subspace, first_exit_by_matrices, random_invertible
+from conftest import (
+    contains_subspace,
+    covering_edges_by_triple_scan,
+    cyclic_subspace,
+    first_exit_by_matrices,
+    random_invertible,
+)
 
 GOLDEN = "4 4\n0 0 0 0\n0 0 0 0\n0 1 0 0\n0 0 1 0\n"
 GOLDEN_X = "2 4\n1 0 1 0\n0 0 0 1\n"
@@ -395,63 +400,18 @@ def test_lattice_edges_are_covering_only(golden_file, capsys):
     assert (nodes.index(e4_line), nodes.index(x)) in edges
 
 
-def _covering_edges_by_triple_scan(nodes):
-    """Oracle for _covering_edges: j covers i unless some k sits strictly between."""
-    count = len(nodes)
-    above = [0] * count
-    for i in range(count):
-        for j in range(count):
-            if i != j and nodes[i] != nodes[j] and contains_subspace(nodes[j], nodes[i]):
-                above[i] |= 1 << j
-    edges = []
-    for i in range(count):
-        sup = above[i]
-        m = sup
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            if not any(
-                (above[k] >> j) & 1
-                for k in range(count)
-                if k != j and (sup >> k) & 1
-            ):
-                edges.append((i, j))
-    return edges
-
-
 def test_covering_edges_match_the_triple_scan(conjugate):
+    # the cover walk for inv and chinv, the shift-tuple rule for hinv
     rng = random.Random(37)
     for n in range(1, 8):
         for sizes in partitions(n):
             for f in (jordan_operator(sizes), conjugate(sizes, rng)):
-                for which in ("inv", "chinv", "hinv") if n <= 5 else ("hinv",):
-                    nodes, keys = _lattice_nodes(f, which)
-                    assert _covering_edges(keys) == _covering_edges_by_triple_scan(
-                        nodes
-                    ), (sizes, which)
-
-
-def _assert_keys_order_like_containment(nodes, keys):
-    assert len(keys) == len(nodes) == len(set(keys))
-    for i, s in enumerate(nodes):
-        for j, t in enumerate(nodes):
-            inside = s.dim <= t.dim and contains_subspace(t, s)
-            assert (keys[i] & ~keys[j] == 0) == inside, (i, j)
-
-
-def test_chain_tail_masks_order_like_containment(conjugate):
-    f = conjugate((2, 4, 6, 8, 10), random.Random(41))
-    nodes, keys = _lattice_nodes(f, "hinv")
-    assert len(nodes) == 243
-    _assert_keys_order_like_containment(nodes, keys)
-
-
-@pytest.mark.parametrize("sizes", [(1, 1, 2), (2, 3)])
-def test_membership_keys_order_like_containment(sizes):
-    nodes, keys = _lattice_nodes(jordan_operator(sizes), "inv")
-    for s, key in zip(nodes, keys):
-        assert key == sum(1 << v.bits for v in s.enumerate_vectors())
-    _assert_keys_order_like_containment(nodes, keys)
+                lattices = {"hinv": _hyperinvariant_lattice(f)}
+                if n <= 5:
+                    lattices["inv"] = _stable_lattice(f, MOVED_BY_F)
+                    lattices["chinv"] = _stable_lattice(f, MOVED_BY_UNIT)
+                for which, (nodes, edges) in lattices.items():
+                    assert list(edges) == covering_edges_by_triple_scan(nodes), (sizes, which)
 
 
 def _subspace_text(node):
@@ -606,12 +566,12 @@ def test_lattice_cap_exceeded(tmp_path, capsys):
 
 @pytest.mark.parametrize("which", ["chinv", "inv"])
 def test_lattice_refuses_dimension_ten_at_the_largest_cap(which, tmp_path, monkeypatch, capsys):
-    # GF(2)^10 has more than 2^24 subspaces, so no node and no membership key
-    # of more than 512 bits is ever built
+    # GF(2)^10 has more than 2^24 subspaces, so the cap refuses it before the
+    # walk starts and before any subspace is lifted
     def refuse(*args, **kwargs):
         raise AssertionError("nothing may be built past the cap check")
 
-    for name in ("invariant_subspaces", "_unit_stable", "_span_table", "_covering_edges"):
+    for name in ("invariant_subspaces", "_stable_lattice"):
         monkeypatch.setattr(f"gf2hyper.cli.{name}", refuse)
     p = tmp_path / "n10.txt"
     p.write_text(format_matrix(jordan_operator((10,)).mat))

@@ -19,7 +19,7 @@ from gf2hyper import (
     ulm_sequence,
     validate_nilpotent,
 )
-from gf2hyper.classify import _hyperinvariant_nodes, _monotone_shifts
+from gf2hyper.classify import _monotone_shifts, hyperinvariant_lattice
 from gf2hyper.nilpotent import (
     UlmSequence,
     _tail_mask,
@@ -301,10 +301,11 @@ def test_chain_tail_masks_span_the_operators_own_chains(conjugate):
                     assert _columns_span(p, images) == f.image_chain[m], (sizes, m)
                     kernels = _tail_mask(u, [max(t - m, 0) for t in u.exponents])
                     assert _columns_span(p, kernels) == f.kernel_chain[m], (sizes, m)
-                nodes = _hyperinvariant_nodes(f)
-                masks = {_tail_mask(u, r) for r in _monotone_shifts(u.exponents)}
-                assert {key for _, key in nodes} == masks and len(nodes) == len(masks)
-                assert all(_columns_span(p, key) == s for s, key in nodes), sizes
+                shifts = _monotone_shifts(u.exponents)
+                spans = [_columns_span(p, _tail_mask(u, r)) for r in shifts]
+                assert sorted(spans, key=lambda s: (s.dim, s.rows)) == list(
+                    hyperinvariant_lattice(f)
+                ), sizes
 
 
 def test_ulm_invariant_under_conjugation(golden):

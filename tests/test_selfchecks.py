@@ -48,8 +48,8 @@ UNCALLED_EXPORTS = {
     # times it by name; it moves to tests/conftest.py once the benchmark stops tracing it
     "automorphism_generators",
     # the public characteristic predicate, with its full scan: production reads the
-    # verdict from one _first_exit scan, or from _unit_stable on lifted subspaces,
-    # and bench/spans.py times it by name
+    # verdict from one _first_exit scan, or the characteristic subspaces from the
+    # cover walk through the unit prefix, and bench/spans.py times it by name
     "is_characteristic",
 }
 # public class members that production code may leave uncalled, each for a reason
