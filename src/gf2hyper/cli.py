@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 from . import verify as verify_mod
 from .classify import (
@@ -39,6 +39,7 @@ from .gf2 import (
     Gf2Matrix,
     Gf2Vector,
     Subspace,
+    _bit_row,
     _check_subspace_cap,
     format_subspace,
     parse_matrix,
@@ -53,30 +54,31 @@ from .nilpotent import (
 from .shoda import ShodaWitness, counterexample
 
 
-def _to_obj(x):
-    """The JSON form of x: a matrix, subspace or vector by its 0/1 coordinates,
-    any other dataclass by its fields in declaration order, a tuple as a list."""
+class _BitRows(NamedTuple):
+    """Packed 0/1 rows of one width, written as a list of coordinate lists."""
+
+    rows: tuple[int, ...]
+    width: int
+
+
+def _members(x) -> dict:
+    """The fields of a dataclass x by name, in order; matrix and basis rows packed."""
     if isinstance(x, Gf2Matrix):
-        return {"n_rows": x.n_rows, "n_cols": x.n_cols, "rows": _coords(x.rows, x.n_cols)}
+        return {"n_rows": x.n_rows, "n_cols": x.n_cols, "rows": _BitRows(x.rows, x.n_cols)}
     if isinstance(x, Subspace):
-        return {"ambient_dim": x.ambient_dim, "basis": _coords(x.rows, x.ambient_dim)}
-    if isinstance(x, Gf2Vector):
-        return list(x.coords())
-    if is_dataclass(x):
-        return {f.name: _to_obj(getattr(x, f.name)) for f in fields(x)}
-    if isinstance(x, tuple):
-        return [_to_obj(v) for v in x]
-    return x
-
-
-def _coords(rows: tuple[int, ...], width: int) -> list[list[int]]:
-    return [[r >> j & 1 for j in range(width)] for r in rows]
+        return {"ambient_dim": x.ambient_dim, "basis": _BitRows(x.rows, x.ambient_dim)}
+    return {f.name: getattr(x, f.name) for f in fields(x)}
 
 
 def _dumps(obj, pad: str = "\n") -> str:
-    """json.dumps(obj, indent=2) of a JSON tree with str keys, byte for byte, but
-    a list of plain ints (no bools) in one join, not one string per item."""
+    """json.dumps(obj, indent=2) of a JSON tree with str keys, byte for byte, with
+    a tuple as a list, a dataclass as its `_members` and a vector as its 0/1
+    coordinates: each 0/1 row, and each list of plain ints (no bools), in one join."""
     inner = pad + "  "
+    if isinstance(obj, _BitRows):
+        cell = inner + "  "
+        items = ("[" + cell + _bit_row(r, obj.width, "," + cell) + inner + "]" for r in obj.rows)
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if obj.rows else "[]"
     if isinstance(obj, dict) and obj:
         items = (json.dumps(k) + ": " + _dumps(v, inner) for k, v in obj.items())
         return "{" + inner + ("," + inner).join(items) + pad + "}"
@@ -84,11 +86,15 @@ def _dumps(obj, pad: str = "\n") -> str:
         ints = all(type(v) is int for v in obj)
         items = map(str, obj) if ints else (_dumps(v, inner) for v in obj)
         return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, Gf2Vector):
+        return "[" + inner + _bit_row(obj.bits, obj.dim, "," + inner) + pad + "]"
+    if is_dataclass(obj):
+        return _dumps(_members(obj), pad)
     return json.dumps(obj)
 
 
 def _from_obj(kind, obj):
-    """The value of type `kind` that `_to_obj` wrote as obj: ParseError for a key
+    """The value of type `kind` that `_dumps` wrote as obj: ParseError for a key
     too many or too few or a value of the wrong JSON type, while the constructors
     reject coordinates other than 0/1 and mismatched dimensions."""
     args = get_args(kind)
@@ -155,19 +161,16 @@ class AnalysisDocument:
     shoda_witness: ShodaWitness | None
     lattice_census: LatticeCensusDocument | None
 
-    def to_obj(self) -> dict:
-        return _to_obj(self)
-
     @classmethod
     def from_obj(cls, obj: dict) -> AnalysisDocument:
-        """The document `to_obj` wrote; ParseError for anything else."""
+        """The document `to_json` wrote, as parsed JSON; ParseError for anything else."""
         try:
             return _from_obj(cls, obj)
         except (ValueError, DimensionMismatch) as exc:
             raise ParseError(f"malformed analysis document: {exc}") from exc
 
     def to_json(self) -> str:
-        return _dumps(self.to_obj())
+        return _dumps(self)
 
     @classmethod
     def from_json(cls, text: str) -> AnalysisDocument:
@@ -251,7 +254,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     report = classify(f, s)
     if args.json:
         obj = {
-            "subspace": _to_obj(report.subspace),
+            "subspace": report.subspace,
             "invariant": report.invariant,
             "marked": report.marked,
             "characteristic": report.characteristic,
@@ -260,7 +263,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             "hyperinvariant": report.hyperinvariant,
         }
         for key in ("invariance_witness", "characteristic_witness", "hyperinvariance_witness"):
-            obj[key] = _to_obj(getattr(report, key))
+            obj[key] = getattr(report, key)
         print(_dumps(obj))
         return 0
     print(
@@ -280,8 +283,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             continue
         moved = witness.matrix.apply(witness.vector)
         print(f"{label} witness: maps [{witness.vector.to_text()}] to [{moved.to_text()}]")
-        for i in range(witness.matrix.n_rows):
-            print("   ", witness.matrix.row(i).to_text())
+        for r in witness.matrix.rows:
+            print("   ", _bit_row(r, witness.matrix.n_cols, " "))
     return 0
 
 
@@ -289,8 +292,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     f = validate_nilpotent(_read(args.matrix, parse_matrix))
     found = counterexample(f)
     if args.json:
-        obj = _to_obj(found[1] if found else None)
-        print(_dumps({"counterexample": obj}))
+        print(_dumps({"counterexample": found[1] if found else None}))
         return 0
     if found is None:
         print("NONE")
@@ -327,19 +329,15 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
             print(f"  {ids[i]} -> {ids[j]};")
         print("}")
         return 0
-    obj = {
-        "which": args.which,
-        "nodes": [{"id": _node_digest(s), "dim": s.dim, **_to_obj(s)} for s in nodes],
-        "edges": list(map(list, edges)),
-    }
     if args.json:
-        print(_dumps(obj))
+        node_objs = [{"id": _node_digest(s), "dim": s.dim, **_members(s)} for s in nodes]
+        print(_dumps({"which": args.which, "nodes": node_objs, "edges": edges}))
         return 0
     print(f"{len(nodes)} nodes, {len(edges)} covering edges")
     for s in nodes:
         print(f"dim {s.dim}  [{_node_digest(s)}]")
-        for v in s.basis:
-            print("   ", v.to_text())
+        for r in s.rows:
+            print("   ", _bit_row(r, s.ambient_dim, " "))
     return 0
 
 

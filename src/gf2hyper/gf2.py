@@ -69,6 +69,11 @@ def _echelonize(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     return _rref_rows(form)
 
 
+def _bit_row(bits: int, width: int, sep: str) -> str:
+    """Coordinates 0 .. width-1 of a packed row as 0/1 digits joined by sep."""
+    return sep.join(format(bits, f"0{width}b")[::-1])
+
+
 def _reduce_against(bits: int, basis: tuple[int, ...], pivots: tuple[int, ...]) -> int:
     for p, b in zip(pivots, basis):
         if (bits >> p) & 1:
@@ -106,16 +111,13 @@ class Gf2Vector:
     def is_zero(self) -> bool:
         return self.bits == 0
 
-    def coords(self) -> tuple[int, ...]:
-        return tuple((self.bits >> j) & 1 for j in range(self.dim))
-
     def __add__(self, other: Gf2Vector) -> Gf2Vector:
         if self.dim != other.dim:
             raise DimensionMismatch("vector dimensions differ")
         return Gf2Vector(self.bits ^ other.bits, self.dim)
 
     def to_text(self) -> str:
-        return " ".join(str(c) for c in self.coords())
+        return _bit_row(self.bits, self.dim, " ")
 
     def __repr__(self) -> str:
         return f"Gf2Vector({self.to_text()!r})"
@@ -180,9 +182,6 @@ class Gf2Matrix:
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
-
-    def row(self, i: int) -> Gf2Vector:
-        return Gf2Vector(self.rows[i], self.n_cols)
 
     @functools.cached_property
     def _columns(self) -> tuple[int, ...]:
@@ -279,7 +278,7 @@ class Gf2Matrix:
         return Gf2Matrix(tuple(r >> n for r in basis), n)
 
     def to_text(self) -> str:
-        return "\n".join(self.row(i).to_text() for i in range(self.n_rows))
+        return "\n".join(_bit_row(r, self.n_cols, " ") for r in self.rows)
 
     def __str__(self) -> str:
         return self.to_text()
@@ -392,7 +391,7 @@ class Subspace:
         return [Gf2Vector(bits, self.ambient_dim) for bits in _span_table(self.rows)]
 
     def to_text(self) -> str:
-        return "\n".join(Gf2Vector(r, self.ambient_dim).to_text() for r in self.rows)
+        return "\n".join(_bit_row(r, self.ambient_dim, " ") for r in self.rows)
 
     def __str__(self) -> str:
         return self.to_text() if self.rows else "(zero subspace)"

@@ -1,7 +1,9 @@
+import dataclasses
 import functools
 from bisect import bisect
 
 import pytest
+from hypothesis import strategies as st
 
 from gf2hyper import (
     AdmissibleTuple,
@@ -114,6 +116,37 @@ def covering_edges_by_triple_scan(nodes):
             ):
                 edges.append((i, j))
     return edges
+
+
+def coordinate_rows(rows, width):
+    """Packed rows as lists of their 0/1 coordinates, one int per coordinate."""
+    return [[r >> j & 1 for j in range(width)] for r in rows]
+
+
+def json_tree(x):
+    """Oracle for cli._dumps: the JSON tree of x, with a matrix, subspace or
+    vector by its `coordinate_rows`, any other dataclass by its fields in
+    declaration order, a tuple as a list, and dicts and lists item by item."""
+    if isinstance(x, Gf2Matrix):
+        return {"n_rows": x.n_rows, "n_cols": x.n_cols, "rows": coordinate_rows(x.rows, x.n_cols)}
+    if isinstance(x, Subspace):
+        return {"ambient_dim": x.ambient_dim, "basis": coordinate_rows(x.rows, x.ambient_dim)}
+    if isinstance(x, Gf2Vector):
+        return coordinate_rows([x.bits], x.dim)[0]
+    if dataclasses.is_dataclass(x):
+        return {f.name: json_tree(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, dict):
+        return {k: json_tree(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [json_tree(v) for v in x]
+    return x
+
+
+# (width, packed rows): widths 1 to 130, so rows wider than a machine word,
+# and lists of up to five rows, the empty list included
+PACKED_ROWS = st.integers(1, 130).flatmap(
+    lambda width: st.tuples(st.just(width), st.lists(st.integers(0, (1 << width) - 1), max_size=5))
+)
 
 
 def echelonize_by_insertion(rows):

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 import gf2hyper
 from gf2hyper import (
+    Gf2Matrix,
     Gf2Vector,
     Subspace,
+    classify,
     counterexample,
     format_matrix,
     format_subspace,
@@ -28,6 +30,8 @@ from gf2hyper.cli import (
     AnalysisDocument,
     LatticeCensusDocument,
     _dumps,
+    _members,
+    _node_digest,
     build_analysis,
     main,
 )
@@ -39,10 +43,12 @@ from gf2hyper.verify import census, jordan_operator, partitions
 from gf2hyper.nilpotent import jordan_matrix
 
 from conftest import (
+    PACKED_ROWS,
     contains_subspace,
     covering_edges_by_triple_scan,
     cyclic_subspace,
     first_exit_by_matrices,
+    json_tree,
     random_invertible,
 )
 
@@ -193,7 +199,7 @@ MALFORMED_DOCUMENTS = {
 
 @pytest.mark.parametrize("path, value", MALFORMED_DOCUMENTS.values(), ids=MALFORMED_DOCUMENTS)
 def test_analysis_document_rejects_what_analyze_did_not_write(path, value):
-    obj = build_analysis(jordan_operator((1, 3)), census=True).to_obj()
+    obj = json.loads(build_analysis(jordan_operator((1, 3)), census=True).to_json())
     *head, last = path
     target = obj
     for key in head:
@@ -216,7 +222,7 @@ def test_analysis_document_rejects_text_that_is_no_document(text):
 
 @pytest.mark.parametrize("rows", [[[0, 1]], [[0, 1, 0, 0, 1, 1]], [[0, 1, 0, 0, 1], [1]]])
 def test_analysis_document_rejects_rows_of_the_wrong_length(rows):
-    obj = build_analysis(jordan_operator((1, 3))).to_obj()
+    obj = json.loads(build_analysis(jordan_operator((1, 3))).to_json())
     obj["matrix"] = {"n_rows": len(rows), "n_cols": 5, "rows": rows}
     with pytest.raises(ParseError):
         AnalysisDocument.from_obj(obj)
@@ -512,6 +518,92 @@ JSON_TREES = st.recursive(
 @settings(max_examples=200, deadline=None)
 def test_dumps_writes_what_the_stdlib_writes(obj):
     assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+@given(PACKED_ROWS)
+@example((1, []))
+@example((1, [1, 0]))
+@example((64, [(1 << 64) - 1]))
+@example((65, []))
+@example((130, [1 << 129, 1, 0]))
+@settings(max_examples=200, deadline=None)
+def test_dumps_writes_packed_values_as_the_coordinate_oracle(case):
+    width, rows = case
+    m = Gf2Matrix(tuple(rows), width)
+    s = Subspace.span_bits(rows, width)
+    values = [m, s, {"s": s, "pair": (m, [s])}, *(Gf2Vector(r, width) for r in rows)]
+    for value in values:
+        assert _dumps(value) == json.dumps(json_tree(value), indent=2)
+
+
+@given(st.sampled_from([sizes for n in range(1, 8) for sizes in partitions(n)]), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_dumps_writes_documents_as_the_coordinate_oracle(sizes, seed):
+    # the analysis document and the classify, counterexample and lattice
+    # objects of a seeded conjugate, as the --json commands build them
+    rng = random.Random(seed)
+    n = sum(sizes)
+    p = random_invertible(rng, n)
+    f = validate_nilpotent(p @ jordan_matrix(sizes) @ p.inverse())
+    found = counterexample(f)
+    if found and rng.random() < 0.5:
+        s = found[0]
+    else:
+        s = Subspace.span_bits([rng.getrandbits(n) for _ in range(rng.randrange(n + 1))], n)
+    report = classify(f, s)
+    verdicts = ("invariant", "marked", "characteristic", "hyperinvariant")
+    witnesses = ("invariance_witness", "characteristic_witness", "hyperinvariance_witness")
+    nodes, edges = _hyperinvariant_lattice(f)
+
+    def lattice(members):
+        rows = [{"id": _node_digest(x), "dim": x.dim, **members(x)} for x in nodes]
+        return {"which": "hinv", "nodes": rows, "edges": edges}
+
+    documents = [
+        build_analysis(f, census=n <= 5),
+        {"counterexample": found[1] if found else None},
+        {"subspace": s, **{k: getattr(report, k) for k in verdicts + witnesses}},
+    ]
+    for doc in documents:
+        assert _dumps(doc) == json.dumps(json_tree(doc), indent=2), sizes
+    assert _dumps(lattice(_members)) == json.dumps(lattice(json_tree), indent=2), sizes
+
+
+# the shapes of the lattice benchmark workload (n up to 20), and a shape at n = 33
+LATTICE_WORKLOAD_SHAPES = (
+    (1, 2, 3, 4),
+    (1, 3, 4, 6),
+    (1, 2, 4, 7),
+    (1, 3, 5, 7),
+    (2, 3, 4, 5, 6),
+    (2, 3, 5, 8),
+    (2, 4, 6, 8),
+)
+LARGE_SHAPE = (1, 1, 2, 3, 5, 8, 13)
+
+
+def test_json_stdout_is_the_stdlib_form_at_benchmark_sizes(conjugate, tmp_path, capsys):
+    rng = random.Random(22)
+
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    argvs = [
+        ["lattice", write(f"{i}.txt", format_matrix(conjugate(sizes, rng).mat)), "--which", "hinv", "--json"]
+        for i, sizes in enumerate(LATTICE_WORKLOAD_SHAPES)
+    ]
+    f = conjugate(LARGE_SHAPE, rng)
+    big = write("big.txt", format_matrix(f.mat))
+    rows = [rng.getrandbits(f.dim) for _ in range(3)]
+    spans = [counterexample(f)[0], Subspace.span_bits(rows, f.dim)]
+    argvs.append(["analyze", big, "--json"])
+    argvs += [["classify", big, write(f"s{i}.txt", format_subspace(s)), "--json"] for i, s in enumerate(spans)]
+    for argv in argvs:
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
 def test_json_stdout_is_the_stdlib_indent_2_form(conjugate, tmp_path, capsys):

@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
 from gf2hyper import (
     CapExceeded,
@@ -26,8 +27,10 @@ from gf2hyper.gf2 import _echelonize, _subspace_rows, enumerate_subspaces
 from gf2hyper.verify import jordan_operator, partitions
 
 from conftest import (
+    PACKED_ROWS,
     apply_by_row_parity,
     contains_subspace,
+    coordinate_rows,
     echelonize_by_insertion,
     power_tower,
 )
@@ -52,7 +55,7 @@ def random_matrix(rng, n_rows, n_cols):
 def test_vector_basics():
     v = Gf2Vector.from_coords([1, 0, 1, 0])
     assert v.bits == 0b0101
-    assert v.coords() == (1, 0, 1, 0)
+    assert v.to_text() == "1 0 1 0"
     assert (v + v).is_zero()
     with pytest.raises(DimensionMismatch):
         v + Gf2Vector.zero(3)
@@ -381,6 +384,27 @@ def test_parse_format_roundtrip(golden, golden_x):
     assert parse_subspace(format_subspace(golden_x)) == golden_x
     zero = Subspace.zero(4)
     assert parse_subspace(format_subspace(zero)) == zero
+
+
+@given(PACKED_ROWS)
+@example((1, []))
+@example((1, [0, 1]))
+@example((65, [1 << 64, 1]))
+@example((130, [(1 << 130) - 1, 0]))
+@settings(max_examples=200, deadline=None)
+def test_text_writers_write_the_per_coordinate_form(case):
+    width, rows = case
+
+    def lines(packed):
+        return [" ".join(str(c) for c in coords) for coords in coordinate_rows(packed, width)]
+
+    assert [Gf2Vector(r, width).to_text() for r in rows] == lines(rows)
+    m = Gf2Matrix(tuple(rows), width)
+    assert m.to_text() == str(m) == "\n".join(lines(rows))
+    assert format_matrix(m) == "\n".join([f"{len(rows)} {width}"] + lines(rows))
+    s = Subspace.span_bits(rows, width)
+    assert s.to_text() == "\n".join(lines(s.rows))
+    assert format_subspace(s) == "\n".join([f"{s.dim} {width}"] + lines(s.rows))
 
 
 def test_parse_accepts_comments_and_blanks():
