@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple, get_args, get_origin, get_type_hints
 
@@ -80,7 +81,7 @@ def _dumps(obj, pad: str = "\n") -> str:
         items = ("[" + cell + _bit_row(r, obj.width, "," + cell) + inner + "]" for r in obj.rows)
         return "[" + inner + ("," + inner).join(items) + pad + "]" if obj.rows else "[]"
     if isinstance(obj, dict) and obj:
-        items = (json.dumps(k) + ": " + _dumps(v, inner) for k, v in obj.items())
+        items = (encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in obj.items())
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(obj, (list, tuple)) and obj:
         ints = all(type(v) is int for v in obj)
@@ -342,6 +343,8 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.suite == "paper" and args.max_dim is not None:
+        raise ParseError("--max-dim applies only to the census and oracle suites")
     results = verify_mod.run_suite(args.suite, args.max_dim)
     failures = 0
     for r in results:
@@ -354,13 +357,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each command's help line and handler, in the order `gf2hyper -h` lists them
+_COMMANDS = {
+    "analyze": ("structure report for an operator", _cmd_analyze),
+    "classify": ("four-predicate report for a subspace", _cmd_classify),
+    "counterexample": ("characteristic non-hyperinvariant subspace or NONE", _cmd_counterexample),
+    "lattice": ("subspace lattice with covering edges", _cmd_lattice),
+    "verify": ("run a verification suite", _cmd_verify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The gf2hyper parser, with only the subparser of `command` if it names one.
+    The usage line names every command either way, so the help, errors and exit
+    codes are those of the full parser."""
     parser = argparse.ArgumentParser(
         prog="gf2hyper",
         description=(
@@ -368,40 +387,33 @@ def build_parser() -> argparse.ArgumentParser:
             "marked, characteristic and hyperinvariant subspaces."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="structure report for an operator")
-    p.add_argument("matrix", help="matrix file: 'n_rows n_cols' then 0/1 rows")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--census", action="store_true", help="count subspace classes")
-    p.set_defaults(handler=_cmd_analyze)
-
-    p = sub.add_parser("classify", help="four-predicate report for a subspace")
-    p.add_argument("matrix")
-    p.add_argument("subspace", help="basis rows in the matrix file format")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser(
-        "counterexample", help="characteristic non-hyperinvariant subspace or NONE"
-    )
-    p.add_argument("matrix")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_counterexample)
-
-    p = sub.add_parser("lattice", help="subspace lattice with covering edges")
-    p.add_argument("matrix")
-    p.add_argument("--which", choices=["hinv", "chinv", "inv"], default="hinv")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--dot", action="store_true")
-    group.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_lattice)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=["paper", "census", "oracle"], required=True)
-    p.add_argument("--max-dim", type=_positive_int, default=None)
-    p.set_defaults(handler=_cmd_verify)
-
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        if name == "analyze":
+            p.add_argument("matrix", help="matrix file: 'n_rows n_cols' then 0/1 rows")
+            p.add_argument("--json", action="store_true")
+            p.add_argument("--census", action="store_true", help="count subspace classes")
+        elif name == "classify":
+            p.add_argument("matrix")
+            p.add_argument("subspace", help="basis rows in the matrix file format")
+            p.add_argument("--json", action="store_true")
+        elif name == "counterexample":
+            p.add_argument("matrix")
+            p.add_argument("--json", action="store_true")
+        elif name == "lattice":
+            p.add_argument("matrix")
+            p.add_argument("--which", choices=["hinv", "chinv", "inv"], default="hinv")
+            group = p.add_mutually_exclusive_group()
+            group.add_argument("--dot", action="store_true")
+            group.add_argument("--json", action="store_true")
+        else:
+            p.add_argument("--suite", choices=["paper", "census", "oracle"], required=True)
+            p.add_argument("--max-dim", type=_positive_int, default=None)
     return parser
 
 
@@ -416,8 +428,9 @@ _EXIT_CODES = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
     except Gf2HyperError as exc:

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import json
@@ -6,6 +7,9 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
@@ -33,6 +37,7 @@ from gf2hyper.cli import (
     _members,
     _node_digest,
     build_analysis,
+    build_parser,
     main,
 )
 from gf2hyper.classify import MOVED_BY_F, MOVED_BY_UNIT, _hyperinvariant_lattice, _stable_lattice
@@ -520,6 +525,19 @@ def test_dumps_writes_what_the_stdlib_writes(obj):
     assert _dumps(obj) == json.dumps(obj, indent=2)
 
 
+@given(st.text(st.characters(exclude_categories=())))
+@example('"')
+@example("\\")
+@example("\x00\x1f\x7f\n\t")
+@example("é\u2028ключ\U0001f600")
+@example("\ud800")
+@example("a\udfffb")
+@settings(max_examples=300, deadline=None)
+def test_dumps_key_encoder_is_what_json_dumps_calls(key):
+    # _dumps writes each dict key with this encoder; json.dumps(key) is the oracle
+    assert encode_basestring_ascii(key) == json.dumps(key)
+
+
 @given(PACKED_ROWS)
 @example((1, []))
 @example((1, [1, 0]))
@@ -733,6 +751,117 @@ def test_verify_rejects_max_dim_below_one(capsys):
         main(["verify", "--suite", "census", "--max-dim", "0"])
     assert info.value.code == 2
     assert "--max-dim" in capsys.readouterr().err
+
+
+def test_verify_rejects_max_dim_that_is_no_integer(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "census", "--max-dim", "abc"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --max-dim: must be an integer, got 'abc'" in err
+    assert "_positive_int" not in err
+
+
+def test_verify_paper_suite_rejects_max_dim(capsys):
+    # the paper suite has no depth, so a --max-dim would be ignored
+    assert main(["verify", "--suite", "paper", "--max-dim", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-dim applies only to the census and oracle suites\n"
+
+
+COMMANDS = ("analyze", "classify", "counterexample", "lattice", "verify")
+PARSER_CORPUS = [
+    ["-h"],
+    *([name, "-h"] for name in COMMANDS),
+    [],
+    ["bogus"],
+    ["-h", "analyze"],
+    ["analyze", "m.txt", "--bogus"],
+    ["classify", "m.txt", "x.txt", "--bogus"],
+    ["counterexample", "m.txt", "--bogus"],
+    ["lattice", "m.txt", "--bogus"],
+    ["verify", "--suite", "paper", "--bogus"],
+    ["lattice", "m.txt", "--which", "bogus"],
+    ["lattice", "m.txt", "--dot", "--json"],
+    ["verify", "--suite", "nope"],
+    ["verify", "--suite", "census", "--max-dim", "0"],
+    ["verify", "--suite", "census", "--max-dim", "abc"],
+    ["analyze", "m.txt", "--js"],
+    ["analyze", "m.txt", "--cen"],
+    ["lattice", "m.txt", "--wh", "inv"],
+    ["lattice", "m.txt", "--which=inv"],
+    ["analyze", "--", "m.txt"],
+    ["analyze"],
+    ["verify"],
+]
+
+
+def _parse(parser, argv):
+    """(exit code, stdout, stderr, namespace) of parser.parse_args(argv)."""
+    out, err = StringIO(), StringIO()
+    code, namespace = None, None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            namespace = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+def test_one_command_parser_behaves_as_the_full_parser(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parse(build_parser(), argv)
+    assert _parse(build_parser(argv[0] if argv else None), argv) == full
+
+
+def _command_names(parser) -> set[str]:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return set(sub.choices)
+
+
+def test_a_named_command_builds_only_its_subparser():
+    assert _command_names(build_parser("analyze")) == {"analyze"}
+    assert _command_names(build_parser("bogus")) == set(COMMANDS)
+    assert _command_names(build_parser()) == set(COMMANDS)
+
+
+def test_top_level_help_lists_every_command(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(["-h"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: gf2hyper [-h] {" + ",".join(COMMANDS) + "} ...\n")
+    for name in COMMANDS:
+        assert f"\n    {name} " in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "error: the following arguments are required: command\n"),
+        (["bogus"], "error: argument command: invalid choice: 'bogus'"),
+    ],
+)
+def test_full_parser_errors_name_the_command_argument(argv, message, capsys):
+    # the full parser keeps argparse's own metavar, so its errors say "command"
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "lattice"])
+def test_main_reads_sys_argv_when_given_none(command, golden_file, monkeypatch, capsys):
+    # the gf2hyper console script calls main() with no arguments
+    argv = [command, golden_file, "--json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["gf2hyper", *argv])
+    assert main() == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_analyze_and_classify_take_no_cap(golden_file, x_file):
