@@ -16,7 +16,6 @@ hyperinvariant ones.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -37,6 +36,7 @@ from .nilpotent import (
     GeneratorTuple,
     NilpotentOperator,
     _lift,
+    _per_operator,
     _tail_mask,
     chain_frame,
     class_span,
@@ -133,14 +133,13 @@ def _stability_maps(f: NilpotentOperator) -> tuple[_ScanMap, ...]:
     )
 
 
-@functools.lru_cache(maxsize=None)
+@_per_operator
 def _chain_coordinates(
     f: NilpotentOperator,
 ) -> tuple[Gf2Matrix | None, tuple[_ScanMap, ...], tuple[int, ...]]:
-    """Classification's one per-operator cache: P^-1 (None when it is the
+    """What classification keeps on the operator: P^-1 (None when it is the
     identity), the `_stability_maps`, and the masks images[m] of Im f^m in
-    chain coordinates, where f^m is (x << m) & images[m].
-    """
+    chain coordinates, where f^m is (x << m) & images[m]."""
     _, p_inv = chain_frame(f)
     u = generator_tuple(f)
     images = tuple(
@@ -437,7 +436,7 @@ def _monotone_shifts(exponents: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [r[1:] for r in tuples]
 
 
-@functools.lru_cache(maxsize=None)
+@_per_operator
 def _hyperinvariant_lattice(f: NilpotentOperator) -> _Lattice:
     """`hyperinvariant_lattice` and its covering pairs: node j covers node i when j's
     shift tuple is i's with one exponent class's shifts lowered by 1 (checked against

@@ -346,6 +346,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "paper" and args.max_dim is not None:
         raise ParseError("--max-dim applies only to the census and oracle suites")
     results = verify_mod.run_suite(args.suite, args.max_dim)
+    if not results:
+        raise ParseError(f"the {args.suite} suite has no check up to --max-dim {args.max_dim}")
     failures = 0
     for r in results:
         status = "ok" if r.ok else "FAIL"

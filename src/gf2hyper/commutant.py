@@ -11,12 +11,11 @@ the span of the units and the whole commutant
 that `nilpotent` lays out, and builds a matrix (`_chain_map`) only for a
 witness it reports.  `commutant_basis`, its canonical basis,
 `automorphism_generators`, and capped exhaustive enumeration of the
-units are the oracles.
+units are the oracles; the chain maps and the first two are kept on f.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -24,6 +23,7 @@ from .errors import CapExceeded
 from .gf2 import Gf2Matrix, Subspace
 from .nilpotent import (
     NilpotentOperator,
+    _per_operator,
     chain_frame,
     elementary_divisors,
     generator_tuple,
@@ -88,7 +88,7 @@ def _chain_map(f: NilpotentOperator, c: int, i: int, j: int) -> Gf2Matrix:
     return m
 
 
-@functools.lru_cache(maxsize=None)
+@_per_operator
 def _chain_maps(f: NilpotentOperator) -> tuple[tuple[int, int, int, Gf2Matrix], ...]:
     """Every elementary chain map N_(c,i,j), in (c, i, j) order: min(t_i, t_c) per pair."""
     t = generator_tuple(f).exponents
@@ -103,7 +103,7 @@ def commutant_dimension(f: NilpotentOperator) -> int:
     return sum(min(a, b) for a in divisors for b in divisors)
 
 
-@functools.lru_cache(maxsize=None)
+@_per_operator
 def commutant_basis(f: NilpotentOperator) -> CommutantBasis:
     """The canonical basis of the span of the elementary chain maps.
 
@@ -150,7 +150,7 @@ def enumerate_automorphisms(c: CommutantBasis) -> AutomorphismSet:
     return AutomorphismSet(tuple(units))
 
 
-@functools.lru_cache(maxsize=None)
+@_per_operator
 def automorphism_generators(f: NilpotentOperator) -> tuple[Gf2Matrix, ...]:
     """A generating set of the commuting automorphism group.
 

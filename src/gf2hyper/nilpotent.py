@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import DimensionMismatch, NotAGeneratorTuple, NotNilpotent, NotSquare
 from .gf2 import Gf2Matrix, Gf2Vector, Subspace, _rref_extend, _rref_rows
@@ -66,6 +66,7 @@ class NilpotentOperator:
     preimage of y in Im f^j} (read by `_lift`) and the canonical
     Ker f ∩ Im f^j.  ``generators`` holds the bits of the generators u_i
     of the lifted Jordan basis, exponents ascending (`generator_tuple`).
+    ``_memo`` keeps what `_per_operator` derives from f, outside equality.
     """
 
     mat: Gf2Matrix
@@ -74,6 +75,7 @@ class NilpotentOperator:
     image_chain: tuple[Subspace, ...] = field(compare=False, repr=False)
     walk: tuple[tuple[dict[int, int], Subspace], ...] = field(compare=False, repr=False)
     generators: tuple[int, ...] = field(compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -142,6 +144,18 @@ class GeneratorTuple:
             if exp == a:
                 return mu
         raise ValueError(f"no exponent class of size {a}")
+
+
+def _per_operator(fn: Callable) -> Callable:
+    """fn(f) computed once per operator and kept in its memo, as long as f lives."""
+
+    @functools.wraps(fn)
+    def memoized(f: NilpotentOperator):
+        if fn not in f._memo:
+            f._memo[fn] = fn(f)
+        return f._memo[fn]
+
+    return memoized
 
 
 def _lift(preimages: dict[int, int], bits: int) -> int:
@@ -330,7 +344,7 @@ def make_generator_tuple(
     return GeneratorTuple(gens, exps, frozen, tuple(chains), offsets)
 
 
-@functools.lru_cache(maxsize=None)
+@_per_operator
 def generator_tuple(f: NilpotentOperator) -> GeneratorTuple:
     """The cyclic decomposition of the space by the generators that
     `validate_nilpotent` lifted, which depend only on the matrix."""
@@ -342,7 +356,7 @@ def chain_matrix(f: NilpotentOperator, u: GeneratorTuple) -> Gf2Matrix:
     return Gf2Matrix.from_columns(Gf2Vector(b, f.dim) for c in u.chains for b in c)
 
 
-@functools.lru_cache(maxsize=None)
+@_per_operator
 def chain_frame(f: NilpotentOperator) -> tuple[Gf2Matrix, Gf2Matrix]:
     """The chain matrix P of the generator tuple and P^-1.
 

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import json
 import random
 import sys
+import weakref
 
 import pytest
 
@@ -33,7 +35,6 @@ from gf2hyper.classify import (
     MOVED_BY_F,
     MOVED_BY_PROJECTION,
     MOVED_BY_UNIT,
-    _chain_coordinates,
     _first_exit,
     _hyperinvariant_lattice,
     _monotone_shifts,
@@ -488,8 +489,8 @@ def test_classification_paths_never_build_the_commutant_basis(monkeypatch):
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "gf2hyper" and hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
+    jordan_operator.cache_clear()
     census.cache_clear()
-    _chain_coordinates.cache_clear()
     for sizes in [(1, 3), (1, 1, 2), (2, 2), (1, 2, 3)]:
         f = jordan_operator(sizes)
         for s in census(sizes).invariant:
@@ -501,7 +502,25 @@ def test_classification_paths_never_build_the_commutant_basis(monkeypatch):
     assert counterexample(jordan_operator((1, 3, 5))) is not None
     assert build_analysis(jordan_operator((1, 3, 5))).commutant_dimension == 19
     assert build_analysis(jordan_operator((1, 3)), census=True).lattice_census.characteristic == 7
+    jordan_operator.cache_clear()
     census.cache_clear()
+
+
+def test_derived_data_lives_as_long_as_the_operator():
+    # what is derived from f is kept on f, so nothing holds f once the caller drops it
+    p = random_invertible(random.Random(97), 7)
+    f = validate_nilpotent(p @ jordan_matrix((1, 2, 4)) @ p.inverse())
+    assert build_analysis(f, census=True).lattice_census.characteristic
+    span, _ = counterexample(f)
+    assert not classify(f, span).hyperinvariant
+    assert _stable_lattice(f, MOVED_BY_F)[0] and _stable_lattice(f, MOVED_BY_UNIT)[0]
+    assert _hyperinvariant_lattice(f)[0]
+    assert commutant_basis(f).dim == 15
+    assert automorphism_generators(f)
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
 
 
 def test_shifted_chain_span_examples(golden):
@@ -622,9 +641,8 @@ def test_lattice_of_equal_blocks_skips_the_shift_product(monkeypatch):
         raise AssertionError("the shift tuples must not come from a product")
 
     monkeypatch.setattr(itertools, "product", refuse)
-    _hyperinvariant_lattice.cache_clear()
     for sizes, count in [((2,) * 8, 3), ((1,) * 12, 2)]:
-        f = jordan_operator(sizes)
+        f = validate_nilpotent(jordan_matrix(sizes))
         lattice = hyperinvariant_lattice(f)
         assert len(lattice) == count
         assert lattice == tuple(f.image_chain[::-1])

@@ -753,6 +753,15 @@ def test_verify_rejects_max_dim_below_one(capsys):
     assert "--max-dim" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_dim", ["1", "2", "3"])
+def test_verify_rejects_a_max_dim_that_runs_no_check(capsys, max_dim):
+    # the oracle suite's smallest eligible shape is (1, 3), at n = 4
+    assert main(["verify", "--suite", "oracle", "--max-dim", max_dim]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--max-dim" in captured.err
+
+
 def test_verify_rejects_max_dim_that_is_no_integer(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--suite", "census", "--max-dim", "abc"])

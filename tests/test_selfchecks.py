@@ -23,7 +23,9 @@ def _decorator_name(node):
 
 def test_every_lru_cache_is_a_module_global():
     # caches are cleared by scanning module globals for cache_clear; one on
-    # a method or a nested function would be missed and leak between runs
+    # a method or a nested function would be missed and leak between runs.
+    # Only the two shape-keyed caches remain: what is derived from an
+    # operator is kept on it (`nilpotent._per_operator`), not keyed by it
     package = Path(gf2hyper.__file__).parent
     decorated = 0
     reachable = []
@@ -38,6 +40,9 @@ def test_every_lru_cache_is_a_module_global():
                 if all(value is not seen for seen in reachable):
                     reachable.append(value)
     assert decorated == len(reachable), [f.__qualname__ for f in reachable]
+    verify = importlib.import_module("gf2hyper.verify")
+    shape_keyed = {id(verify.jordan_operator), id(verify.census)}
+    assert {id(f) for f in reachable} == shape_keyed, [f.__qualname__ for f in reachable]
 
 
 # exported names that production code may leave uncalled, each for a reason
