@@ -29,6 +29,7 @@ from .gf2 import (
     _lowest_bit,
     _reduce_against,
     _rref_extend,
+    _rref_rows,
     _span_table,
     _subspace_rows,
 )
@@ -440,17 +441,42 @@ def _monotone_shifts(exponents: tuple[int, ...]) -> list[tuple[int, ...]]:
 def _hyperinvariant_lattice(f: NilpotentOperator) -> _Lattice:
     """`hyperinvariant_lattice` and its covering pairs: node j covers node i when j's
     shift tuple is i's with one exponent class's shifts lowered by 1 (checked against
-    `_stable_lattice` through MOVED_BY_PROJECTION in the tests, not proven)."""
+    `_stable_lattice` through MOVED_BY_PROJECTION in the tests, not proven).
+
+    Equal exponents force equal shifts, so a node is one shift s_c per exponent
+    class c (`_monotone_shifts` over the class exponents t_c).  The walk starts at
+    zero, s = (t_c), and takes the tuples by decreasing shift sum.  Each node is
+    the RREF of a node it covers, s with one s_c raised by 1, extended by the
+    entries f^(s_c) u_k of class c.  Every nonzero node covers one: take the last
+    class c whose co-shift t_c - s_c exceeds the previous class's (a virtual
+    co-shift 0 before the first).  Raising s_c keeps co-shift c at least the
+    previous one, and the next class has co-shift t_c - s_c and a larger
+    exponent, so its shift exceeds s_c.  Each later class has the co-shift
+    of the one before it, so c is the last class whose shift can rise, and
+    the walk grows s from that node.
+    """
     u = generator_tuple(f)
-    spans = {r: shifted_chain_span(f, u, AdmissibleTuple(r)) for r in _monotone_shifts(u.exponents)}
-    at = {r: i for i, r in enumerate(sorted(spans, key=lambda r: (spans[r].dim, spans[r].rows)))}
-    edges = []
-    for r, i in at.items():
-        for _, ix in u.partition:
-            lowered = tuple(s - (k in ix) for k, s in enumerate(r))
-            if lowered in at:
-                edges.append((i, at[lowered]))
-    return tuple(spans[r] for r in at), tuple(sorted(edges))
+    exponents = tuple(t for t, _ in u.partition)
+    classes = [ix for _, ix in u.partition]
+    walk = sorted(_monotone_shifts(exponents), key=sum, reverse=True)
+    forms: dict[tuple[int, ...], dict[int, int]] = {walk[0]: {}}  # `_rref_extend` forms
+    covered: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+    for s in walk[1:]:
+        raised = ((c, s[:c] + (r + 1,) + s[c + 1 :]) for c, r in enumerate(s))
+        covered[s] = [(c, p) for c, p in raised if p in forms]
+        c, p = covered[s][-1]
+        form = dict(forms[p])
+        _rref_extend(form, sum(form), (u.chains[k][s[c]] for k in classes[c]))
+        if len(form) != sum((t - r) * len(ix) for t, r, ix in zip(exponents, s, classes)):
+            raise AssertionError("shifted chains failed to stay independent")
+        forms[s] = form
+    spans = {}
+    for s, form in forms.items():
+        rows, pivots = _rref_rows(form)
+        spans[s] = Subspace._canonical(tuple(rows), tuple(pivots), f.dim)
+    at = {s: i for i, s in enumerate(sorted(spans, key=lambda s: (spans[s].dim, spans[s].rows)))}
+    edges = sorted((at[p], at[s]) for s, ps in covered.items() for _, p in ps)
+    return tuple(spans[s] for s in at), tuple(edges)
 
 
 def hyperinvariant_lattice(f: NilpotentOperator) -> tuple[Subspace, ...]:

@@ -74,11 +74,19 @@ def _members(x) -> dict:
 def _dumps(obj, pad: str = "\n") -> str:
     """json.dumps(obj, indent=2) of a JSON tree with str keys, byte for byte, with
     a tuple as a list, a dataclass as its `_members` and a vector as its 0/1
-    coordinates: each 0/1 row, and each list of plain ints (no bools), in one join."""
+    coordinates: each 0/1 row, and each list of plain ints (no bools), in one join.
+    An exact int or str is written here; bools, None, floats and int or str
+    subclasses go to json.dumps."""
+    kind = type(obj)
+    if kind is int:
+        return str(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
     inner = pad + "  "
     if isinstance(obj, _BitRows):
         cell = inner + "  "
-        items = ("[" + cell + _bit_row(r, obj.width, "," + cell) + inner + "]" for r in obj.rows)
+        spec, sep = f"0{obj.width}b", "," + cell  # as _bit_row, one spec per basis
+        items = ("[" + cell + sep.join(format(r, spec)[::-1]) + inner + "]" for r in obj.rows)
         return "[" + inner + ("," + inner).join(items) + pad + "]" if obj.rows else "[]"
     if isinstance(obj, dict) and obj:
         items = (encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in obj.items())

@@ -602,18 +602,26 @@ def test_lattice_matches_the_closure_off_the_jordan_basis(conjugate):
             assert hyperinvariant_lattice(f) == lattice_closure(f)
 
 
+def _shifted_chain_spans(f):
+    u = generator_tuple(f)
+    return {shifted_chain_span(f, u, AdmissibleTuple(r)) for r in _monotone_shifts(u.exponents)}
+
+
 def test_hyperinvariant_covers_match_the_projection_walk(conjugate):
     # the shift-tuple cover rule is checked, not proven: pin it to the cover walk
-    # through the whole scan, which reaches the same subspaces by their closures
+    # through the whole scan, which reaches the same subspaces by their closures;
+    # the nodes, each grown from one it covers, are the spans of the full shift tuples
     rng = random.Random(83)
     for n in range(1, 9):
         for sizes in partitions(n):
             for f in (jordan_operator(sizes), conjugate(sizes, rng)):
                 walk = _stable_lattice(f, MOVED_BY_PROJECTION)
                 assert _hyperinvariant_lattice(f) == walk, sizes
+                assert set(walk[0]) == _shifted_chain_spans(f), sizes
     f = conjugate((2, 4, 6, 8, 10), random.Random(41))
     nodes, edges = _hyperinvariant_lattice(f)
     assert len(nodes) == 243
+    assert set(nodes) == _shifted_chain_spans(f)
     assert (nodes, edges) == _stable_lattice(f, MOVED_BY_PROJECTION)
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from http import HTTPStatus
 from io import StringIO
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -520,6 +521,10 @@ JSON_TREES = st.recursive(
 @example([1, None, 0])
 @example([-7, 2**200, -(10**4000)])
 @example({"é\n\"\\\u2028\x00": ["ключ\t", "\ud83d\ude00"]})
+# exact ints and strs are written before the stdlib path: the value mix of the
+# classify document, and an IntEnum member, which is an int but no exact one
+@example({"ok": True, "witness": None, "dim": 0, "z": -(2**70), "t": 0.5, "s": "é\"\u2028"})
+@example(HTTPStatus.OK)
 @settings(max_examples=200, deadline=None)
 def test_dumps_writes_what_the_stdlib_writes(obj):
     assert _dumps(obj) == json.dumps(obj, indent=2)

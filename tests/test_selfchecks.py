@@ -49,6 +49,9 @@ def test_every_lru_cache_is_a_module_global():
 UNCALLED_EXPORTS = {
     "format_matrix",  # the writer that pairs with parse_matrix in the text format
     "largest_hyperinvariant_inside",  # labels characteristic lattice frames (ROADMAP item 3)
+    # one hinv node from its full shift tuple: the reference the lattice walk, which
+    # grows each node from one it covers, is tested against
+    "shifted_chain_span",
     # the generating-set oracle: the generating-set tests use it and bench/spans.py
     # times it by name; it moves to tests/conftest.py once the benchmark stops tracing it
     "automorphism_generators",
