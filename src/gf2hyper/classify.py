@@ -5,13 +5,14 @@ a few maps commuting with f: f, then units that with I generate the
 span of every unit, then the projections that complete the commutant.
 Each class tests a prefix, so the first map that moves a basis row
 decides all three.  The scan runs in the Jordan chain coordinates of
-`nilpotent`, where each map is a shift and a mask; only a reported
-witness is built as a matrix.  Marked checks only the pairs (a, r) of
-the intersection criterion that can fail, in the same coordinates.
-`invariant_subspaces` lifts each invariant subspace once, down the image
-chain.  Each lattice yields its own covers: a walk up from zero for the
-invariant and the characteristic subspaces, the shift tuples for the
-hyperinvariant ones.
+`nilpotent`, where each map is a shift and a mask, and returns where it
+stopped: that map's index and the row it moved out.  A reader that
+reports a witness builds that one map as a matrix.  Marked checks only
+the pairs (a, r) of the intersection criterion that can fail, in the
+same coordinates.  `invariant_subspaces` lifts each invariant subspace
+once, down the image chain.  Each lattice yields its own covers: a walk
+up from zero for the invariant and the characteristic subspaces, the
+shift tuples for the hyperinvariant ones.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class ClassificationReport:
     hyperinvariance_witness: Witness | None = None
 
 
-# what _first_exit reports: the kind of the first map that moves s, or STABLE
+# the kind of the first map that moves s, as _first_exit reports it, or STABLE
 MOVED_BY_F, MOVED_BY_UNIT, MOVED_BY_PROJECTION, STABLE = range(4)
 # a scanned map: (kind, (c, i, j) or None for f, a, m, b), see _stability_maps
 _ScanMap = tuple[int, tuple[int, int, int] | None, int, int, int]
@@ -183,46 +184,36 @@ def _witness(f: NilpotentOperator, s: Subspace, at: int, row: int) -> Witness:
     return Witness(g, Gf2Vector(row, f.dim))
 
 
-def _first_exit(
-    f: NilpotentOperator,
-    s: Subspace,
-    through: int = MOVED_BY_PROJECTION,
-    witness: bool = True,
-) -> tuple[int, Witness | None]:
-    """Scan the stability maps of kinds up to `through` over the basis rows of s.
+def _first_exit(f: NilpotentOperator, s: Subspace) -> tuple[int, int, int | None]:
+    """Scan every stability map, in order, over the basis rows of s, in order.
 
-    Returns the kind of the first map that moves a row out of s, with
-    that map and row as the witness, or (STABLE, None) when none does.
-    The scan runs in chain coordinates, where each map is a shift and a
-    mask (`_chain_coordinates`); only the witness map is built as a
-    matrix, and not at all when `witness` is false (the witness is then
-    None).  Invariance alone scans f.mat and builds no chain coordinates.
+    Returns (kind, at, row): the kind and the index in `_stability_maps`
+    of the first map that moves a basis row of s out of s, and that row;
+    (STABLE, number of maps, None) when none does.  The kind decides all
+    three classes, and `_witness(f, s, at, row)` builds the map for a
+    reader that reports it.  The scan runs in chain coordinates, where
+    each map is a shift and a mask (`_chain_coordinates`), and builds no
+    matrix.
     """
     if s.ambient_dim != f.dim:
         raise DimensionMismatch("subspace does not match the operator")
-    if through == MOVED_BY_F:
-        for r in s.rows:
-            if not s.contains_bits(f.mat.apply_bits(r)):
-                return MOVED_BY_F, Witness(f.mat, Gf2Vector(r, f.dim))
-        return STABLE, None
     to_chain, maps, _ = _chain_coordinates(f)
     xs, basis, pivots = _in_chains(s, to_chain)
     for at, (kind, _, a, m, b) in enumerate(maps):
-        if kind > through:
-            break
-        for row, x in enumerate(xs):
+        for row, x in zip(s.rows, xs):
             if _reduce_against(((x >> a) & m) << b, basis, pivots):
-                return kind, _witness(f, s, at, s.rows[row]) if witness else None
-    return STABLE, None
+                return kind, at, row
+    return STABLE, len(maps), None
 
 
 def invariance_witness(f: NilpotentOperator, s: Subspace) -> Witness | None:
     """The first basis vector that f moves out of s, if any."""
-    return _first_exit(f, s, MOVED_BY_F)[1]
+    kind, at, row = _first_exit(f, s)
+    return _witness(f, s, at, row) if kind == MOVED_BY_F else None
 
 
 def is_invariant(f: NilpotentOperator, s: Subspace) -> bool:
-    return invariance_witness(f, s) is None
+    return _first_exit(f, s)[0] != MOVED_BY_F
 
 
 def is_hyperinvariant(f: NilpotentOperator, s: Subspace) -> tuple[bool, Witness | None]:
@@ -232,8 +223,9 @@ def is_hyperinvariant(f: NilpotentOperator, s: Subspace) -> tuple[bool, Witness 
     as an algebra; sums and products extend the verdict to all of it.
     The witness is the first map of the tuple that moves s.
     """
-    _, bad = _first_exit(f, s)
-    return bad is None, bad
+    kind, at, row = _first_exit(f, s)
+    hyper = kind == STABLE
+    return hyper, None if hyper else _witness(f, s, at, row)
 
 
 def is_characteristic(f: NilpotentOperator, s: Subspace) -> tuple[bool, Witness | None]:
@@ -241,10 +233,13 @@ def is_characteristic(f: NilpotentOperator, s: Subspace) -> tuple[bool, Witness 
 
     Tested against f and the unit prefix of the scan tuple, which with I
     generates the span of every unit as an algebra; sums and products
-    extend the verdict to the whole group, at any size.
+    extend the verdict to the whole group, at any size.  So s is
+    characteristic exactly when the first map that moves it is a
+    projection, or none does.
     """
-    _, bad = _first_exit(f, s, MOVED_BY_UNIT)
-    return bad is None, bad
+    kind, at, row = _first_exit(f, s)
+    char = kind > MOVED_BY_UNIT
+    return char, None if char else _witness(f, s, at, row)
 
 
 def is_marked(f: NilpotentOperator, s: Subspace) -> bool:
@@ -505,7 +500,8 @@ def largest_hyperinvariant_inside(
 def classify(f: NilpotentOperator, s: Subspace) -> ClassificationReport:
     """All four verdicts from one stability scan plus the intersection
     criterion, with hyperinvariant = characteristic and marked enforced."""
-    kind, bad = _first_exit(f, s)
+    kind, at, row = _first_exit(f, s)
+    bad = None if kind == STABLE else _witness(f, s, at, row)
     if kind == MOVED_BY_F:
         return ClassificationReport(s, False, False, False, False, invariance_witness=bad)
     marked = _marked(f, s)

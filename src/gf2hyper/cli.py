@@ -3,7 +3,7 @@
 stdout carries data only; diagnostics go to stderr.  Exit codes are
 stable: 0 success, 2 parse error, 3 invalid operator, 4 dimension
 mismatch, 5 subspace enumeration cap exceeded, 1 failed verification
-suite.
+suite, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from json.encoder import encode_basestring_ascii
@@ -446,6 +447,11 @@ def main(argv: list[str] | None = None) -> int:
     except Gf2HyperError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so the interpreter's
+        # last flush cannot raise again, and exit as a shell reports SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

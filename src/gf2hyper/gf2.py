@@ -74,6 +74,16 @@ def _bit_row(bits: int, width: int, sep: str) -> str:
     return sep.join(format(bits, f"0{width}b")[::-1])
 
 
+def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """The `width` columns of nonempty packed rows, each packed over the rows.
+
+    Each row in binary, top bit first; read from the last row up, the
+    c-th character of every row is column width - 1 - c, row 0 lowest.
+    """
+    text = [format(r, f"0{width}b") for r in reversed(rows)]
+    return tuple(int("".join(col), 2) for col in reversed(tuple(zip(*text))))
+
+
 def _reduce_against(bits: int, basis: tuple[int, ...], pivots: tuple[int, ...]) -> int:
     for p, b in zip(pivots, basis):
         if (bits >> p) & 1:
@@ -172,13 +182,7 @@ class Gf2Matrix:
         height = cols[0].dim
         if any(c.dim != height for c in cols):
             raise DimensionMismatch("columns have unequal height")
-        rows = []
-        for i in range(height):
-            bits = 0
-            for j, c in enumerate(cols):
-                bits |= ((c.bits >> i) & 1) << j
-            rows.append(bits)
-        return cls(tuple(rows), len(cols))
+        return cls(_transpose([c.bits for c in cols], height), len(cols))
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
@@ -189,10 +193,7 @@ class Gf2Matrix:
         the fields, so equality, hashing and repr still read the rows alone."""
         if not self.rows:
             return (0,) * self.n_cols
-        # each row in binary, top bit first; read from the last row up, the
-        # c-th character of every row is column n_cols - 1 - c, row 0 lowest
-        text = [format(r, f"0{self.n_cols}b") for r in reversed(self.rows)]
-        return tuple(int("".join(col), 2) for col in reversed(tuple(zip(*text))))
+        return _transpose(self.rows, self.n_cols)
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.rows)

@@ -11,6 +11,7 @@ cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import ShodaConditionFails
 from .classify import MOVED_BY_PROJECTION, STABLE, _first_exit
@@ -58,11 +59,15 @@ def ulm_form_condition(u: UlmSequence) -> bool:
     return len(ones) <= 1 or (len(ones) == 2 and ones[1] == ones[0] + 1)
 
 
+def _shoda_pairs(u: UlmSequence) -> Iterator[tuple[int, int]]:
+    """Each pair r < s of multiplicity-one block sizes with s > r + 1, ascending."""
+    ones = _single_block_sizes(u)
+    return ((r, s) for i, r in enumerate(ones) for s in ones[i + 1 :] if s > r + 1)
+
+
 def shoda_block_sizes(u: UlmSequence) -> tuple[int, int] | None:
     """The lexicographically smallest qualifying pair (r, s), if any."""
-    ones = _single_block_sizes(u)
-    pairs = ((r, s) for i, r in enumerate(ones) for s in ones[i + 1 :] if s > r + 1)
-    return next(pairs, None)
+    return next(_shoda_pairs(u), None)
 
 
 def _check_witness_classes(u: GeneratorTuple, rho: int, tau: int) -> tuple[int, int]:
@@ -157,7 +162,7 @@ def counterexample(
     tau = u.class_of_exponent(a_tau)
     z = linking_vector(f, u, rho, tau)
     y_span = exceptional_subspace(f, u, rho, tau)
-    kind, _ = _first_exit(f, y_span, witness=False)
+    kind = _first_exit(f, y_span)[0]
     if kind < MOVED_BY_PROJECTION:
         raise AssertionError("constructed span failed the characteristic check")
     if kind == STABLE:

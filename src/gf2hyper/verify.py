@@ -90,7 +90,7 @@ def census(block_sizes: tuple[int, ...]) -> SubspaceCensus:
     f = jordan_operator(block_sizes)
     invariant, marked, characteristic, hyperinvariant = [], [], [], []
     for s in sorted(invariant_subspaces(f), key=lambda s: (s.dim, s.pivots, s.rows)):
-        kind, _ = _first_exit(f, s, witness=False)
+        kind = _first_exit(f, s)[0]
         if kind == MOVED_BY_F:
             raise AssertionError("lifted subspace is not invariant")
         invariant.append(s)
@@ -287,43 +287,28 @@ def oracle_suite(max_dim: int = ORACLE_MAX_DIM) -> list[CheckResult]:
             f = jordan_operator(sizes)
             u = generator_tuple(f)
             label = "-".join(map(str, sizes))
-            for rho in range(u.class_count):
-                for tau in range(rho + 1, u.class_count):
-                    if len(u.class_indices(rho)) != 1:
-                        continue
-                    if len(u.class_indices(tau)) != 1:
-                        continue
-                    a_rho = u.class_exponent(rho)
-                    a_tau = u.class_exponent(tau)
-                    if a_rho + 1 >= a_tau:
-                        continue
-                    formula = shoda.exceptional_subspace(f, u, rho, tau)
-                    scanned = shoda.exceptional_subspace_scan(f, a_rho, a_tau)
-                    middle = sum(
-                        len(u.class_indices(mu)) for mu in range(rho + 1, tau)
+            for a_rho, a_tau in shoda._shoda_pairs(ulm_sequence(f)):
+                rho = u.class_of_exponent(a_rho)
+                tau = u.class_of_exponent(a_tau)
+                formula = shoda.exceptional_subspace(f, u, rho, tau)
+                scanned = shoda.exceptional_subspace_scan(f, a_rho, a_tau)
+                middle = sum(len(u.class_indices(mu)) for mu in range(rho + 1, tau))
+                tail = sum(len(u.class_indices(mu)) for mu in range(tau + 1, u.class_count))
+                expected_dim = 2 + middle + 2 * tail
+                ok = (
+                    formula == scanned
+                    and formula.dim == expected_dim
+                    # f X = span{f z} + the socle end of each chain above tau
+                    and f.mat.map_subspace(formula).dim == 1 + tail
+                    and all(formula.contains_bits(f.mat.apply_bits(r)) for r in formula.rows)
+                )
+                results.append(
+                    CheckResult(
+                        f"formula-vs-scan[{label}:{a_rho}<{a_tau}]",
+                        ok,
+                        f"dim={formula.dim}",
                     )
-                    tail = sum(
-                        len(u.class_indices(mu))
-                        for mu in range(tau + 1, u.class_count)
-                    )
-                    expected_dim = 2 + middle + 2 * tail
-                    ok = (
-                        formula == scanned
-                        and formula.dim == expected_dim
-                        # f X = span{f z} + the socle end of each chain above tau
-                        and f.mat.map_subspace(formula).dim == 1 + tail
-                        and all(
-                            formula.contains_bits(f.mat.apply_bits(r))
-                            for r in formula.rows
-                        )
-                    )
-                    results.append(
-                        CheckResult(
-                            f"formula-vs-scan[{label}:{a_rho}<{a_tau}]",
-                            ok,
-                            f"dim={formula.dim}",
-                        )
-                    )
+                )
     return results
 
 

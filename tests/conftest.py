@@ -22,7 +22,6 @@ from gf2hyper.classify import (
     MOVED_BY_PROJECTION,
     MOVED_BY_UNIT,
     STABLE,
-    Witness,
 )
 from gf2hyper.commutant import _chain_map
 from gf2hyper.errors import DimensionMismatch
@@ -77,20 +76,17 @@ def stability_matrices(f):
     return tuple(maps)
 
 
-def first_exit_by_matrices(f, s, through=MOVED_BY_PROJECTION, witness=True):
+def first_exit_by_matrices(f, s):
     """Oracle for classify._first_exit: every map of `stability_matrices`
-    applied as a matrix to each basis row of s, in order.  Always builds
-    the witness, whatever `witness` says."""
+    applied as a matrix to each basis row of s, in order."""
     if s.ambient_dim != f.dim:
         raise DimensionMismatch("subspace does not match the operator")
-    maps = ((MOVED_BY_F, f.mat),) if through == MOVED_BY_F else stability_matrices(f)
-    for kind, g in maps:
-        if kind > through:
-            break
+    maps = stability_matrices(f)
+    for at, (kind, g) in enumerate(maps):
         for r in s.rows:
             if not s.contains_bits(g.apply_bits(r)):
-                return kind, Witness(g, Gf2Vector(r, f.dim))
-    return STABLE, None
+                return kind, at, r
+    return STABLE, len(maps), None
 
 
 def covering_edges_by_triple_scan(nodes):

@@ -35,6 +35,7 @@ from gf2hyper.classify import (
     MOVED_BY_F,
     MOVED_BY_PROJECTION,
     MOVED_BY_UNIT,
+    Witness,
     _first_exit,
     _hyperinvariant_lattice,
     _monotone_shifts,
@@ -304,21 +305,16 @@ def test_unit_prefix_and_projections_generate_the_commutant(conjugate):
 
 
 def test_scan_matches_the_matrix_oracle(conjugate):
-    # kind, witness map and witness vector as the matrix scan gives them, and the
-    # scan through the unit prefix: every subspace up to n = 6, the invariant
-    # subspaces at n = 7, each shape as a Jordan matrix and one seeded conjugate
+    # kind, map index and basis row where the matrix scan stops: every subspace
+    # up to n = 6, the invariant subspaces at n = 7, each shape as a Jordan
+    # matrix and one seeded conjugate
     rng = random.Random(59)
     for n in range(1, 8):
         every = list(enumerate_subspaces(n)) if n <= 6 else None
         for sizes in partitions(n):
             for f in (jordan_operator(sizes), conjugate(sizes, rng)):
                 for s in every if every is not None else invariant_subspaces(f):
-                    kind, witness = _first_exit(f, s)
-                    assert (kind, witness) == first_exit_by_matrices(f, s), (f.mat.rows, s.rows)
-                    assert _first_exit(f, s, witness=False) == (kind, None)
-                    if kind != MOVED_BY_F:
-                        units = _first_exit(f, s, MOVED_BY_UNIT)
-                        assert units == first_exit_by_matrices(f, s, MOVED_BY_UNIT)
+                    assert _first_exit(f, s) == first_exit_by_matrices(f, s), (f.mat.rows, s.rows)
 
 
 def test_only_a_reported_witness_builds_a_chain_map(monkeypatch, conjugate):
@@ -395,21 +391,17 @@ def test_a_witness_that_keeps_its_row_inside_is_refused(monkeypatch):
         classify(f, s)
 
 
-def test_invariance_scans_f_alone(monkeypatch):
+def test_invariance_builds_no_chain_map(monkeypatch):
+    # the invariant and marked verdicts read the scan's kind and report no witness
     def refuse(*args):
-        raise AssertionError("invariance must scan f alone")
+        raise AssertionError("invariance must build no chain map")
 
-    module = sys.modules[_stability_maps.__module__]
-    monkeypatch.setattr(module, "_chain_map", refuse)
+    monkeypatch.setattr(sys.modules[_stability_maps.__module__], "_chain_map", refuse)
     f = jordan_operator((1, 2, 4))
     inside = f.kernel_chain[2]
     outside = Subspace.span([Gf2Vector(1 << 1, f.dim)], f.dim)
-    # the marked test of an invariant subspace reads the chain coordinates, but builds no map
-    assert is_marked(f, inside)
-    for name in ("_stability_maps", "_chain_coordinates", "chain_frame"):
-        monkeypatch.setattr(module, name, refuse)
     assert is_invariant(f, inside) and not is_invariant(f, outside)
-    assert not is_marked(f, outside)
+    assert is_marked(f, inside) and not is_marked(f, outside)
 
 
 def test_stored_chains_and_chain_spans_match_the_cyclic_oracle(conjugate):
@@ -458,11 +450,19 @@ def _assert_moves_out(f, s, witness):
 
 
 def test_every_witness_commutes_and_moves_its_vector_out(conjugate):
+    # and the characteristic verdict and witness are the matrix scan's, cut
+    # after the unit prefix
     for f, s in _every_subspace(conjugate, 41):
         projections = {m for c, i, j, m in _chain_maps(f) if (i, j) == (c, 0)}
         char, char_witness = is_characteristic(f, s)
         hyper, hyper_witness = is_hyperinvariant(f, s)
         assert char == (char_witness is None) and hyper == (hyper_witness is None)
+        kind, at, row = first_exit_by_matrices(f, s)
+        if kind <= MOVED_BY_UNIT:
+            expected = Witness(stability_matrices(f)[at][1], Gf2Vector(row, f.dim))
+            assert (char, char_witness) == (False, expected), (f.mat.rows, s.rows)
+        else:
+            assert (char, char_witness) == (True, None), (f.mat.rows, s.rows)
         report = classify(f, s)
         if not report.invariant:
             assert report.invariance_witness == invariance_witness(f, s) == char_witness

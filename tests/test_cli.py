@@ -718,6 +718,25 @@ def test_verify_paper_suite_is_the_same_under_python_O():
     assert runs[1].stdout == runs[0].stdout
 
 
+def test_a_closed_stdout_exits_141_without_a_traceback(golden_file):
+    # the reader end of the pipe is closed before the command writes a byte
+    env = {**os.environ, "PYTHONPATH": str(Path(gf2hyper.__file__).parent.parent)}
+    argv = ["lattice", golden_file, "--which", "chinv", "--json"]
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "gf2hyper", *argv],
+            stdout=writer,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(writer)
+    assert (run.returncode, run.stderr) == (141, "")
+
+
 def test_verify_census_small(capsys):
     assert main(["verify", "--suite", "census", "--max-dim", "4"]) == 0
     out = capsys.readouterr().out

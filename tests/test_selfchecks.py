@@ -100,6 +100,31 @@ def test_every_export_has_a_production_caller():
     assert UNCALLED_MEMBERS <= {f"{c}.{n}" for c, n in members}
 
 
+def test_every_private_helper_is_named_outside_its_definition():
+    # a private module-level function or class that no other statement of the
+    # package names is dead: the tests alone cannot keep it
+    package = Path(gf2hyper.__file__).parent
+    statements = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            statements.append((path.name, node, names))
+    private = [
+        (module, node)
+        for module, node, _ in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    unnamed = [
+        f"{module}:{node.name}"
+        for module, node in private
+        if not any(node.name in names for _, other, names in statements if other is not node)
+    ]
+    assert private and not unnamed, unnamed
+
+
 def test_no_unused_module_imports():
     # a module-level import that nothing in its module reads is left over;
     # __init__.py is exempt, as its imports are the exports
