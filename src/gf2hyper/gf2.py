@@ -239,19 +239,18 @@ class Gf2Matrix:
         return len(basis)
 
     def kernel(self) -> Subspace:
-        """The solution space {v : Mv = 0}, canonicalized."""
-        basis, pivots = _echelonize(self.rows)
-        pivot_set = set(pivots)
-        out = []
-        for c in range(self.n_cols):
-            if c in pivot_set:
-                continue
-            v = 1 << c
-            for i, row in enumerate(basis):
-                if (row >> c) & 1:
-                    v |= 1 << pivots[i]
-            out.append(v)
-        return Subspace.span_bits(out, self.n_cols)
+        """The solution space {v : Mv = 0}, canonicalized.
+
+        Each column c_j paired with its unit vector, c_j | 1 << (m + j) for
+        m rows, reduces as `inverse` does: the rows pivoted at m or above
+        have zero low halves, and their high halves are the kernel in RREF.
+        """
+        m = self.n_rows
+        basis, pivots = _echelonize(c | 1 << (m + j) for j, c in enumerate(self._columns))
+        k = sum(p < m for p in pivots)
+        return Subspace._canonical(
+            tuple(b >> m for b in basis[k:]), tuple(p - m for p in pivots[k:]), self.n_cols
+        )
 
     def image(self) -> Subspace:
         """The column space {Mv}, canonicalized."""
@@ -521,6 +520,4 @@ def parse_subspace(text: str) -> Subspace:
 
 
 def format_subspace(s: Subspace) -> str:
-    header = f"{s.dim} {s.ambient_dim}"
-    body = s.to_text()
-    return header + ("\n" + body if body else "")
+    return format_matrix(Gf2Matrix(s.rows, s.ambient_dim))

@@ -1,15 +1,14 @@
 """Structure theory of a nilpotent operator over GF(2).
 
 Validates nilpotency in one paired walk down the image chain, which
-also yields a Jordan basis and from it the kernel chain; keeps both
-chains, the walk, the one source of preimages and of the socles
-Ker f ∩ Im f^j, and the generators of that basis, and derives the
-classical invariants: exponents, heights, the Ulm sequence (block-size
-multiplicities), elementary divisors, and the generator tuple (cyclic
-decomposition) of those generators.  The tuple keeps its Jordan chains
-f^k u_i, walked once when it is built; the chain matrix, the
-equal-exponent summands and every chain span elsewhere in the package
-read them.
+also yields the generators of a Jordan basis; keeps the image chain,
+the walk, the one source of preimages and of the socles
+Ker f ∩ Im f^j, and those generators.  The generator tuple (cyclic
+decomposition) walks each generator's Jordan chain f^k u_i once, and
+is the one record of the block structure: the exponents, the Ulm
+sequence (block-size multiplicities), the elementary divisors, the
+kernel chain, the chain matrix, the equal-exponent summands and every
+chain span elsewhere in the package are read off it.
 
 It also owns the chain coordinates the package computes in: bit
 offsets[i] + k stands for f^k u_i, `chain_frame` gives the change of
@@ -57,21 +56,19 @@ INFINITY = _InfiniteHeight()
 
 @dataclass(frozen=True)
 class NilpotentOperator:
-    """A validated nilpotent matrix with its kernel and image chains.
+    """A validated nilpotent matrix with its image chain and Jordan generators.
 
-    ``kernel_chain[j]`` is Ker f^j (strictly increasing up to the whole
-    space) and ``image_chain[j]`` is Im f^j (strictly decreasing down to
-    zero), both canonical, for j = 0..index.  ``walk[j]``, j < index, is
-    level j of the paired walk: {pivot bit of a row y of Im f^(j+1): a
-    preimage of y in Im f^j} (read by `_lift`) and the canonical
-    Ker f ∩ Im f^j.  ``generators`` holds the bits of the generators u_i
-    of the lifted Jordan basis, exponents ascending (`generator_tuple`).
-    ``_memo`` keeps what `_per_operator` derives from f, outside equality.
+    ``image_chain[j]`` is Im f^j, canonical and strictly decreasing down
+    to zero, for j = 0..index.  ``walk[j]``, j < index, is level j of the
+    paired walk: {pivot bit of a row y of Im f^(j+1): a preimage of y in
+    Im f^j} (read by `_lift`) and the canonical Ker f ∩ Im f^j.
+    ``generators`` holds the bits of the generators u_i of the lifted
+    Jordan basis, exponents ascending (`generator_tuple`).  ``_memo``
+    keeps what `_per_operator` derives from f, outside equality.
     """
 
     mat: Gf2Matrix
     index: int
-    kernel_chain: tuple[Subspace, ...] = field(compare=False, repr=False)
     image_chain: tuple[Subspace, ...] = field(compare=False, repr=False)
     walk: tuple[tuple[dict[int, int], Subspace], ...] = field(compare=False, repr=False)
     generators: tuple[int, ...] = field(compare=False, repr=False)
@@ -80,6 +77,18 @@ class NilpotentOperator:
     @property
     def dim(self) -> int:
         return self.mat.n_cols
+
+    @functools.cached_property
+    def kernel_chain(self) -> tuple[Subspace, ...]:
+        """Ker f^j for j = 0..index, canonical and strictly increasing up to
+        the whole space: the span of the last min(j, t_i) entries of each
+        Jordan chain.  Built on first read and kept out of the fields, so
+        equality, hashing and repr still read the matrix alone."""
+        chains = generator_tuple(self).chains
+        return tuple(
+            Subspace.span_bits((b for c in chains for b in c[max(len(c) - j, 0) :]), self.dim)
+            for j in range(self.index + 1)
+        )
 
     def image_of_power(self, k: int) -> Subspace:
         return self.image_chain[min(k, self.index)]
@@ -172,17 +181,18 @@ def _lift(preimages: dict[int, int], bits: int) -> int:
 
 
 def validate_nilpotent(m: Gf2Matrix) -> NilpotentOperator:
-    """Check that m is nilpotent and build its kernel and image chains.
+    """Check that m is nilpotent and build its image chain and Jordan generators.
 
     One paired walk down the image chain: at level j the rows f(b) | b << n,
     for b in the RREF basis of Im f^j, reduce to rows pivoted below n,
     whose low halves are the RREF of Im f^(j+1) and whose high halves are
     preimages in Im f^j, and to rows pivoted at n or above, whose high
-    halves are the RREF of Ker f ∩ Im f^j.  Lifting socle vectors through
-    those preimages and walking them under f gives a Jordan basis; Ker f^j
-    is the span of its vectors of exponent at most j.  At exponent a the
-    lifted socle vectors are the rows of Ker f ∩ Im f^(a-1) independent of
-    those already lifted, in row order, so the basis depends only on m.
+    halves are the RREF of Ker f ∩ Im f^j.  Socle vectors lifted through
+    those preimages are the generators of a Jordan basis: at exponent a
+    they are the rows of Ker f ∩ Im f^(a-1) independent of those already
+    lifted, in row order, so the basis depends only on m.  No chain is
+    walked here; `generator_tuple` walks them and checks them against the
+    image chain.
     """
     if not m.is_square():
         raise NotSquare(f"operator must be square, got {m.n_rows}x{m.n_cols}")
@@ -208,7 +218,6 @@ def validate_nilpotent(m: Gf2Matrix) -> NilpotentOperator:
     # Ker f ∩ Im f^(a-1) holds the chain ends of the blocks of size at least a
     taken: dict[int, int] = {}
     taken_mask = 0
-    by_exponent: list[list[int]] = [[] for _ in range(index + 1)]
     generators: list[int] = []
     for a in range(index, 0, -1):
         lifted = []
@@ -220,28 +229,8 @@ def validate_nilpotent(m: Gf2Matrix) -> NilpotentOperator:
             for preimages, _ in reversed(walk[: a - 1]):
                 bits = _lift(preimages, bits)
             lifted.append(bits)
-            chain = []
-            while bits:
-                chain.append(bits)
-                bits = m.apply_bits(bits)
-            for steps, v in enumerate(chain):
-                by_exponent[len(chain) - steps].append(v)
         generators[:0] = lifted  # exponents ascend in the tuple
-    kernel: dict[int, int] = {}
-    kernel_mask = 0
-    kernel_chain = [Subspace.zero(n)]
-    for j in range(1, index + 1):
-        kernel_mask = _rref_extend(kernel, kernel_mask, by_exponent[j])
-        basis, pivots = _rref_rows(kernel)
-        kernel_chain.append(Subspace._canonical(tuple(basis), tuple(pivots), n))
-    # vectors of exponent at most j lie in Ker f^j; rank-nullity makes their
-    # span all of it, and Ker f^index the whole space
-    for ker, im in zip(kernel_chain, image_chain):
-        if ker.dim + im.dim != n:
-            raise AssertionError("the Jordan basis does not span the kernel chain")
-    return NilpotentOperator(
-        m, index, tuple(kernel_chain), tuple(image_chain), tuple(walk), tuple(generators)
-    )
+    return NilpotentOperator(m, index, tuple(image_chain), tuple(walk), tuple(generators))
 
 
 def exponent(f: NilpotentOperator, x: Gf2Vector) -> int:
@@ -269,14 +258,10 @@ def height(f: NilpotentOperator, x: Gf2Vector):
 
 
 def ulm_sequence(f: NilpotentOperator) -> UlmSequence:
-    """d(r) = 2 dim Ker f^r - dim Ker f^(r-1) - dim Ker f^(r+1), r = 1..index.
-
-    dim Ker f^r - dim Ker f^(r-1) counts the blocks of size at least r,
-    so the second difference counts those of size exactly r; past the
-    index the kernel is the whole space.
-    """
-    k = [s.dim for s in f.kernel_chain] + [f.dim]
-    return UlmSequence(tuple(2 * k[r] - k[r - 1] - k[r + 1] for r in range(1, f.index + 1)))
+    """d(r) = the number of exponents of the generator tuple equal to r,
+    r = 1..index: each generator spans one Jordan block of its exponent."""
+    t = generator_tuple(f).exponents
+    return UlmSequence(tuple(t.count(r) for r in range(1, f.index + 1)))
 
 
 def elementary_divisors(u: UlmSequence) -> tuple[int, ...]:
@@ -347,8 +332,16 @@ def make_generator_tuple(
 @_per_operator
 def generator_tuple(f: NilpotentOperator) -> GeneratorTuple:
     """The cyclic decomposition of the space by the generators that
-    `validate_nilpotent` lifted, which depend only on the matrix."""
-    return make_generator_tuple(f, [Gf2Vector(b, f.dim) for b in f.generators])
+    `validate_nilpotent` lifted, which depend only on the matrix.
+
+    Checked once per operator against the walked image chain by
+    rank-nullity: dim Im f^j = Σ max(t_i - j, 0) for j = 0..index.
+    """
+    u = make_generator_tuple(f, [Gf2Vector(b, f.dim) for b in f.generators])
+    for j, im in enumerate(f.image_chain):
+        if im.dim != sum(max(t - j, 0) for t in u.exponents):
+            raise AssertionError("the Jordan chains do not match the image chain")
+    return u
 
 
 def chain_matrix(f: NilpotentOperator, u: GeneratorTuple) -> Gf2Matrix:

@@ -21,11 +21,13 @@ import gf2hyper
 from gf2hyper import (
     Gf2Matrix,
     Gf2Vector,
+    NilpotentOperator,
     Subspace,
     classify,
     counterexample,
     format_matrix,
     format_subspace,
+    parse_matrix,
     parse_subspace,
     ulm_form_condition,
     ulm_sequence,
@@ -463,6 +465,41 @@ PINNED_JSON_STDOUT = {
     "lattice conjugate-1-2-4.txt --which chinv --json": "7e0b9f7a7bace5a9853b46cefe70917d0e0ee3f04b3163ca26dc85fa64223cb3",
     "lattice conjugate-1-2-4.txt --which inv --json": "7492567af3cd7d2edefd1f389db656911160d4eb827dafb88f57b6acaf2bf041",
 }
+
+
+def test_no_command_but_verify_builds_the_kernel_chain(tmp_path, monkeypatch, capsys):
+    # the block structure is read off the generator tuple: with Ker f^j unreadable,
+    # every command but verify still exits 0 with the stdout it gives unpatched
+    p = random_invertible(random.Random(15), 7)
+    operators = {"golden": parse_matrix(GOLDEN), "conjugate": p @ jordan_matrix([1, 2, 4]) @ p.inverse()}
+    argvs = []
+    for name, m in operators.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(format_matrix(m))
+        y = tmp_path / f"{name}.y.txt"
+        y.write_text(format_subspace(counterexample(validate_nilpotent(m))[0]))
+        line = tmp_path / f"{name}.line.txt"
+        line.write_text(format_subspace(Subspace.span_bits([2], m.n_cols)))
+        argvs += [["analyze", path], ["analyze", path, "--json"], ["counterexample", path]]
+        argvs += [["classify", path, s, *json] for s in (y, line) for json in ([], ["--json"])]
+        argvs += [["lattice", path, "--which", which] for which in ("hinv", "inv", "chinv")]
+
+    def stdout():
+        outs = []
+        for argv in argvs:
+            assert main(list(map(str, argv))) == 0, argv
+            outs.append(capsys.readouterr().out)
+        return outs
+
+    unpatched = stdout()
+
+    def unreadable(f):
+        raise AssertionError("the kernel chain was built outside verify")
+
+    monkeypatch.setattr(NilpotentOperator, "kernel_chain", property(unreadable))
+    assert stdout() == unpatched
+    with pytest.raises(AssertionError, match="outside verify"):
+        validate_nilpotent(parse_matrix(GOLDEN)).kernel_chain
 
 
 def test_json_stdout_is_pinned(tmp_path, capsys):

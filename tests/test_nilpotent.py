@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -234,6 +235,10 @@ def test_ulm_sequence_matches_the_socle_definition(conjugate):
                 dims = [socle.intersect(f.image_chain[r]).dim for r in range(f.index + 1)]
                 d = tuple(dims[r - 1] - dims[r] for r in range(1, f.index + 1))
                 assert ulm_sequence(f).d == d, sizes
+                # and d(r) = 2 k_r - k_(r-1) - k_(r+1) for k_r = dim Ker f^r of the products
+                k = [p.kernel().dim for p in power_tower(f)] + [f.dim]
+                d = tuple(2 * k[r] - k[r - 1] - k[r + 1] for r in range(1, f.index + 1))
+                assert ulm_sequence(f).d == d, sizes
 
 
 def test_image_chain_matches_the_power_images(conjugate):
@@ -267,6 +272,20 @@ def test_validate_nilpotent_matches_the_power_tower(conjugate):
                         b = preimages[y & -y]
                         assert f.mat.apply_bits(b) == y, sizes
                         assert f.image_chain[j].contains_bits(b), sizes
+
+
+def test_generator_tuple_checks_the_image_chain(conjugate):
+    # the rank-nullity self-check: an image chain with two levels swapped no
+    # longer has dim Im f^j = Σ max(t_i - j, 0), and generator_tuple says so
+    rng = random.Random(97)
+    for sizes in ((1, 3), (1, 2, 4), (2, 2, 3)):
+        for f in (jordan_operator(sizes), conjugate(sizes, rng)):
+            chain = list(f.image_chain)
+            chain[1], chain[2] = chain[2], chain[1]
+            broken = dataclasses.replace(f, image_chain=tuple(chain))
+            with pytest.raises(AssertionError, match="image chain"):
+                generator_tuple(broken)
+            assert generator_tuple(f).exponents == tuple(sorted(sizes))
 
 
 def test_validate_nilpotent_rejects_what_never_vanishes():

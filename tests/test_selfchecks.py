@@ -47,7 +47,6 @@ def test_every_lru_cache_is_a_module_global():
 
 # exported names that production code may leave uncalled, each for a reason
 UNCALLED_EXPORTS = {
-    "format_matrix",  # the writer that pairs with parse_matrix in the text format
     "largest_hyperinvariant_inside",  # labels characteristic lattice frames (ROADMAP item 3)
     # one hinv node from its full shift tuple: the reference the lattice walk, which
     # grows each node from one it covers, is tested against
