@@ -201,7 +201,7 @@ def _first_exit(f: NilpotentOperator, s: Subspace) -> tuple[int, int, int | None
     xs, basis, pivots = _in_chains(s, to_chain)
     for at, (kind, _, a, m, b) in enumerate(maps):
         for row, x in zip(s.rows, xs):
-            if _reduce_against(((x >> a) & m) << b, basis, pivots):
+            if (y := ((x >> a) & m) << b) and _reduce_against(y, basis, pivots):
                 return kind, at, row
     return STABLE, len(maps), None
 
@@ -248,7 +248,7 @@ def is_marked(f: NilpotentOperator, s: Subspace) -> bool:
 
 
 def _rank(rows: Iterable[int]) -> int:
-    return len(_echelonize(rows)[0])
+    return _rref_extend({}, 0, rows).bit_count()
 
 
 def _meet(rows: Sequence[int], mask: int) -> list[int]:
@@ -294,7 +294,7 @@ def _marked(f: NilpotentOperator, s: Subspace) -> bool:
         return True
     to_chain, _, images = _chain_coordinates(f)
     _, basis, _ = _in_chains(s, to_chain)
-    meets = [_meet(basis, images[r]) for r in range(f.index - 1)]
+    meets = {r: _meet(basis, images[r]) for r in range(1, f.index - 1)}
     for a in range(1, f.index - 1):
         mapped = [(x << a) & images[a] for x in basis]
         mapped_dim = _rank(mapped)
@@ -323,24 +323,38 @@ def _lifts(f: NilpotentOperator, k: int, below: Iterable[Subspace]) -> Iterator[
 
     K = Ker f ∩ U.  f maps W = f^-1(Y) ∩ U onto Y with kernel K, so the
     invariant X inside U with f(X) = Y are exactly the X with
-    Y ⊆ X ⊆ W and X + K = W.  Take a complement E of Y ∩ K in K and a
+    Y ⊆ X ⊆ W and X + K = W.  Take a complement E of Y in Y + K and a
     complement D of Y + K in W, so W = Y ⊕ E ⊕ D.  Then X ↦ X ∩ (E ⊕ D)
     is a bijection onto the subspaces T of E ⊕ D that project onto all
     of D, and X = Y ⊕ T.  In the coordinates of the D rows, then the E
     rows, those T are the RREF shapes with a pivot at each of the first
-    dim D positions (`_subspace_rows` with onto = dim D).  dim D + dim E
-    = dim K, which is at least 1 at every level below the index.  K and
-    the preimages in U of the rows of Y are read from level k of the
-    walk that built f (`NilpotentOperator.walk`).
+    dim D positions (`_subspace_rows` with onto = dim D).  Extending Y's
+    RREF by the rows of K, then by a preimage of each row of Y, gives E
+    and D: the rows at the pivots each step adds, E copied before the
+    second step rewrites it.  Each X extends a copy of Y's RREF by T.
+    For Y = 0, W = K and D = 0: the X are K's RREF shapes, canonical as
+    they come.  K and the preimages in U of the rows of Y are level k of
+    `NilpotentOperator.walk`.
     """
     preimages, kernel = f.walk[k]
+    if _echelonize(kernel.rows) != (list(kernel.rows), list(kernel.pivots)):
+        raise AssertionError("the kernel rows are not canonical")  # RREF is unique
     for y in below:
-        e_rows = _complement(y.intersect(kernel), kernel.rows)
-        d_rows = _complement(y.sum(kernel), tuple(_lift(preimages, b) for b in y.rows))
+        if not y.rows:
+            for rows, at in _subspace_rows(kernel.rows):
+                yield Subspace._canonical(rows, tuple(kernel.pivots[i] for i in at), f.dim)
+            continue
+        base = dict(zip((1 << p for p in y.pivots), y.rows))
+        form, mask = dict(base), sum(base)
+        with_kernel = _rref_extend(form, mask, kernel.rows)
+        e_rows = [x for p, x in form.items() if not p & mask]
+        _rref_extend(form, with_kernel, (_lift(preimages, b) for b in y.rows))
+        d_rows = [x for p, x in form.items() if not p & with_kernel]
         for t, _ in _subspace_rows(d_rows + e_rows, onto=len(d_rows)):
-            basis, pivots = _echelonize(y.rows + t)
-            if len(basis) != y.dim + len(t):
+            child = dict(base)
+            if _rref_extend(child, mask, t).bit_count() != y.dim + len(t):
                 raise AssertionError("lifted subspace has the wrong dimension")
+            basis, pivots = _rref_rows(child)
             yield Subspace._canonical(tuple(basis), tuple(pivots), f.dim)
 
 

@@ -82,6 +82,41 @@ def test_invariant_subspaces_match_the_filter_oracle(conjugate):
                 assert len(set(lifted)) == len(lifted)
 
 
+def test_lifting_runs_no_zassenhaus_and_no_sum(monkeypatch, conjugate):
+    # each parent's complements come from one extension of its RREF, not from Y ∩ K and Y + K
+    rng = random.Random(53)
+    fs = [g for n in range(1, 7) for sizes in partitions(n)
+          for g in (jordan_operator(sizes), conjugate(sizes, rng))]
+
+    def lifted():
+        return [
+            sorted(invariant_subspaces(f), key=lambda s: (s.dim, s.pivots, s.rows)) for f in fs
+        ]
+
+    expected = lifted()
+    census.cache_clear()
+    expected_census = census((1, 2, 3))
+
+    def refuse(*_):
+        raise AssertionError("the lifting called a Zassenhaus intersection or a sum")
+
+    monkeypatch.setattr(Subspace, "intersect", refuse)
+    monkeypatch.setattr(Subspace, "sum", refuse)
+    census.cache_clear()
+    try:
+        assert census((1, 2, 3)) == expected_census
+    finally:
+        census.cache_clear()
+    assert lifted() == expected
+
+
+def test_the_zero_parents_children_are_enumerate_subspaces():
+    # the zero operator lifts only the zero parent: its children are K's shapes, in their order
+    for n in range(1, 7):
+        lifted = [(s.rows, s.pivots) for s in invariant_subspaces(jordan_operator((1,) * n))]
+        assert lifted == [(s.rows, s.pivots) for s in enumerate_subspaces(n)]
+
+
 def test_census_scans_only_the_invariant_subspaces(monkeypatch):
     # one scan per invariant subspace: the marked test does not scan f again
     scanned = []
