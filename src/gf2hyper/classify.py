@@ -306,18 +306,6 @@ def _marked(f: NilpotentOperator, s: Subspace) -> bool:
     return True
 
 
-def _complement(base: Subspace, rows: tuple[int, ...]) -> list[int]:
-    """An RREF basis of a complement of `base` in base + span(rows).
-
-    The rows of the RREF of the sum at pivots that `base` lacks: each
-    combination of them is zero at every pivot of `base`, while every
-    nonzero member of `base` has its lowest bit at one.
-    """
-    basis, pivots = _echelonize(base.rows + rows)
-    known = set(base.pivots)
-    return [b for b, p in zip(basis, pivots) if p not in known]
-
-
 def _lifts(f: NilpotentOperator, k: int, below: Iterable[Subspace]) -> Iterator[Subspace]:
     """The invariant subspaces X inside U = Im f^k, from those Y = f(X) inside f(U).
 
@@ -341,8 +329,11 @@ def _lifts(f: NilpotentOperator, k: int, below: Iterable[Subspace]) -> Iterator[
         raise AssertionError("the kernel rows are not canonical")  # RREF is unique
     for y in below:
         if not y.rows:
+            shape = None  # _subspace_rows yields one positions tuple per shape
             for rows, at in _subspace_rows(kernel.rows):
-                yield Subspace._canonical(rows, tuple(kernel.pivots[i] for i in at), f.dim)
+                if at is not shape:
+                    shape, pivots = at, tuple(kernel.pivots[i] for i in at)
+                yield Subspace._canonical(rows, pivots, f.dim)
             continue
         base = dict(zip((1 << p for p in y.pivots), y.rows))
         form, mask = dict(base), sum(base)
@@ -383,7 +374,8 @@ def _closure(s: Subspace, v: int, maps: Sequence[tuple[int, int, int]]) -> Subsp
         if (grown := _rref_extend(form, mask, (x,))) != mask:
             mask = grown
             pending += [((x >> a) & m) << b for a, m, b in maps]
-    return Subspace.span_bits(form.values(), s.ambient_dim)
+    rows, pivots = _rref_rows(form)
+    return Subspace._canonical(tuple(rows), tuple(pivots), s.ambient_dim)
 
 
 def _stable_lattice(f: NilpotentOperator, through: int) -> _Lattice:
@@ -396,8 +388,10 @@ def _stable_lattice(f: NilpotentOperator, through: int) -> _Lattice:
     a nilpotent module, and the closure of X + v is stable, inside Y and
     larger than X, so it is Y.  So the covers of X are the minimal
     closures of X + v over the lines v of f^-1(X)/X, and each closure one
-    dimension up is one.  f^-1(X) is Ker f, spanned by the chain ends,
-    plus x >> 1 for each basis row x of X ∩ Im f.
+    dimension up is one; a larger one is not minimal when it holds every
+    row of another.  f^-1(X) is Ker f, spanned by the chain ends, plus
+    x >> 1 for each basis row x of X ∩ Im f.  Extending X's RREF by those
+    rows, the rows at the new pivots span a complement of X in f^-1(X).
     """
     _, maps, images = _chain_coordinates(f)
     scan = [(a, m, b) for kind, _, a, m, b in maps if kind <= through]
@@ -406,10 +400,16 @@ def _stable_lattice(f: NilpotentOperator, through: int) -> _Lattice:
     level = [Subspace.zero(f.dim)]
     while level:
         for x in level:
-            below = ends + tuple(y >> 1 for y in _meet(x.rows, images[1]))
-            spans = {_closure(x, v, scan) for v in _span_table(_complement(x, below))[1:]}
+            form = dict(zip((1 << p for p in x.pivots), x.rows))
+            mask = sum(form)
+            _rref_extend(form, mask, ends + tuple(y >> 1 for y in _meet(x.rows, images[1])))
+            lines = [r for p, r in form.items() if not p & mask]
+            spans = {_closure(x, v, scan) for v in _span_table(lines)[1:]}
             covers[x] = [
-                y for y in spans if y.dim == x.dim + 1 or all(y.sum(z) != y for z in spans - {y})
+                y
+                for y in spans
+                if y.dim == x.dim + 1
+                or not any(z.dim < y.dim and all(map(y.contains_bits, z.rows)) for z in spans)
             ]
         level = {y for x in level for y in covers[x] if y not in covers}
     p, _ = chain_frame(f)

@@ -3,7 +3,11 @@
 stdout carries data only; diagnostics go to stderr.  Exit codes are
 stable: 0 success, 2 parse error, 3 invalid operator, 4 dimension
 mismatch, 5 subspace enumeration cap exceeded, 1 failed verification
-suite, 141 stdout closed by its reader.
+suite, 141 stdout closed by its reader.  A call that names a command
+builds that command's parser alone; the full tree of subparsers is
+built only to report arguments that name no command or that the
+command does not take, so help, errors and exit codes are the full
+tree's either way.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 from . import verify as verify_mod
@@ -193,7 +196,8 @@ class AnalysisDocument:
 
 def _read(path: str, parse):
     try:
-        text = Path(path).read_text()
+        with open(path) as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse(text)
@@ -387,10 +391,35 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The gf2hyper parser, with only the subparser of `command` if it names one.
-    The usage line names every command either way, so the help, errors and exit
-    codes are those of the full parser."""
+def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
+    """The arguments and defaults of command `name`, on its own parser or on
+    its subparser in the full tree; the `command` default is the value the
+    full tree's subparsers action stores."""
+    p.set_defaults(command=name, handler=_COMMANDS[name][1])
+    if name == "analyze":
+        p.add_argument("matrix", help="matrix file: 'n_rows n_cols' then 0/1 rows")
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--census", action="store_true", help="count subspace classes")
+    elif name == "classify":
+        p.add_argument("matrix")
+        p.add_argument("subspace", help="basis rows in the matrix file format")
+        p.add_argument("--json", action="store_true")
+    elif name == "counterexample":
+        p.add_argument("matrix")
+        p.add_argument("--json", action="store_true")
+    elif name == "lattice":
+        p.add_argument("matrix")
+        p.add_argument("--which", choices=["hinv", "chinv", "inv"], default="hinv")
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--dot", action="store_true")
+        group.add_argument("--json", action="store_true")
+    else:
+        p.add_argument("--suite", choices=["paper", "census", "oracle"], required=True)
+        p.add_argument("--max-dim", type=_positive_int, default=None)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full gf2hyper parser: one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="gf2hyper",
         description=(
@@ -398,34 +427,28 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             "marked, characteristic and hyperinvariant subspaces."
         ),
     )
-    names = [command] if command in _COMMANDS else list(_COMMANDS)
-    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, handler = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        if name == "analyze":
-            p.add_argument("matrix", help="matrix file: 'n_rows n_cols' then 0/1 rows")
-            p.add_argument("--json", action="store_true")
-            p.add_argument("--census", action="store_true", help="count subspace classes")
-        elif name == "classify":
-            p.add_argument("matrix")
-            p.add_argument("subspace", help="basis rows in the matrix file format")
-            p.add_argument("--json", action="store_true")
-        elif name == "counterexample":
-            p.add_argument("matrix")
-            p.add_argument("--json", action="store_true")
-        elif name == "lattice":
-            p.add_argument("matrix")
-            p.add_argument("--which", choices=["hinv", "chinv", "inv"], default="hinv")
-            group = p.add_mutually_exclusive_group()
-            group.add_argument("--dot", action="store_true")
-            group.add_argument("--json", action="store_true")
-        else:
-            p.add_argument("--suite", choices=["paper", "census", "oracle"], required=True)
-            p.add_argument("--max-dim", type=_positive_int, default=None)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The arguments as `build_parser().parse_args(argv)` reads them.
+
+    A named command is parsed by its own parser, the one the full tree
+    would hand the rest of argv to, so its help, errors and exit codes
+    are the same.  The full tree is built only for argv that names no
+    command, or that leaves arguments the command does not take, which
+    the full tree then reports with its own usage line.
+    """
+    if argv and argv[0] in _COMMANDS:
+        p = argparse.ArgumentParser(prog=f"gf2hyper {argv[0]}")
+        _add_arguments(p, argv[0])
+        args, rest = p.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 # the exit code of each domain error; the first matching entry wins
@@ -441,7 +464,7 @@ _EXIT_CODES = (
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.handler(args)
     except Gf2HyperError as exc:

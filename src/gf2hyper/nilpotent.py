@@ -257,9 +257,11 @@ def height(f: NilpotentOperator, x: Gf2Vector):
     return 0
 
 
+@_per_operator
 def ulm_sequence(f: NilpotentOperator) -> UlmSequence:
     """d(r) = the number of exponents of the generator tuple equal to r,
-    r = 1..index: each generator spans one Jordan block of its exponent."""
+    r = 1..index: each generator spans one Jordan block of its exponent.
+    Counted once per operator."""
     t = generator_tuple(f).exponents
     return UlmSequence(tuple(t.count(r) for r in range(1, f.index + 1)))
 

@@ -5,7 +5,9 @@ not hyperinvariant exactly when two block sizes r < s occur with
 multiplicity one each and s > r + 1.  When they do, the span of all
 vectors of exponent 2 whose height jumps from r - 1 to s - 1 under f is
 such a subspace, and it has a closed chain formula that the scan oracle
-cross-checks.
+cross-checks.  Its certificate is read in the Jordan basis of the
+generator tuple, where the projection of the linking vector onto the
+short chain is one stored chain entry.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from .nilpotent import (
     GeneratorTuple,
     NilpotentOperator,
     UlmSequence,
-    _tail_mask,
-    chain_frame,
     exponent,
     generator_tuple,
     height,
@@ -150,7 +150,8 @@ def counterexample(
     Returns None when the block-size condition fails.  The returned span
     is re-checked by one stability scan (characteristic, not
     hyperinvariant), and the projection onto the short chain must move
-    the linking vector outside.
+    the linking vector outside: that projection is the chain entry
+    f^(a_rho - 1) u_rho, read off the generator tuple.
     """
     ulm = ulm_sequence(f)
     pair = shoda_block_sizes(ulm)
@@ -167,12 +168,9 @@ def counterexample(
         raise AssertionError("constructed span failed the characteristic check")
     if kind == STABLE:
         raise AssertionError("constructed span is unexpectedly hyperinvariant")
-    # P_r z, the projection onto the short chain: z's chain coordinates on chain r
-    p, p_inv = chain_frame(f)
-    r = u.class_indices(rho)[0]
-    chain_r = _tail_mask(u, [0 if i == r else t for i, t in enumerate(u.exponents)])
-    on_chain = p_inv.apply_bits(z.bits) & chain_r
-    if y_span.contains_bits(p.apply_bits(on_chain)):
+    # P_r z, the projection onto the short chain r: z is f^(a_rho - 1) u_r plus a
+    # vector of the long chain, so P_r z is that entry of chain r
+    if y_span.contains_bits(u.chains[u.class_indices(rho)[0]][a_rho - 1]):
         raise AssertionError("projection witness failed")
     witness = ShodaWitness(rho, tau, a_rho, a_tau, z, y_span)
     return y_span, witness

@@ -24,7 +24,7 @@ from gf2hyper.classify import (
     STABLE,
 )
 from gf2hyper.commutant import _chain_map
-from gf2hyper.errors import DimensionMismatch
+from gf2hyper.errors import DimensionMismatch, ParseError
 from gf2hyper.nilpotent import chain_matrix, jordan_matrix
 
 
@@ -143,6 +143,23 @@ def json_tree(x):
 PACKED_ROWS = st.integers(1, 130).flatmap(
     lambda width: st.tuples(st.just(width), st.lists(st.integers(0, (1 << width) - 1), max_size=5))
 )
+
+
+def parse_rows_by_token(rows, width):
+    """Oracle for the rows of gf2.parse_matrix: each row of tokens packed one
+    token at a time, with the same ParseError for a wrong entry count or an
+    entry other than 0 or 1."""
+    out = []
+    for tokens in rows:
+        if len(tokens) != width:
+            raise ParseError(f"expected {width} entries per row")
+        bits = 0
+        for j, tok in enumerate(tokens):
+            if tok not in ("0", "1"):
+                raise ParseError("entries must be 0 or 1")
+            bits |= (tok == "1") << j
+        out.append(bits)
+    return tuple(out)
 
 
 def echelonize_by_insertion(rows):

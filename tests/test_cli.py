@@ -39,6 +39,7 @@ from gf2hyper.cli import (
     _dumps,
     _members,
     _node_digest,
+    _parse_args,
     build_analysis,
     build_parser,
     main,
@@ -867,13 +868,13 @@ PARSER_CORPUS = [
 ]
 
 
-def _parse(parser, argv):
-    """(exit code, stdout, stderr, namespace) of parser.parse_args(argv)."""
+def _outcome(parse, argv):
+    """(exit code, stdout, stderr, namespace) of parse(argv)."""
     out, err = StringIO(), StringIO()
     code, namespace = None, None
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            namespace = vars(parser.parse_args(argv))
+            namespace = vars(parse(argv))
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue(), namespace
@@ -881,20 +882,51 @@ def _parse(parser, argv):
 
 @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
 def test_one_command_parser_behaves_as_the_full_parser(argv, monkeypatch):
+    # main's call path, which parses a named command with its own parser
     monkeypatch.setenv("COLUMNS", "80")
-    full = _parse(build_parser(), argv)
-    assert _parse(build_parser(argv[0] if argv else None), argv) == full
+    assert _outcome(_parse_args, argv) == _outcome(build_parser().parse_args, argv)
 
 
-def _command_names(parser) -> set[str]:
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return set(sub.choices)
+def test_a_named_command_builds_one_parser(golden_file, x_file, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (
+        ["analyze", golden_file],
+        ["classify", golden_file, x_file],
+        ["counterexample", golden_file],
+        ["lattice", golden_file, "--which", "inv"],
+        ["verify", "--suite", "census", "--max-dim", "2"],
+    ):
+        built.clear()
+        assert main(argv) == 0
+        assert built == [f"gf2hyper {argv[0]}"]
+    # arguments the command does not take are reported by the full tree
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["analyze", golden_file, "--bogus"])
+    assert len(built) == 2 + len(COMMANDS)
+    assert "gf2hyper: error: unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
-def test_a_named_command_builds_only_its_subparser():
-    assert _command_names(build_parser("analyze")) == {"analyze"}
-    assert _command_names(build_parser("bogus")) == set(COMMANDS)
-    assert _command_names(build_parser()) == set(COMMANDS)
+def test_importing_the_cli_builds_no_parser():
+    code = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+import gf2hyper.cli
+print(len(built))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(gf2hyper.__file__).parent.parent)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "0\n"
 
 
 def test_top_level_help_lists_every_command(monkeypatch, capsys):

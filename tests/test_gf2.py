@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gf2hyper import (
     CapExceeded,
@@ -32,6 +33,7 @@ from conftest import (
     contains_subspace,
     coordinate_rows,
     echelonize_by_insertion,
+    parse_rows_by_token,
     power_tower,
 )
 
@@ -410,6 +412,48 @@ def test_text_writers_write_the_per_coordinate_form(case):
 def test_parse_accepts_comments_and_blanks():
     text = "# operator\n\n2 2\n0 0\n1 0\n# trailing note\n"
     assert parse_matrix(text).rows == (0, 1)
+
+
+# tokens a 0/1 row must not take, though int(..., 2) or str.isdigit might
+MALFORMED_TOKENS = ["00", "2", "-0", "+1", "0b1", "1_0", "\uff11"]
+
+
+@st.composite
+def token_rows(draw):
+    """(width, rows of tokens): 0/1 rows, or one row with a malformed token or
+    one entry too many or too few (never none: a blank line is no row)."""
+    width = draw(st.integers(1, 70))
+    row = st.lists(st.sampled_from("01"), min_size=width, max_size=width)
+    rows = draw(st.lists(row, max_size=4))
+    flaw = draw(st.sampled_from(["none", "token", "count"]))
+    if rows and flaw == "token":
+        bad = draw(st.sampled_from(rows))
+        bad[draw(st.integers(0, width - 1))] = draw(st.sampled_from(MALFORMED_TOKENS))
+    elif rows and flaw == "count":
+        bad = draw(st.sampled_from(rows))
+        if width > 1 and draw(st.booleans()):
+            bad.pop()
+        else:
+            bad.append("0")
+    return width, rows
+
+
+@given(token_rows())
+@example((2, [["0", "00"]]))
+@example((1, [["-0"]]))
+@example((3, [["1", "0"]]))
+@settings(max_examples=300, deadline=None)
+def test_parse_matrix_matches_the_per_token_oracle(case):
+    width, rows = case
+    text = f"{len(rows)} {width}\n" + "".join(" ".join(r) + "\n" for r in rows)
+    try:
+        expected = parse_rows_by_token(rows, width)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            parse_matrix(text)
+        assert str(info.value) == str(exc)
+    else:
+        assert parse_matrix(text) == Gf2Matrix(expected, width)
 
 
 def test_parse_errors():

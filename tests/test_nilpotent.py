@@ -101,6 +101,7 @@ def test_ulm_sequence(golden):
     assert ulm_sequence(golden).d == (1, 0, 1)
     assert ulm_sequence(jordan_operator((4,))).d == (0, 0, 0, 1)
     assert ulm_sequence(jordan_operator((2, 2))).d == (0, 2)
+    assert ulm_sequence(golden) is ulm_sequence(golden)  # counted once per operator
 
 
 def test_ulm_total_and_divisor_cross_check():

@@ -21,7 +21,8 @@ from gf2hyper import (
     ulm_form_condition,
     ulm_sequence,
 )
-from gf2hyper.nilpotent import UlmSequence
+from gf2hyper.nilpotent import UlmSequence, _tail_mask, chain_frame
+from gf2hyper.shoda import _shoda_pairs
 from gf2hyper.verify import ORACLE_MAX_DIM, jordan_operator, partitions
 
 
@@ -144,6 +145,27 @@ def test_exceptional_subspace_maps_onto_f_z_and_the_tail_socle(conjugate):
                         assert image == Subspace.span_bits([f.mat.apply_bits(z.bits)] + tail, n)
                         assert image.dim == 1 + len(tail), (sizes, rho, tau)
                         cases += 1
+    assert cases == 2 * 30
+
+
+def test_linking_vector_projects_onto_its_short_chain_entry(conjugate):
+    # counterexample's projection check reads P_r z as the entry f^(a_rho - 1) u_r
+    # of the short chain r; here P_r z is taken in chain coordinates, P (P^-1 z ∧ chain r)
+    rng = random.Random(67)
+    cases = 0
+    for n in range(1, ORACLE_MAX_DIM + 1):
+        for sizes in partitions(n):
+            for f in (jordan_operator(sizes), conjugate(sizes, rng)):
+                u = generator_tuple(f)
+                p, p_inv = chain_frame(f)
+                for a_rho, a_tau in _shoda_pairs(ulm_sequence(f)):
+                    rho, tau = u.class_of_exponent(a_rho), u.class_of_exponent(a_tau)
+                    r = u.class_indices(rho)[0]
+                    chain_r = _tail_mask(u, [0 if i == r else t for i, t in enumerate(u.exponents)])
+                    z = linking_vector(f, u, rho, tau)
+                    on_chain = p.apply_bits(p_inv.apply_bits(z.bits) & chain_r)
+                    assert on_chain == u.chains[r][a_rho - 1], (sizes, a_rho, a_tau)
+                    cases += 1
     assert cases == 2 * 30
 
 
