@@ -3,11 +3,11 @@
 stdout carries data only; diagnostics go to stderr.  Exit codes are
 stable: 0 success, 2 parse error, 3 invalid operator, 4 dimension
 mismatch, 5 subspace enumeration cap exceeded, 1 failed verification
-suite, 141 stdout closed by its reader.  A call that names a command
-builds that command's parser alone; the full tree of subparsers is
-built only to report arguments that name no command or that the
-command does not take, so help, errors and exit codes are the full
-tree's either way.
+suite, 141 stdout closed by its reader.  Each command's arguments are
+defined once, in `_COMMANDS`: a well-formed call is read straight from
+that table and builds no parser, and the full tree of subparsers, built
+from the same table, reads every other call, so help, errors and exit
+codes are the full tree's either way.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple, get_args, get_origin, get_type_hints
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 from . import verify as verify_mod
 from .classify import (
@@ -381,41 +381,91 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# each command's help line and handler, in the order `gf2hyper -h` lists them
+class _Option(NamedTuple):
+    """A valued option: its value is converted by `type`, then checked
+    against `choices`."""
+
+    flag: str
+    choices: tuple[str, ...] | None = None
+    type: Callable[[str], object] | None = None
+    default: object = None
+    required: bool = False
+
+
+class _Command(NamedTuple):
+    """One command's help line, handler and arguments.  Positionals and
+    store-true flags are (name, help) pairs; at most one of the
+    `exclusive` store-true flags may be given."""
+
+    help: str
+    handler: Callable[[argparse.Namespace], int]
+    positionals: tuple[tuple[str, str | None], ...] = ()
+    flags: tuple[tuple[str, str | None], ...] = ()
+    options: tuple[_Option, ...] = ()
+    exclusive: tuple[str, ...] = ()
+
+
+# every command's arguments, in the order `gf2hyper -h` lists the commands
 _COMMANDS = {
-    "analyze": ("structure report for an operator", _cmd_analyze),
-    "classify": ("four-predicate report for a subspace", _cmd_classify),
-    "counterexample": ("characteristic non-hyperinvariant subspace or NONE", _cmd_counterexample),
-    "lattice": ("subspace lattice with covering edges", _cmd_lattice),
-    "verify": ("run a verification suite", _cmd_verify),
+    "analyze": _Command(
+        "structure report for an operator",
+        _cmd_analyze,
+        positionals=(("matrix", "matrix file: 'n_rows n_cols' then 0/1 rows"),),
+        flags=(("--json", None), ("--census", "count subspace classes")),
+    ),
+    "classify": _Command(
+        "four-predicate report for a subspace",
+        _cmd_classify,
+        positionals=(("matrix", None), ("subspace", "basis rows in the matrix file format")),
+        flags=(("--json", None),),
+    ),
+    "counterexample": _Command(
+        "characteristic non-hyperinvariant subspace or NONE",
+        _cmd_counterexample,
+        positionals=(("matrix", None),),
+        flags=(("--json", None),),
+    ),
+    "lattice": _Command(
+        "subspace lattice with covering edges",
+        _cmd_lattice,
+        positionals=(("matrix", None),),
+        options=(_Option("--which", choices=("hinv", "chinv", "inv"), default="hinv"),),
+        exclusive=("--dot", "--json"),
+    ),
+    "verify": _Command(
+        "run a verification suite",
+        _cmd_verify,
+        options=(
+            _Option("--suite", choices=("paper", "census", "oracle"), required=True),
+            _Option("--max-dim", type=_positive_int),
+        ),
+    ),
 }
 
 
+def _dest(flag: str) -> str:
+    """The namespace attribute argparse gives an option."""
+    return flag.lstrip("-").replace("-", "_")
+
+
 def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
-    """The arguments and defaults of command `name`, on its own parser or on
-    its subparser in the full tree; the `command` default is the value the
-    full tree's subparsers action stores."""
-    p.set_defaults(command=name, handler=_COMMANDS[name][1])
-    if name == "analyze":
-        p.add_argument("matrix", help="matrix file: 'n_rows n_cols' then 0/1 rows")
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--census", action="store_true", help="count subspace classes")
-    elif name == "classify":
-        p.add_argument("matrix")
-        p.add_argument("subspace", help="basis rows in the matrix file format")
-        p.add_argument("--json", action="store_true")
-    elif name == "counterexample":
-        p.add_argument("matrix")
-        p.add_argument("--json", action="store_true")
-    elif name == "lattice":
-        p.add_argument("matrix")
-        p.add_argument("--which", choices=["hinv", "chinv", "inv"], default="hinv")
+    """The arguments and defaults of command `name`, from its table entry,
+    on its subparser in the full tree; the `command` default is the value
+    the full tree's subparsers action stores."""
+    command = _COMMANDS[name]
+    p.set_defaults(command=name, handler=command.handler)
+    for dest, help_text in command.positionals:
+        p.add_argument(dest, help=help_text)
+    for o in command.options:
+        p.add_argument(
+            o.flag, choices=o.choices, type=o.type, default=o.default, required=o.required
+        )
+    for flag, help_text in command.flags:
+        p.add_argument(flag, action="store_true", help=help_text)
+    if command.exclusive:
         group = p.add_mutually_exclusive_group()
-        group.add_argument("--dot", action="store_true")
-        group.add_argument("--json", action="store_true")
-    else:
-        p.add_argument("--suite", choices=["paper", "census", "oracle"], required=True)
-        p.add_argument("--max-dim", type=_positive_int, default=None)
+        for flag in command.exclusive:
+            group.add_argument(flag, action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,27 +478,70 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_text), name)
+    for name, command in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=command.help), name)
     return parser
+
+
+def _read_table(argv: list[str]) -> argparse.Namespace | None:
+    """argv as the full tree reads it when it is well formed, else None.
+
+    Well formed: a command name, then its positionals in any order with
+    its options, each option named exactly and each value starting with
+    no '-' and passing the option's type and choices; every required
+    option given, and at most one exclusive flag.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    flags = {flag for flag, _ in command.flags} | set(command.exclusive)
+    options = {o.flag: o for o in command.options}
+    given: dict[str, object] = {}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+        elif token in flags:
+            given[token] = True
+        elif token in options:
+            o, value = options[token], next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+            # argparse checks every value given, the last one wins
+            try:
+                value = o.type(value) if o.type else value
+            except (argparse.ArgumentTypeError, ValueError):
+                return None
+            if o.choices is not None and value not in o.choices:
+                return None
+            given[token] = value
+        else:
+            return None
+    if (
+        len(positionals) != len(command.positionals)
+        or sum(flag in given for flag in command.exclusive) > 1
+        or any(o.required and o.flag not in given for o in command.options)
+    ):
+        return None
+    values = {"command": argv[0], "handler": command.handler}
+    values.update((dest, value) for (dest, _), value in zip(command.positionals, positionals))
+    values.update((_dest(flag), given.get(flag, False)) for flag in flags)
+    values.update((_dest(o.flag), given.get(o.flag, o.default)) for o in command.options)
+    return argparse.Namespace(**values)
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """The arguments as `build_parser().parse_args(argv)` reads them.
 
-    A named command is parsed by its own parser, the one the full tree
-    would hand the rest of argv to, so its help, errors and exit codes
-    are the same.  The full tree is built only for argv that names no
-    command, or that leaves arguments the command does not take, which
-    the full tree then reports with its own usage line.
+    A well-formed argv is read from `_COMMANDS` alone and builds no
+    parser.  Anything else, such as help, an abbreviated or unknown
+    option, '--', a missing or rejected value, a wrong number of
+    positionals or two exclusive flags, goes to the full tree, which
+    accepts it or reports it with its own help, errors and exit codes.
     """
-    if argv and argv[0] in _COMMANDS:
-        p = argparse.ArgumentParser(prog=f"gf2hyper {argv[0]}")
-        _add_arguments(p, argv[0])
-        args, rest = p.parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+    args = _read_table(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 # the exit code of each domain error; the first matching entry wins

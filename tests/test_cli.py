@@ -36,6 +36,8 @@ from gf2hyper import (
 from gf2hyper.cli import (
     AnalysisDocument,
     LatticeCensusDocument,
+    _COMMANDS,
+    _dest,
     _dumps,
     _members,
     _node_digest,
@@ -865,6 +867,21 @@ PARSER_CORPUS = [
     ["analyze", "--", "m.txt"],
     ["analyze"],
     ["verify"],
+    # read from the table: options before or between the positionals, repeated
+    ["classify", "--json", "m.txt", "x.txt"],
+    ["classify", "m.txt", "--json", "x.txt"],
+    ["analyze", "m.txt", "--json", "--json"],
+    ["lattice", "m.txt", "--which", "inv", "--which", "chinv"],
+    ["verify", "--suite", "census", "--max-dim", "08"],
+    ["analyze", ""],
+    # handed to the full tree
+    ["lattice", "m.txt", "--which"],
+    ["lattice", "m.txt", "--which", "-1"],
+    ["verify", "--suite", "census", "--max-dim", "-1"],
+    ["verify", "--max-dim", "2"],
+    ["classify", "m.txt"],
+    ["analyze", "m.txt", "x.txt"],
+    ["analyze", "-"],
 ]
 
 
@@ -882,12 +899,77 @@ def _outcome(parse, argv):
 
 @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
 def test_one_command_parser_behaves_as_the_full_parser(argv, monkeypatch):
-    # main's call path, which parses a named command with its own parser
+    # main's call path: the table reads a well-formed argv, the full tree the rest
     monkeypatch.setenv("COLUMNS", "80")
     assert _outcome(_parse_args, argv) == _outcome(build_parser().parse_args, argv)
 
 
-def test_a_named_command_builds_one_parser(golden_file, x_file, monkeypatch, capsys):
+# every option name, choice, abbreviation and --opt=value form, and the tokens
+# argparse reads in its own way
+PARSER_VOCABULARY = (
+    "--json", "--census", "--dot", "--which", "--suite", "--max-dim",
+    "hinv", "chinv", "inv", "paper", "census", "oracle",
+    "--js", "--cen", "--d", "--wh", "--su", "--max",
+    "--which=inv", "--suite=paper", "--max-dim=2", "--json=1",
+    "-h", "--", "-", "", "0", "-1", "08", "m.txt", "x.txt",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(COMMANDS),
+    tokens=st.lists(st.sampled_from(PARSER_VOCABULARY), max_size=5),
+)
+@example(command="lattice", tokens=["--dot", "m.txt", "--which", "inv", "--dot"])
+@example(command="verify", tokens=["--max-dim", "0", "--suite", "oracle", "--max-dim", "08"])
+def test_table_reads_what_the_full_parser_reads(command, tokens):
+    argv = [command, *tokens]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("COLUMNS", "80")
+        assert _outcome(_parse_args, argv) == _outcome(build_parser().parse_args, argv)
+
+
+def _table_arguments(command):
+    """Each argument of a `_COMMANDS` entry by dest: (option strings, default,
+    choices, required, store-true, type)."""
+    arguments = {dest: ((), None, None, True, False, None) for dest, _ in command.positionals}
+    for flag in (*(flag for flag, _ in command.flags), *command.exclusive):
+        arguments[_dest(flag)] = ((flag,), False, None, False, True, None)
+    for o in command.options:
+        arguments[_dest(o.flag)] = ((o.flag,), o.default, o.choices, o.required, False, o.type)
+    return arguments
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_full_tree_takes_the_arguments_the_table_reads(name):
+    # an argument on the full tree that the table lacks, or the reverse,
+    # would make the two read the same argv differently
+    parser = build_parser()
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subparsers.choices[name]
+    actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+    found = {
+        a.dest: (
+            tuple(a.option_strings),
+            a.default,
+            None if a.choices is None else tuple(a.choices),
+            a.required,
+            isinstance(a, argparse._StoreTrueAction),
+            a.type,
+        )
+        for a in actions
+    }
+    assert len(found) == len(actions)
+    assert found == _table_arguments(_COMMANDS[name])
+    groups = [
+        tuple(s for a in g._group_actions for s in a.option_strings)
+        for g in sub._mutually_exclusive_groups
+    ]
+    assert groups == ([_COMMANDS[name].exclusive] if _COMMANDS[name].exclusive else [])
+    assert sub._defaults == {"command": name, "handler": _COMMANDS[name].handler}
+
+
+def test_a_well_formed_command_builds_no_parser(golden_file, x_file, monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -903,14 +985,13 @@ def test_a_named_command_builds_one_parser(golden_file, x_file, monkeypatch, cap
         ["lattice", golden_file, "--which", "inv"],
         ["verify", "--suite", "census", "--max-dim", "2"],
     ):
-        built.clear()
         assert main(argv) == 0
-        assert built == [f"gf2hyper {argv[0]}"]
-    # arguments the command does not take are reported by the full tree
-    built.clear()
+        assert built == []
+    # arguments the command does not take are reported by the full tree:
+    # the top-level parser and one subparser per command
     with pytest.raises(SystemExit):
         main(["analyze", golden_file, "--bogus"])
-    assert len(built) == 2 + len(COMMANDS)
+    assert len(built) == 1 + len(COMMANDS)
     assert "gf2hyper: error: unrecognized arguments: --bogus" in capsys.readouterr().err
 
 

@@ -164,3 +164,27 @@ def test_every_traced_name_is_a_module_level_function():
         defined = {node.name for node in source.body if isinstance(node, ast.FunctionDef)}
         missing += [f"{module}.{name}" for name in names if name not in defined]
     assert traced and not missing, missing
+
+
+def _calls_by_function(tree, name):
+    """The names of the module-level functions that call `name`, once per call;
+    a call outside any function is listed under None."""
+    found = []
+    for node in tree.body:
+        owner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and _decorator_name(call) == name:
+                found.append(owner)
+    return found
+
+
+def test_only_build_parser_makes_an_argument_parser():
+    # a well-formed argv is read from the cli's table; a parser built per call,
+    # or kept at module level, would come back as a second place that defines
+    # the arguments, and a cost on every call
+    package = Path(gf2hyper.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.stem}.{owner}" for owner in _calls_by_function(tree, "ArgumentParser")]
+    assert found == ["cli.build_parser"]
