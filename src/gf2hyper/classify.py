@@ -206,12 +206,6 @@ def _first_exit(f: NilpotentOperator, s: Subspace) -> tuple[int, int, int | None
     return STABLE, len(maps), None
 
 
-def invariance_witness(f: NilpotentOperator, s: Subspace) -> Witness | None:
-    """The first basis vector that f moves out of s, if any."""
-    kind, at, row = _first_exit(f, s)
-    return _witness(f, s, at, row) if kind == MOVED_BY_F else None
-
-
 def is_invariant(f: NilpotentOperator, s: Subspace) -> bool:
     return _first_exit(f, s)[0] != MOVED_BY_F
 

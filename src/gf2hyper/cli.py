@@ -3,7 +3,8 @@
 stdout carries data only; diagnostics go to stderr.  Exit codes are
 stable: 0 success, 2 parse error, 3 invalid operator, 4 dimension
 mismatch, 5 subspace enumeration cap exceeded, 1 failed verification
-suite, 141 stdout closed by its reader.  Each command's arguments are
+suite, 141 stdout closed by its reader.  `verify` writes and flushes
+each check's line as the check completes.  Each command's arguments are
 defined once, in `_COMMANDS`: a well-formed call is read straight from
 that table and builds no parser, and the full tree of subparsers, built
 from the same table, reads every other call, so help, errors and exit
@@ -358,16 +359,14 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "paper" and args.max_dim is not None:
         raise ParseError("--max-dim applies only to the census and oracle suites")
-    results = verify_mod.run_suite(args.suite, args.max_dim)
-    if not results:
+    checks = verify_mod.run_suite(args.suite, args.max_dim)
+    count = failures = 0
+    for count, (name, held, detail) in enumerate(checks, 1):
+        print("ok" if held else "FAIL", name + (f"  {detail}" if detail else ""), flush=True)
+        failures += not held
+    if not count:
         raise ParseError(f"the {args.suite} suite has no check up to --max-dim {args.max_dim}")
-    failures = 0
-    for r in results:
-        status = "ok" if r.ok else "FAIL"
-        detail = f"  {r.detail}" if r.detail else ""
-        print(f"{status} {r.name}{detail}")
-        failures += not r.ok
-    print(f"{len(results) - failures}/{len(results)} checks passed")
+    print(f"{count - failures}/{count} checks passed")
     return 1 if failures else 0
 
 

@@ -112,7 +112,13 @@ def exceptional_subspace(
     strictly between the two marked ones, plus the two top chain levels
     of every class above; empty ranges contribute nothing.
     """
-    z = linking_vector(f, u, rho, tau)
+    return _exceptional_span(f, u, rho, tau, linking_vector(f, u, rho, tau))
+
+
+def _exceptional_span(
+    f: NilpotentOperator, u: GeneratorTuple, rho: int, tau: int, z: Gf2Vector
+) -> Subspace:
+    """`exceptional_subspace` for the linking vector z of the classes rho < tau."""
     bits = [z.bits, f.mat.apply_bits(z.bits)]
     for mu in range(rho + 1, tau):
         bits += [u.chains[i][-1] for i in u.class_indices(mu)]
@@ -162,7 +168,7 @@ def counterexample(
     rho = u.class_of_exponent(a_rho)
     tau = u.class_of_exponent(a_tau)
     z = linking_vector(f, u, rho, tau)
-    y_span = exceptional_subspace(f, u, rho, tau)
+    y_span = _exceptional_span(f, u, rho, tau, z)
     kind = _first_exit(f, y_span)[0]
     if kind < MOVED_BY_PROJECTION:
         raise AssertionError("constructed span failed the characteristic check")

@@ -7,6 +7,9 @@ exposes the four predicate sets so the equivalences between them can be
 replayed wholesale, with the lattice closure as the oracle for the
 monotone-span lattice.  The oracle suite cross-checks the chain formula
 for the exceptional span against a brute-force height scan.
+
+Each suite is a generator of checks, (name, held, detail) triples,
+computed one at a time as the reader asks for the next.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .classify import (
     is_marked,
 )
 from .commutant import commutant_basis, enumerate_automorphisms
-from .gf2 import Gf2Matrix, Gf2Vector, Subspace
+from .gf2 import Gf2Matrix, Gf2Vector, Subspace, _check_subspace_cap
 from .nilpotent import (
     INFINITY,
     NilpotentOperator,
@@ -45,13 +48,6 @@ from .nilpotent import (
 
 CENSUS_MAX_DIM = 6
 ORACLE_MAX_DIM = 9
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -125,93 +121,69 @@ def _vec(bits: int, dim: int = 4) -> Gf2Vector:
     return Gf2Vector(bits, dim)
 
 
-def paper_suite() -> list[CheckResult]:
+def paper_suite() -> Iterator[tuple[str, bool, str]]:
     """Replay the published 4x4 example and the small golden facts."""
-    results = []
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        results.append(CheckResult(name, bool(ok), detail))
-
     f = jordan_operator((1, 3))
     e1, e2, e3, e4 = (_vec(1 << i) for i in range(4))
     z = e1 + e3
-    x = Subspace.span([z, f.mat.apply(z)], 4)
+    fz = f.mat.apply(z)
+    x = Subspace.span([z, fz], 4)
 
-    check("kernel-of-f", f.mat.kernel() == Subspace.span([e1, e4], 4))
-    check("image-of-f", f.mat.image() == Subspace.span([e3, e4], 4))
-    check("x-members", sorted(v.bits for v in x.enumerate_vectors()) == [0, 5, 8, 13])
-    check("x-contains-e4", x.contains(e4))
-    check("x-misses-e1", not x.contains(e1))
-    check("exponent-of-z", exponent(f, z) == 2)
-    check("height-of-zero", height(f, _vec(0)) == INFINITY)
-    check("ulm-sequence", ulm_sequence(f).d == (1, 0, 1))
-    check(
-        "single-block-ulm",
-        ulm_sequence(jordan_operator((4,))).d == (0, 0, 0, 1),
-    )
-    check(
-        "homogeneous-ulm",
-        ulm_sequence(jordan_operator((2, 2))).d == (0, 2),
-    )
-    check("divisors", elementary_divisors(ulm_sequence(f)) == (1, 3))
+    yield "kernel-of-f", f.mat.kernel() == Subspace.span([e1, e4], 4), ""
+    yield "image-of-f", f.mat.image() == Subspace.span([e3, e4], 4), ""
+    yield "x-members", sorted(v.bits for v in x.enumerate_vectors()) == [0, 5, 8, 13], ""
+    yield "x-contains-e4", x.contains(e4), ""
+    yield "x-misses-e1", not x.contains(e1), ""
+    yield "exponent-of-z", exponent(f, z) == 2, ""
+    yield "height-of-zero", height(f, _vec(0)) == INFINITY, ""
+    yield "ulm-sequence", ulm_sequence(f).d == (1, 0, 1), ""
+    yield "single-block-ulm", ulm_sequence(jordan_operator((4,))).d == (0, 0, 0, 1), ""
+    yield "homogeneous-ulm", ulm_sequence(jordan_operator((2, 2))).d == (0, 2), ""
+    yield "divisors", elementary_divisors(ulm_sequence(f)) == (1, 3), ""
 
     c = commutant_basis(f)
-    check("commutant-dim", c.dim == 6)
+    yield "commutant-dim", c.dim == 6, ""
     units = enumerate_automorphisms(c)
-    check("unit-count", len(units) == 16)
-    template_ok = all(_matches_unit_template(g) for g in units.elements)
-    check("unit-template", template_ok)
-    actions_ok = True
-    for g in units.elements:
-        k = g.entry(3, 0)
-        d = g.entry(2, 1)
-        gz = g.apply(z)
-        gfz = g.apply(f.mat.apply(z))
-        gzfz = g.apply(z + f.mat.apply(z))
-        expected_z = (e1 + e3 + e4).bits if (k ^ d) else (e1 + e3).bits
-        expected_zfz = (e1 + e3).bits if (k ^ d) else (e1 + e3 + e4).bits
-        if gz.bits != expected_z or gfz != e4 or gzfz.bits != expected_zfz:
-            actions_ok = False
-    check("unit-action-on-x", actions_ok)
+    yield "unit-count", len(units) == 16, ""
+    yield "unit-template", all(_matches_unit_template(g) for g in units.elements), ""
+    # g z is z + e4 when the entries (3,0) and (2,1) of g differ, else z
+    actions_ok = all(
+        g.apply(z) == (gz := z + e4 if g.entry(3, 0) ^ g.entry(2, 1) else z)
+        and g.apply(fz) == e4
+        and g.apply(z + fz) == gz + e4
+        for g in units.elements
+    )
+    yield "unit-action-on-x", actions_ok, ""
 
     report = classify(f, x)
-    check(
-        "x-classification",
-        report.invariant
-        and report.characteristic
-        and not report.hyperinvariant
-        and not report.marked,
-    )
+    classes = (report.invariant, report.marked, report.characteristic, report.hyperinvariant)
+    yield "x-classification", classes == (True, False, True, False), ""
     w = report.hyperinvariance_witness
-    check(
-        "projection-witness",
+    projection_ok = (
         w is not None
         and w.matrix.rows == (1, 0, 0, 0)
         and w.vector == z
-        and w.matrix.apply(z) == e1,
+        and w.matrix.apply(z) == e1
     )
-    for k in range(f.index + 1):
-        ok_k, _ = is_hyperinvariant(f, f.kernel_chain[k])
-        ok_i, _ = is_hyperinvariant(f, f.image_chain[k])
-        if not (ok_k and ok_i):
-            check("power-spaces-hyperinvariant", False, f"k={k}")
-            break
-    else:
-        check("power-spaces-hyperinvariant", True)
+    yield "projection-witness", projection_ok, ""
+    moved = [
+        k
+        for k in range(f.index + 1)
+        if not (
+            is_hyperinvariant(f, f.kernel_chain[k])[0]
+            and is_hyperinvariant(f, f.image_chain[k])[0]
+        )
+    ]
+    yield "power-spaces-hyperinvariant", not moved, f"k={moved[0]}" if moved else ""
 
     u = generator_tuple(f)
-    check("linking-vector", shoda.linking_vector(f, u, 0, 1) == z)
-    check("formula-span", shoda.exceptional_subspace(f, u, 0, 1) == x)
-    check("scan-span", shoda.exceptional_subspace_scan(f, 1, 3) == x)
+    yield "linking-vector", shoda.linking_vector(f, u, 0, 1) == z, ""
+    yield "formula-span", shoda.exceptional_subspace(f, u, 0, 1) == x, ""
+    yield "scan-span", shoda.exceptional_subspace_scan(f, 1, 3) == x, ""
     found = shoda.counterexample(f)
-    check(
-        "counterexample",
-        found is not None
-        and found[0] == x
-        and (found[1].a_rho, found[1].a_tau) == (1, 3),
-    )
-    check("zero-subspace-marked", is_marked(f, Subspace.zero(4)))
-    return results
+    found_ok = found is not None and (found[0], found[1].a_rho, found[1].a_tau) == (x, 1, 3)
+    yield "counterexample", found_ok, ""
+    yield "zero-subspace-marked", is_marked(f, Subspace.zero(4)), ""
 
 
 def _matches_unit_template(g: Gf2Matrix) -> bool:
@@ -225,63 +197,33 @@ def _matches_unit_template(g: Gf2Matrix) -> bool:
     )
 
 
-def census_suite(max_dim: int = CENSUS_MAX_DIM) -> list[CheckResult]:
+def census_suite(max_dim: int) -> Iterator[tuple[str, bool, str]]:
     """Exhaustive predicate equivalences over all configurations up to max_dim."""
-    results = []
+    # the zero operator on GF(2)^n has all of it as its kernel, and the subspace
+    # count rises with n: gate every n before the first shape is lifted
+    for n in range(1, max_dim + 1):
+        _check_subspace_cap(n)
     for n in range(1, max_dim + 1):
         for sizes in partitions(n):
             f = jordan_operator(sizes)
             data = census(sizes)
             label = "-".join(map(str, sizes))
-            strict = set(data.characteristic) > set(data.hyperinvariant)
+            marked, char, hyper = map(set, (data.marked, data.characteristic, data.hyperinvariant))
+            strict = char > hyper
             ulm = ulm_sequence(f)
-            results.append(
-                CheckResult(
-                    f"shoda-equivalence[{label}]",
-                    strict == shoda.shoda_condition(ulm),
-                    f"strict={strict}",
-                )
-            )
-            results.append(
-                CheckResult(
-                    f"ulm-form-negation[{label}]",
-                    shoda.shoda_condition(ulm) != shoda.ulm_form_condition(ulm),
-                )
-            )
-            marked_set = set(data.marked)
-            char_set = set(data.characteristic)
-            hyper_set = set(data.hyperinvariant)
-            results.append(
-                CheckResult(
-                    f"hyper-iff-char-and-marked[{label}]",
-                    hyper_set == (char_set & marked_set),
-                )
-            )
-            results.append(
-                CheckResult(
-                    f"lattice-closure-matches-census[{label}]",
-                    set(lattice_closure(f)) == hyper_set,
-                )
-            )
-            results.append(
-                CheckResult(
-                    f"lattice-equals-monotone-spans[{label}]",
-                    set(hyperinvariant_lattice(f)) == hyper_set,
-                )
-            )
-            if shoda.ulm_form_condition(ulm):
-                results.append(
-                    CheckResult(
-                        f"char-equals-hyper-when-excluded[{label}]",
-                        char_set == hyper_set,
-                    )
-                )
-    return results
+            shoda_holds, excluded = shoda.shoda_condition(ulm), shoda.ulm_form_condition(ulm)
+            yield f"shoda-equivalence[{label}]", strict == shoda_holds, f"strict={strict}"
+            yield f"ulm-form-negation[{label}]", shoda_holds != excluded, ""
+            yield f"hyper-iff-char-and-marked[{label}]", hyper == char & marked, ""
+            yield f"lattice-closure-matches-census[{label}]", set(lattice_closure(f)) == hyper, ""
+            lattice = set(hyperinvariant_lattice(f))
+            yield f"lattice-equals-monotone-spans[{label}]", lattice == hyper, ""
+            if excluded:
+                yield f"char-equals-hyper-when-excluded[{label}]", char == hyper, ""
 
 
-def oracle_suite(max_dim: int = ORACLE_MAX_DIM) -> list[CheckResult]:
+def oracle_suite(max_dim: int) -> Iterator[tuple[str, bool, str]]:
     """Chain formula vs height scan for every eligible pair of classes."""
-    results = []
     for n in range(1, max_dim + 1):
         for sizes in partitions(n):
             f = jordan_operator(sizes)
@@ -302,17 +244,11 @@ def oracle_suite(max_dim: int = ORACLE_MAX_DIM) -> list[CheckResult]:
                     and f.mat.map_subspace(formula).dim == 1 + tail
                     and all(formula.contains_bits(f.mat.apply_bits(r)) for r in formula.rows)
                 )
-                results.append(
-                    CheckResult(
-                        f"formula-vs-scan[{label}:{a_rho}<{a_tau}]",
-                        ok,
-                        f"dim={formula.dim}",
-                    )
-                )
-    return results
+                yield f"formula-vs-scan[{label}:{a_rho}<{a_tau}]", ok, f"dim={formula.dim}"
 
 
-def run_suite(name: str, max_dim: int | None = None) -> list[CheckResult]:
+def run_suite(name: str, max_dim: int | None = None) -> Iterator[tuple[str, bool, str]]:
+    """The checks of one suite, each computed as it is read."""
     if name == "paper":
         return paper_suite()
     if name == "census":

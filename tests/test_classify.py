@@ -41,7 +41,7 @@ from gf2hyper.classify import (
     _monotone_shifts,
     _stability_maps,
     _stable_lattice,
-    invariance_witness,
+    _witness,
 )
 from gf2hyper.commutant import _chain_map, _chain_maps, automorphism_generators, flatten_matrix
 from gf2hyper.gf2 import enumerate_subspaces
@@ -262,7 +262,7 @@ def test_stability_scans_start_with_f():
         for sizes in partitions(n):
             f = jordan_operator(sizes)
             for s in enumerate_subspaces(n):
-                bad = invariance_witness(f, s)
+                bad = classify(f, s).invariance_witness
                 if bad is None:
                     continue
                 assert bad.matrix == f.mat
@@ -503,7 +503,8 @@ def test_every_witness_commutes_and_moves_its_vector_out(conjugate):
             assert (char, char_witness) == (True, None), (f.mat.rows, s.rows)
         report = classify(f, s)
         if not report.invariant:
-            assert report.invariance_witness == invariance_witness(f, s) == char_witness
+            assert report.invariance_witness == _witness(f, s, *_first_exit(f, s)[1:])
+            assert report.invariance_witness == char_witness
             _assert_moves_out(f, s, report.invariance_witness)
             continue
         assert report.invariance_witness is None

@@ -49,6 +49,7 @@ from gf2hyper.cli import (
 from gf2hyper.classify import MOVED_BY_F, MOVED_BY_UNIT, _hyperinvariant_lattice, _stable_lattice
 from gf2hyper.errors import ParseError
 from gf2hyper.gf2 import SUBSPACE_ENUM_CAP
+from gf2hyper import shoda, verify
 from gf2hyper.verify import census, jordan_operator, partitions
 
 from gf2hyper.nilpotent import jordan_matrix
@@ -841,6 +842,85 @@ def test_verify_paper_suite_rejects_max_dim(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --max-dim applies only to the census and oracle suites\n"
+
+
+# sha256 of the stdout of each suite, taken while the suites still built a list
+# of results before the first line was printed: streaming changed no byte
+PINNED_VERIFY_STDOUT = {
+    "--suite paper": "30d24866f91cfedcd6017562f78c78435a186eced7d8a6d78c1eccac7742d247",
+    "--suite census --max-dim 6": "1f9aae0467a9bde933c8e64966884bbae11a611c19878c61da9374e8579bc3fe",
+    "--suite oracle --max-dim 9": "0510de4b27e9ea92e9f3ce61a14dbf42fa54abc2cb46cef25b329e328a121654",
+}
+
+
+@pytest.mark.parametrize("args", PINNED_VERIFY_STDOUT)
+def test_verify_stdout_is_pinned(args, capsys):
+    assert main(["verify", *args.split()]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY_STDOUT[args]
+
+
+def test_census_suite_computes_a_check_only_when_it_is_read(monkeypatch):
+    shapes = []
+    real = verify.census
+    monkeypatch.setattr(verify, "census", lambda sizes: shapes.append(sizes) or real(sizes))
+    checks = iter(verify.run_suite("census", 7))
+    assert shapes == []
+    assert next(checks) == ("shoda-equivalence[1]", True, "strict=False")
+    assert shapes == [(1,)]
+
+
+@pytest.mark.parametrize("max_dim", ["10", "11", "1000000000"])
+def test_census_suite_refuses_the_cap_before_any_shape(max_dim, monkeypatch, capsys):
+    # (1^10), the zero operator, has all of GF(2)^10 as its kernel, so from
+    # --max-dim 10 on the suite stops before the first shape is lifted
+    def refuse(sizes):
+        raise AssertionError("no shape may be censused past the cap check")
+
+    monkeypatch.setattr(verify, "census", refuse)
+    assert main(["verify", "--suite", "census", "--max-dim", max_dim]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: GF(2)^10 has 229755605 subspaces, above the cap of 16777216\n"
+    )
+
+
+class _FlushedStdout(StringIO):
+    """A stdout that records what had been written at each flush."""
+
+    def __init__(self):
+        super().__init__()
+        self.flushed = []
+
+    def flush(self):
+        self.flushed.append(self.getvalue())
+
+
+def test_verify_writes_each_line_before_the_next_check(monkeypatch):
+    out = _FlushedStdout()
+
+    def suite(max_dim):
+        yield "first", True, ""
+        assert out.flushed == ["ok first\n"], "the line of a check is flushed before the next"
+        yield "second", False, "why"
+        yield "third", True, "dim=2"
+
+    monkeypatch.setattr(verify, "oracle_suite", suite)
+    with redirect_stdout(out):
+        assert main(["verify", "--suite", "oracle", "--max-dim", "1"]) == 1
+    lines = ["ok first\n", "FAIL second  why\n", "ok third  dim=2\n"]
+    assert out.flushed == ["".join(lines[:k]) for k in (1, 2, 3)]
+    assert out.getvalue() == "".join(lines) + "2/3 checks passed\n"
+
+
+def test_counterexample_builds_the_linking_vector_once(golden_file, monkeypatch, capsys):
+    calls = []
+    real = shoda.linking_vector
+    monkeypatch.setattr(shoda, "linking_vector", lambda *args: calls.append(args) or real(*args))
+    assert main(["counterexample", golden_file]) == 0
+    assert len(calls) == 1
+    assert "# linking vector: 1 0 1 0" in capsys.readouterr().out
 
 
 COMMANDS = ("analyze", "classify", "counterexample", "lattice", "verify")
