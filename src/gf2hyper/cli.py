@@ -76,35 +76,65 @@ def _members(x) -> dict:
     return {f.name: getattr(x, f.name) for f in fields(x)}
 
 
-def _dumps(obj, pad: str = "\n") -> str:
+def _dumps(obj) -> str:
     """json.dumps(obj, indent=2) of a JSON tree with str keys, byte for byte, with
     a tuple as a list, a dataclass as its `_members` and a vector as its 0/1
-    coordinates: each 0/1 row, and each list of plain ints (no bools), in one join.
-    An exact int or str is written here; bools, None, floats and int or str
-    subclasses go to json.dumps."""
-    kind = type(obj)
-    if kind is int:
-        return str(obj)
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    inner = pad + "  "
-    if isinstance(obj, _BitRows):
-        cell = inner + "  "
-        spec, sep = f"0{obj.width}b", "," + cell  # as _bit_row, one spec per basis
-        items = ("[" + cell + sep.join(format(r, spec)[::-1]) + inner + "]" for r in obj.rows)
-        return "[" + inner + ("," + inner).join(items) + pad + "]" if obj.rows else "[]"
-    if isinstance(obj, dict) and obj:
-        items = (encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in obj.items())
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        ints = all(type(v) is int for v in obj)
-        items = map(str, obj) if ints else (_dumps(v, inner) for v in obj)
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(obj, Gf2Vector):
-        return "[" + inner + _bit_row(obj.bits, obj.dim, "," + inner) + pad + "]"
-    if is_dataclass(obj):
-        return _dumps(_members(obj), pad)
-    return json.dumps(obj)
+    coordinates.  Each distinct 0/1 row is written once per document: a row's
+    text depends on its width and its depth, so one memo per call maps (width,
+    indent) to the text of each row int, and a row met again is copied from it.
+    Each list of plain ints (no bools) is written in one join, and so is each list
+    item that is a tuple of plain ints.  An exact int or str, a dict value
+    included, is written here; bools, None, floats and int or str subclasses go
+    to json.dumps."""
+    memo: dict[tuple[int, str], dict[int, str]] = {}
+
+    def write(obj, pad: str) -> str:
+        kind = type(obj)
+        if kind is int:
+            return str(obj)
+        if kind is str:
+            return encode_basestring_ascii(obj)
+        inner = pad + "  "
+        if isinstance(obj, _BitRows):
+            if not obj.rows:
+                return "[]"
+            texts = memo.setdefault((obj.width, pad), {})
+            cell = inner + "  "
+            spec, sep = f"0{obj.width}b", "," + cell  # as _bit_row, one spec per basis
+            items = [  # a row's text is never empty, so `or` reaches only new rows
+                texts.get(r)
+                or texts.setdefault(r, "[" + cell + sep.join(format(r, spec)[::-1]) + inner + "]")
+                for r in obj.rows
+            ]
+            return "[" + inner + ("," + inner).join(items) + pad + "]"
+        if isinstance(obj, dict) and obj:
+            items = (
+                encode_basestring_ascii(k) + ": "
+                + (str(v) if type(v) is int else
+                   encode_basestring_ascii(v) if type(v) is str else write(v, inner))
+                for k, v in obj.items()
+            )
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+        if isinstance(obj, (list, tuple)) and obj:
+            if all(type(v) is int for v in obj):
+                items = map(str, obj)
+            else:
+                cell = inner + "  "
+                sep = "," + cell
+                items = (
+                    "[" + cell + sep.join(map(str, v)) + inner + "]"
+                    if type(v) is tuple and v and all(type(i) is int for i in v)
+                    else write(v, inner)
+                    for v in obj
+                )
+            return "[" + inner + ("," + inner).join(items) + pad + "]"
+        if isinstance(obj, Gf2Vector):
+            return "[" + inner + _bit_row(obj.bits, obj.dim, "," + inner) + pad + "]"
+        if is_dataclass(obj):
+            return write(_members(obj), pad)
+        return json.dumps(obj)
+
+    return write(obj, "\n")
 
 
 def _from_obj(kind, obj):

@@ -416,10 +416,29 @@ def subspace_count(n: int) -> int:
     return sum(gaussian_binomial(n, k) for k in range(n + 1))
 
 
+# the least n with more than SUBSPACE_ENUM_CAP subspaces in GF(2)^n; the count
+# rises with n, so every larger n is past the cap too
+_FIRST_PAST_CAP = next(n for n in itertools.count() if subspace_count(n) > SUBSPACE_ENUM_CAP)
+
+
 def _check_subspace_cap(n: int) -> None:
-    if (total := subspace_count(n)) > SUBSPACE_ENUM_CAP:
+    """CapExceeded when GF(2)^n has more than SUBSPACE_ENUM_CAP subspaces.
+
+    Below `_FIRST_PAST_CAP` it counts nothing.  At it, the message and
+    `required` carry the exact count.  Past it, the exact count would take
+    seconds at n in the hundreds and have too many digits to print, so the
+    message gives a lower bound: the subspaces of dimension k = n // 2 alone
+    number at least 2^(k(n-k)).
+    """
+    if n < _FIRST_PAST_CAP:
+        return
+    if n == _FIRST_PAST_CAP:
+        total = subspace_count(n)
         message = f"GF(2)^{n} has {total} subspaces, above the cap of {SUBSPACE_ENUM_CAP}"
         raise CapExceeded(message, required=total)
+    k = n // 2
+    bound = f"more than 2^{k * (n - k)}"
+    raise CapExceeded(f"GF(2)^{n} has {bound} subspaces, above the cap of {SUBSPACE_ENUM_CAP}")
 
 
 def _span_table(rows: Sequence[int]) -> list[int]:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import json
@@ -582,6 +583,20 @@ def test_shifted_chain_span_dimension():
         for shifts in itertools.product(*(range(t + 1) for t in sizes)):
             w = shifted_chain_span(f, u, AdmissibleTuple(shifts))
             assert w.dim == sum(t - r for t, r in zip(sizes, shifts))
+
+
+def test_shifted_chains_that_meet_are_refused(monkeypatch):
+    # f u_1 tampered into f^2 u_1: the spans lose a dimension, and both the
+    # walk and shifted_chain_span raise where they would return a smaller subspace
+    f = validate_nilpotent(jordan_matrix((1, 3)))
+    u = generator_tuple(f)
+    u0, u1 = u.chains
+    tampered = dataclasses.replace(u, chains=(u0, (u1[0], u1[2], u1[2])))
+    with pytest.raises(AssertionError, match="shifted chains failed to stay independent"):
+        shifted_chain_span(f, tampered, AdmissibleTuple((0, 1)))
+    monkeypatch.setattr(sys.modules["gf2hyper.classify"], "generator_tuple", lambda g: tampered)
+    with pytest.raises(AssertionError, match="shifted chains failed to stay independent"):
+        _hyperinvariant_lattice(f)
 
 
 def test_monotone_shift_condition():

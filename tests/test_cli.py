@@ -535,6 +535,24 @@ def test_json_stdout_is_pinned(tmp_path, capsys):
     assert digests == PINNED_JSON_STDOUT
 
 
+# sha256 of `lattice --which hinv --json` on seeded conjugates of two shapes of
+# the lattice benchmark workload, taken while every row was still formatted
+# afresh: each node's basis repeats rows of the nodes it covers
+PINNED_LATTICE_STDOUT = {
+    (2, 4, 6, 8): "f43351a3b32ab8eba4505ec608155342b37c9d320dffde683174d1494bde300f",
+    (1, 3, 5, 7): "06d0523d19268df2ba35228db6db6ac7aab7e996ff0164be6f1bb6f0bcc4d9fb",
+}
+
+
+def test_lattice_json_stdout_is_pinned_at_benchmark_sizes(conjugate, tmp_path, capsys):
+    rng = random.Random(33)
+    m = tmp_path / "f.txt"
+    for sizes, digest in PINNED_LATTICE_STDOUT.items():
+        m.write_text(format_matrix(conjugate(sizes, rng).mat))
+        assert main(["lattice", str(m), "--which", "hinv", "--json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, sizes
+
+
 JSON_SCALARS = (
     st.none()
     | st.booleans()
@@ -598,6 +616,20 @@ def test_dumps_writes_packed_values_as_the_coordinate_oracle(case):
     values = [m, s, {"s": s, "pair": (m, [s])}, *(Gf2Vector(r, width) for r in rows)]
     for value in values:
         assert _dumps(value) == json.dumps(json_tree(value), indent=2)
+
+
+@given(st.integers(1, 70), st.integers(1, 70), st.data())
+@settings(max_examples=100, deadline=None)
+def test_dumps_keys_each_row_text_by_width_and_depth(width, extra, data):
+    # one row int at two widths and at two depths, in one document written twice
+    # in a row: a row's text may be copied only at the width and depth it was
+    # written at, and each call starts its own memo
+    row = data.draw(st.integers(0, (1 << width) - 1))
+    narrow, wide = Gf2Matrix((row, row), width), Gf2Matrix((row,), width + extra)
+    doc = {"narrow": narrow, "wide": wide, "deeper": [{"wide": wide, "narrow": narrow}], "again": narrow}
+    expected = json.dumps(json_tree(doc), indent=2)
+    assert _dumps(doc) == expected
+    assert _dumps(doc) == expected
 
 
 @given(st.sampled_from([sizes for n in range(1, 8) for sizes in partitions(n)]), st.integers(0, 2**32))
@@ -734,6 +766,26 @@ def test_lattice_refuses_dimension_ten_at_the_largest_cap(which, tmp_path, monke
     assert SUBSPACE_ENUM_CAP == 1 << 24
     assert main(["lattice", str(p), "--which", which]) == 5
     assert "229755605 subspaces" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["lattice", "--which", "inv"], ["lattice", "--which", "chinv"], ["analyze", "--census"]]
+)
+def test_cap_refuses_a_large_space_without_counting_it(argv, tmp_path, monkeypatch, capsys):
+    # GF(2)^300 has more subspaces than an int may have digits as text: the cap
+    # is passed by a bound, and the exact count is never built
+    def refuse(n):
+        raise AssertionError("the subspace count was built")
+
+    monkeypatch.setattr("gf2hyper.gf2.subspace_count", refuse)
+    p = tmp_path / "zero300.txt"
+    p.write_text(format_matrix(Gf2Matrix.zeros(300, 300)))
+    assert main([argv[0], str(p), *argv[1:]]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: GF(2)^300 has more than 2^22500 subspaces, above the cap of 16777216\n"
+    )
 
 
 def test_verify_paper_suite(capsys):

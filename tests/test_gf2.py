@@ -24,7 +24,15 @@ from gf2hyper import (
     subspace_count,
     validate_nilpotent,
 )
-from gf2hyper.gf2 import _echelonize, _subspace_rows, enumerate_subspaces
+from gf2hyper import gf2
+from gf2hyper.gf2 import (
+    SUBSPACE_ENUM_CAP,
+    _FIRST_PAST_CAP,
+    _check_subspace_cap,
+    _echelonize,
+    _subspace_rows,
+    enumerate_subspaces,
+)
 from gf2hyper.verify import jordan_operator, partitions
 
 from conftest import (
@@ -325,6 +333,25 @@ def test_enumerate_subspaces_cap():
     with pytest.raises(CapExceeded) as info:
         next(enumerate_subspaces(10))
     assert info.value.required == subspace_count(10)
+
+
+def test_subspace_cap_counts_only_the_first_space_past_it(monkeypatch):
+    assert subspace_count(_FIRST_PAST_CAP - 1) <= SUBSPACE_ENUM_CAP < subspace_count(_FIRST_PAST_CAP)
+    # past the first space, the message's bound is below the exact count
+    for n in range(_FIRST_PAST_CAP + 1, 40):
+        assert subspace_count(n) > 2 ** ((n // 2) * (n - n // 2))
+
+    def refuse(n):
+        raise AssertionError("the subspace count was built")
+
+    monkeypatch.setattr(gf2, "subspace_count", refuse)
+    for n in range(_FIRST_PAST_CAP):
+        _check_subspace_cap(n)
+    for n, bound in ((11, 30), (300, 22500), (10**6, 250000000000)):
+        with pytest.raises(CapExceeded) as info:
+            _check_subspace_cap(n)
+        assert str(info.value) == f"GF(2)^{n} has more than 2^{bound} subspaces, above the cap of 16777216"
+        assert info.value.required is None
 
 
 def test_subspace_rows_onto_the_leading_positions():
