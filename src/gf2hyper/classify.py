@@ -9,8 +9,9 @@ decides all three.  The scan runs in the Jordan chain coordinates of
 stopped: that map's index and the row it moved out.  A reader that
 reports a witness builds that one map as a matrix.  Marked checks only
 the pairs (a, r) of the intersection criterion that can fail, in the
-same coordinates.  `invariant_subspaces` lifts each invariant subspace
-once, down the image chain.  Each lattice yields its own covers: a walk
+same coordinates, from one graded echelon of s and one of each f^a s.
+`invariant_subspaces` lifts each invariant subspace once, down the
+image chain.  Each lattice yields its own covers: a walk
 up from zero for the invariant and the characteristic subspaces, the
 shift tuples for the hyperinvariant ones.
 """
@@ -26,6 +27,7 @@ from .gf2 import (
     Gf2Matrix,
     Gf2Vector,
     Subspace,
+    _apply_columns,
     _echelonize,
     _lowest_bit,
     _reduce_against,
@@ -138,28 +140,31 @@ def _stability_maps(f: NilpotentOperator) -> tuple[_ScanMap, ...]:
 @_per_operator
 def _chain_coordinates(
     f: NilpotentOperator,
-) -> tuple[Gf2Matrix | None, tuple[_ScanMap, ...], tuple[int, ...]]:
-    """What classification keeps on the operator: P^-1 (None when it is the
-    identity), the `_stability_maps`, and the masks images[m] of Im f^m in
-    chain coordinates, where f^m is (x << m) & images[m]."""
+) -> tuple[tuple[int, ...] | None, tuple[_ScanMap, ...], tuple[int, ...]]:
+    """What classification keeps on the operator: the columns of P^-1 (None
+    when it is the identity), the `_stability_maps`, and the masks images[m]
+    of Im f^m in chain coordinates, where f^m is (x << m) & images[m]."""
     _, p_inv = chain_frame(f)
     u = generator_tuple(f)
     images = tuple(
         _tail_mask(u, [min(m, t) for t in u.exponents]) for m in range(f.index + 1)
     )
-    to_chain = None if p_inv == Gf2Matrix.identity(f.dim) else p_inv
+    to_chain = None if p_inv == tuple(1 << j for j in range(f.dim)) else p_inv
     return to_chain, _stability_maps(f), images
 
 
-def _in_chains(s: Subspace, to_chain: Gf2Matrix | None) -> tuple[Sequence[int], ...]:
+def _in_chains(f: NilpotentOperator, s: Subspace) -> tuple[Sequence[int], ...]:
     """P^-1 r for each basis row r of s, in order, and their RREF basis and pivots.
 
     With P the identity, as for every Jordan matrix with nondecreasing
     blocks, these are the rows of s as they are.
     """
+    if s.ambient_dim != f.dim:
+        raise DimensionMismatch("subspace does not match the operator")
+    to_chain = _chain_coordinates(f)[0]
     if to_chain is None:
         return s.rows, s.rows, s.pivots
-    xs = [to_chain.apply_bits(r) for r in s.rows]
+    xs = [_apply_columns(to_chain, r) for r in s.rows]
     return (xs, *_echelonize(xs))
 
 
@@ -184,7 +189,7 @@ def _witness(f: NilpotentOperator, s: Subspace, at: int, row: int) -> Witness:
     return Witness(g, Gf2Vector(row, f.dim))
 
 
-def _first_exit(f: NilpotentOperator, s: Subspace) -> tuple[int, int, int | None]:
+def _first_exit(f: NilpotentOperator, s: Subspace, chain=None) -> tuple[int, int, int | None]:
     """Scan every stability map, in order, over the basis rows of s, in order.
 
     Returns (kind, at, row): the kind and the index in `_stability_maps`
@@ -193,12 +198,10 @@ def _first_exit(f: NilpotentOperator, s: Subspace) -> tuple[int, int, int | None
     three classes, and `_witness(f, s, at, row)` builds the map for a
     reader that reports it.  The scan runs in chain coordinates, where
     each map is a shift and a mask (`_chain_coordinates`), and builds no
-    matrix.
+    matrix.  `chain` is `_in_chains(f, s)` when the caller has it.
     """
-    if s.ambient_dim != f.dim:
-        raise DimensionMismatch("subspace does not match the operator")
-    to_chain, maps, _ = _chain_coordinates(f)
-    xs, basis, pivots = _in_chains(s, to_chain)
+    xs, basis, pivots = chain or _in_chains(f, s)
+    maps = _chain_coordinates(f)[1]
     for at, (kind, _, a, m, b) in enumerate(maps):
         for row, x in zip(s.rows, xs):
             if (y := ((x >> a) & m) << b) and _reduce_against(y, basis, pivots):
@@ -238,38 +241,41 @@ def is_characteristic(f: NilpotentOperator, s: Subspace) -> tuple[bool, Witness 
 
 def is_marked(f: NilpotentOperator, s: Subspace) -> bool:
     """Invariant and meeting the intersection criterion (`_marked`)."""
-    return is_invariant(f, s) and _marked(f, s)
+    return is_invariant(f, s) and _marked(f, _in_chains(f, s)[0])
 
 
-def _rank(rows: Iterable[int]) -> int:
-    return _rref_extend({}, 0, rows).bit_count()
-
-
-def _meet(rows: Sequence[int], mask: int) -> list[int]:
-    """A basis of span(rows) ∩ the coordinate subspace on the bits of `mask`,
-    for independent rows.
-
-    Eliminates on the bits outside the mask: rows that keep such a bit
-    are independent outside it, and those reduced to none span the
-    intersection.
-    """
+def _meet(rows: Iterable[int], mask: int) -> tuple[list[int], list[int]]:
+    """Rows eliminated on the bits outside `mask`: those that keep such a bit,
+    independent outside it, and the nonzero rest, reduced to none there,
+    which span span(rows) ∩ the coordinate subspace on the bits of mask."""
     outside: list[tuple[int, int]] = []
     inside = []
     for x in rows:
         for p, b in outside:
             if (x >> p) & 1:
                 x ^= b
-        rest = x & ~mask
-        if rest:
+        if rest := x & ~mask:
             outside.append((_lowest_bit(rest), x))
-        else:
+        elif x:
             inside.append(x)
-    return inside
+    return [b for _, b in outside], inside
 
 
-def _marked(f: NilpotentOperator, s: Subspace) -> bool:
-    """Intersection criterion on an invariant s:
-    f^a s ∩ Im f^(a+r) = f^a (s ∩ Im f^r) for all a, r ≥ 0.
+def _levels(rows: Iterable[int], images: Sequence[int]) -> list[list[int]]:
+    """A graded echelon of span(rows): levels[k] holds the rows leading at level
+    k, the bits of images[k] outside images[k + 1], `_meet` level by level up.
+    No row has a bit below its lead level, and at each level the parts of the
+    rows leading there are independent."""
+    levels = []
+    for above in images[1:]:
+        lead, rows = _meet(rows, above)
+        levels.append(lead)
+    return levels
+
+
+def _marked(f: NilpotentOperator, rows: Sequence[int]) -> bool:
+    """Intersection criterion on an invariant s, given P^-1 of a basis of s
+    (`_in_chains`): f^a s ∩ Im f^(a+r) = f^a (s ∩ Im f^r) for all a, r ≥ 0.
 
     Only the pairs with 1 ≤ a, 1 ≤ r and a + r < index can fail; every
     other pair holds for any s:
@@ -281,21 +287,30 @@ def _marked(f: NilpotentOperator, s: Subspace) -> bool:
 
     The right side always lies inside the left, so equal dimensions
     decide each pair.  Both are counted in chain coordinates, where f^a
-    is a shift and a mask and Im f^m a coordinate subspace
-    (`_chain_coordinates`).
+    is x ↦ (x << a) & images[a] and Im f^m is spanned by the bits of
+    level m and above, from one graded echelon (`_levels`) of s and one
+    of each f^a s.  In a graded echelon the lowest level of a nonzero
+    combination of the rows is the least lead level L among the rows it
+    uses: each is zero below its lead level, and at level L only those
+    leading at L have bits, whose parts there are independent, so they
+    do not cancel.  So V ∩ Im f^m, for V the span, is spanned by the
+    rows that lead at m or above, and its dimension is their count.
+    Hence dim(f^a s ∩ Im f^(a+r)) counts the rows of f^a s that lead at
+    a + r or above, and dim f^a (s ∩ Im f^r) is the rank of f^a of the
+    rows of s that lead at r or above, kept running as r falls.  f^a
+    sends rows leading at index - a or above to 0, so r starts below.
     """
     if f.index <= 2:
         return True
-    to_chain, _, images = _chain_coordinates(f)
-    _, basis, _ = _in_chains(s, to_chain)
-    meets = {r: _meet(basis, images[r]) for r in range(1, f.index - 1)}
+    images = _chain_coordinates(f)[2]
+    levels = _levels(rows, images)
     for a in range(1, f.index - 1):
-        mapped = [(x << a) & images[a] for x in basis]
-        mapped_dim = _rank(mapped)
-        for r in range(1, f.index - a):
-            lhs = mapped_dim - _rank(y & ~images[a + r] for y in mapped)
-            rhs = _rank((x << a) & images[a] for x in meets[r])
-            if lhs != rhs:
+        mapped = _levels(((x << a) & images[a] for x in rows), images[a:])  # from level a
+        form, lhs, pivots = {}, 0, 0
+        for r in range(f.index - a - 1, 0, -1):
+            lhs += len(mapped[r])
+            pivots = _rref_extend(form, pivots, ((x << a) & images[a] for x in levels[r]))
+            if pivots.bit_count() != lhs:
                 return False
     return True
 
@@ -396,7 +411,7 @@ def _stable_lattice(f: NilpotentOperator, through: int) -> _Lattice:
         for x in level:
             form = dict(zip((1 << p for p in x.pivots), x.rows))
             mask = sum(form)
-            _rref_extend(form, mask, ends + tuple(y >> 1 for y in _meet(x.rows, images[1])))
+            _rref_extend(form, mask, ends + tuple(y >> 1 for y in _meet(x.rows, images[1])[1]))
             lines = [r for p, r in form.items() if not p & mask]
             spans = {_closure(x, v, scan) for v in _span_table(lines)[1:]}
             covers[x] = [
@@ -407,7 +422,7 @@ def _stable_lattice(f: NilpotentOperator, through: int) -> _Lattice:
             ]
         level = {y for x in level for y in covers[x] if y not in covers}
     p, _ = chain_frame(f)
-    std = {x: p.map_subspace(x) for x in covers}
+    std = {x: Subspace.span_bits((_apply_columns(p, r) for r in x.rows), f.dim) for x in covers}
     at = {x: i for i, x in enumerate(sorted(covers, key=lambda x: (std[x].dim, std[x].rows)))}
     edges = sorted((at[x], at[y]) for x, ys in covers.items() for y in ys)
     return tuple(std[x] for x in at), tuple(edges)
@@ -508,11 +523,12 @@ def largest_hyperinvariant_inside(
 def classify(f: NilpotentOperator, s: Subspace) -> ClassificationReport:
     """All four verdicts from one stability scan plus the intersection
     criterion, with hyperinvariant = characteristic and marked enforced."""
-    kind, at, row = _first_exit(f, s)
+    chain = _in_chains(f, s)
+    kind, at, row = _first_exit(f, s, chain)
     bad = None if kind == STABLE else _witness(f, s, at, row)
     if kind == MOVED_BY_F:
         return ClassificationReport(s, False, False, False, False, invariance_witness=bad)
-    marked = _marked(f, s)
+    marked = _marked(f, chain[0])
     char = kind > MOVED_BY_UNIT
     if (bad is None) != (char and marked):
         raise AssertionError("hyperinvariant must coincide with characteristic-and-marked")

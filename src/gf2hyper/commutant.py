@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import CapExceeded
-from .gf2 import Gf2Matrix, Subspace
+from .gf2 import Gf2Matrix, Gf2Vector, Subspace, _apply_columns
 from .nilpotent import (
     NilpotentOperator,
     _per_operator,
@@ -74,15 +74,15 @@ def _chain_map(f: NilpotentOperator, c: int, i: int, j: int) -> Gf2Matrix:
     N_(c,i,j) sends f^k u_c to f^(j+k) u_i and every other chain to 0.
     It commutes with f exactly when max(0, t_i - t_c) <= j < t_i.  It is
     P E P^-1, with P the chain matrix of the generator tuple and E the
-    shift written in chain coordinates.
+    shift written in chain coordinates, built column by column from the
+    columns of P and P^-1 (`chain_frame`).
     """
     p, p_inv = chain_frame(f)
-    offsets = generator_tuple(f).offsets
-    rows = [0] * f.dim
-    # E P^-1 moves row offsets[c] + k of P^-1 to row offsets[i] + j + k
-    for k in range(offsets[i + 1] - offsets[i] - j):
-        rows[offsets[i] + j + k] = p_inv.rows[offsets[c] + k]
-    m = p @ Gf2Matrix(tuple(rows), f.dim)
+    o = generator_tuple(f).offsets
+    a, mask, b = o[c], (1 << (o[i + 1] - o[i] - j)) - 1, o[i] + j
+    m = Gf2Matrix.from_columns(
+        Gf2Vector(_apply_columns(p, ((x >> a) & mask) << b), f.dim) for x in p_inv
+    )
     if m @ f.mat != f.mat @ m:
         raise AssertionError("chain map does not commute with f")
     return m

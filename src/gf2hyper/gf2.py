@@ -84,6 +84,16 @@ def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
     return tuple(int("".join(col), 2) for col in reversed(tuple(zip(*text))))
 
 
+def _apply_columns(columns: Sequence[int], bits: int) -> int:
+    """Mv for the matrix M of these packed columns: those at the set bits of v."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out ^= columns[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
 def _reduce_against(bits: int, basis: tuple[int, ...], pivots: tuple[int, ...]) -> int:
     for p, b in zip(pivots, basis):
         if (bits >> p) & 1:
@@ -202,7 +212,7 @@ class Gf2Matrix:
         return self.n_rows == self.n_cols
 
     def apply_bits(self, bits: int) -> int:
-        """Mv as the sum of the columns at the set bits of v."""
+        """Mv as the sum of the columns at the set bits of v (`_apply_columns`, inlined)."""
         columns = self._columns
         out = 0
         while bits:

@@ -7,12 +7,12 @@ Ker f ∩ Im f^j, and those generators.  The generator tuple (cyclic
 decomposition) walks each generator's Jordan chain f^k u_i once, and
 is the one record of the block structure: the exponents, the Ulm
 sequence (block-size multiplicities), the elementary divisors, the
-kernel chain, the chain matrix, the equal-exponent summands and every
+kernel chain, the chain frame, the equal-exponent summands and every
 chain span elsewhere in the package are read off it.
 
 It also owns the chain coordinates the package computes in: bit
-offsets[i] + k stands for f^k u_i, `chain_frame` gives the change of
-basis P, P^-1, and `_tail_mask` the masks of chain tails.
+offsets[i] + k stands for f^k u_i, `chain_frame` gives the columns of
+the change of basis P and of P^-1, `_tail_mask` the masks of chain tails.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .errors import DimensionMismatch, NotAGeneratorTuple, NotNilpotent, NotSquare
+from .errors import DimensionMismatch, NotAGeneratorTuple, NotNilpotent, NotSquare, SingularMatrix
 from .gf2 import Gf2Matrix, Gf2Vector, Subspace, _rref_extend, _rref_rows
 
 
@@ -129,7 +129,8 @@ class GeneratorTuple:
     partition[mu] = (exponent, indices) mirrors the equal-exponent
     summands of the space.  ``chains[i][k]`` is the bits of f^k u_i, and
     ``offsets[i]`` the chain coordinate of u_i: f^k u_i is coordinate
-    offsets[i] + k, and offsets[-1] is the dimension.
+    offsets[i] + k, and offsets[-1] is the dimension.  ``inverse_columns[j]``
+    is column j of P^-1 for the chain matrix P: the chain coordinates of e_j.
     """
 
     generators: tuple[Gf2Vector, ...]
@@ -137,6 +138,7 @@ class GeneratorTuple:
     partition: tuple[tuple[int, tuple[int, ...]], ...]
     chains: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     offsets: tuple[int, ...] = field(compare=False, repr=False)
+    inverse_columns: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def class_count(self) -> int:
@@ -298,7 +300,8 @@ def make_generator_tuple(
     """Validate that the vectors decompose the space into cyclic summands.
 
     Walks each generator under f once; the walks are the stored chains,
-    and their lengths are the exponents.
+    and their lengths are the exponents.  One elimination proves the chains
+    independent and inverts P^T, the entries as rows: its rows are P^-1's columns.
     """
     gens = tuple(generators)
     if not gens:
@@ -318,8 +321,10 @@ def make_generator_tuple(
         raise NotAGeneratorTuple("exponents must be nondecreasing")
     if sum(exps) != f.dim:
         raise NotAGeneratorTuple("chain lengths do not sum to the dimension")
-    if Subspace.span_bits((b for c in chains for b in c), f.dim).dim != f.dim:
-        raise NotAGeneratorTuple("chains are linearly dependent")
+    try:
+        inverse = Gf2Matrix(tuple(b for c in chains for b in c), f.dim).inverse()
+    except SingularMatrix:
+        raise NotAGeneratorTuple("chains are linearly dependent") from None
     partition = []
     for i, a in enumerate(exps):
         if partition and partition[-1][0] == a:
@@ -328,7 +333,7 @@ def make_generator_tuple(
             partition.append((a, [i]))
     frozen = tuple((a, tuple(ix)) for a, ix in partition)
     offsets = tuple(itertools.accumulate(exps, initial=0))
-    return GeneratorTuple(gens, exps, frozen, tuple(chains), offsets)
+    return GeneratorTuple(gens, exps, frozen, tuple(chains), offsets, inverse.rows)
 
 
 @_per_operator
@@ -346,24 +351,21 @@ def generator_tuple(f: NilpotentOperator) -> GeneratorTuple:
     return u
 
 
-def chain_matrix(f: NilpotentOperator, u: GeneratorTuple) -> Gf2Matrix:
-    """Basis-change matrix whose columns are the Jordan chains of u."""
-    return Gf2Matrix.from_columns(Gf2Vector(b, f.dim) for c in u.chains for b in c)
-
-
 @_per_operator
-def chain_frame(f: NilpotentOperator) -> tuple[Gf2Matrix, Gf2Matrix]:
-    """The chain matrix P of the generator tuple and P^-1.
+def chain_frame(f: NilpotentOperator) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The columns of the chain matrix P of the generator tuple (column
+    offsets[i] + k is f^k u_i) and of P^-1, from `make_generator_tuple`.
 
     f P = P J for the Jordan matrix J of the chain lengths; that is
-    checked here, once per operator, for every map later written as a
-    shift in these chain coordinates.
+    checked here column by column, once per operator, for every map later
+    written as a shift in these chain coordinates: f sends each f^k u_i
+    to the next entry of its chain, and the chain end to 0.
     """
     u = generator_tuple(f)
-    p = chain_matrix(f, u)
-    if f.mat @ p != p @ jordan_matrix(u.exponents):
-        raise AssertionError("the chains do not carry f to its Jordan form")
-    return p, p.inverse()
+    for chain in u.chains:
+        if any(f.mat.apply_bits(b) != image for b, image in zip(chain, chain[1:] + (0,))):
+            raise AssertionError("the chains do not carry f to its Jordan form")
+    return tuple(b for c in u.chains for b in c), u.inverse_columns
 
 
 def _tail_mask(u: GeneratorTuple, shifts: Iterable[int]) -> int:

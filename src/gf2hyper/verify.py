@@ -25,6 +25,7 @@ from .classify import (
     MOVED_BY_UNIT,
     STABLE,
     _first_exit,
+    _in_chains,
     _marked,
     classify,
     hyperinvariant_lattice,
@@ -86,11 +87,12 @@ def census(block_sizes: tuple[int, ...]) -> SubspaceCensus:
     f = jordan_operator(block_sizes)
     invariant, marked, characteristic, hyperinvariant = [], [], [], []
     for s in sorted(invariant_subspaces(f), key=lambda s: (s.dim, s.pivots, s.rows)):
-        kind = _first_exit(f, s)[0]
+        chain = _in_chains(f, s)
+        kind = _first_exit(f, s, chain)[0]
         if kind == MOVED_BY_F:
             raise AssertionError("lifted subspace is not invariant")
         invariant.append(s)
-        if _marked(f, s):
+        if _marked(f, chain[0]):
             marked.append(s)
         if kind > MOVED_BY_UNIT:
             characteristic.append(s)

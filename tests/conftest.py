@@ -25,7 +25,19 @@ from gf2hyper.classify import (
 )
 from gf2hyper.commutant import _chain_map
 from gf2hyper.errors import DimensionMismatch, ParseError
-from gf2hyper.nilpotent import chain_matrix, jordan_matrix
+from gf2hyper.nilpotent import jordan_matrix
+
+
+# the shapes of the benchmark's large workload: n = 24 to 33, index 7 to 16
+LARGE_SHAPES = (
+    (1, 3, 5, 7, 9),
+    (2, 3, 5, 7, 9),
+    (1, 2, 3, 4, 6, 8),
+    (4, 6, 8, 10),
+    (1, 2, 3, 4, 5, 6, 7),
+    (1, 2, 4, 8, 16),
+    (1, 1, 2, 3, 5, 8, 13),
+)
 
 
 def monotone_shift_condition(
@@ -38,6 +50,12 @@ def monotone_shift_condition(
         return False
     co = [t - x for t, x in zip(exponents, r)]
     return all(x <= y for x, y in zip(co, co[1:]))
+
+
+def chain_matrix(f, u):
+    """Oracle for nilpotent.chain_frame: the basis-change matrix P whose
+    columns are the Jordan chains of u."""
+    return Gf2Matrix.from_columns(Gf2Vector(b, f.dim) for c in u.chains for b in c)
 
 
 def contains_subspace(outer, inner):
@@ -76,9 +94,10 @@ def stability_matrices(f):
     return tuple(maps)
 
 
-def first_exit_by_matrices(f, s):
+def first_exit_by_matrices(f, s, chain=None):
     """Oracle for classify._first_exit: every map of `stability_matrices`
-    applied as a matrix to each basis row of s, in order."""
+    applied as a matrix to each basis row of s, in order.  The chain rows
+    that `_first_exit` may be handed are not read."""
     if s.ambient_dim != f.dim:
         raise DimensionMismatch("subspace does not match the operator")
     maps = stability_matrices(f)

@@ -20,17 +20,19 @@ from gf2hyper import (
     ulm_sequence,
     validate_nilpotent,
 )
+from gf2hyper import nilpotent
 from gf2hyper.classify import _monotone_shifts, hyperinvariant_lattice
 from gf2hyper.nilpotent import (
     UlmSequence,
     _tail_mask,
     chain_frame,
-    chain_matrix,
     jordan_matrix,
 )
 from gf2hyper.verify import jordan_operator, partitions
 
 from conftest import (
+    LARGE_SHAPES,
+    chain_matrix,
     cyclic_subspace,
     generator_tuple_by_intersection,
     power_tower,
@@ -205,7 +207,7 @@ def test_generator_tuple_matches_the_intersection_oracle(conjugate):
             assert tops == _greedy_socle_picks(f, powers), sizes
 
 
-def test_make_generator_tuple_rejections(golden, e):
+def test_make_generator_tuple_rejections(golden, e, conjugate):
     with pytest.raises(NotAGeneratorTuple):
         make_generator_tuple(golden, [])
     with pytest.raises(DimensionMismatch):
@@ -214,8 +216,13 @@ def test_make_generator_tuple_rejections(golden, e):
         make_generator_tuple(golden, [e[1], e[0]])  # exponents decreasing
     with pytest.raises(NotAGeneratorTuple):
         make_generator_tuple(golden, [e[0], e[1], e[2]])  # wrong total length
-    with pytest.raises(NotAGeneratorTuple):
+    with pytest.raises(NotAGeneratorTuple, match="linearly dependent"):
         make_generator_tuple(golden, [e[3], e[1]])  # chains overlap
+    f = conjugate((1, 3), random.Random(109))
+    u = generator_tuple(f)
+    top = Gf2Vector(u.chains[1][2], 4)  # f^2 u_1, the end of the long chain
+    with pytest.raises(NotAGeneratorTuple, match="linearly dependent"):
+        make_generator_tuple(f, [top, u.generators[1]])
 
 
 def test_cyclic_subspace(golden, golden_x, e):
@@ -313,8 +320,7 @@ def test_chain_tail_masks_span_the_operators_own_chains(conjugate):
         for sizes in partitions(n):
             for f in (jordan_operator(sizes), conjugate(sizes, rng)):
                 u = generator_tuple(f)
-                p, p_inv = chain_frame(f)
-                assert p == chain_matrix(f, u) and p @ p_inv == Gf2Matrix.identity(n)
+                p = chain_matrix(f, u)
                 assert u.offsets[-1] == n
                 for m in range(f.index + 1):
                     images = _tail_mask(u, [min(m, t) for t in u.exponents])
@@ -326,6 +332,43 @@ def test_chain_tail_masks_span_the_operators_own_chains(conjugate):
                 assert sorted(spans, key=lambda s: (s.dim, s.rows)) == list(
                     hyperinvariant_lattice(f)
                 ), sizes
+
+
+def _columns(m):
+    return tuple(m.apply_bits(1 << j) for j in range(m.n_cols))
+
+
+def test_chain_frame_matches_the_inverted_chain_matrix(conjugate):
+    # oracle: P built as a matrix from the chains and inverted by its own elimination
+    rng = random.Random(101)
+    operators = [conjugate(sizes, rng) for sizes in LARGE_SHAPES]
+    for n in range(1, 9):
+        for sizes in partitions(n):
+            operators += [jordan_operator(sizes), conjugate(sizes, rng)]
+    for f in operators:
+        u = generator_tuple(f)
+        p = chain_matrix(f, u)
+        assert u.inverse_columns == _columns(p.inverse())
+        assert chain_frame(f) == (_columns(p), u.inverse_columns)
+
+
+def test_chain_frame_refuses_a_tampered_chain_entry(conjugate, monkeypatch):
+    # each chain entry tampered after the walk, by adding the generator of the
+    # longest chain, breaks f v_k = v_(k+1) at that column or the one before it
+    rng = random.Random(103)
+    for sizes in ((1, 3), (1, 1, 2, 4), (2, 2, 3)):
+        f = conjugate(sizes, rng)
+        u = generator_tuple(f)
+        x = u.chains[-1][0]
+        for i, k in ((i, k) for i, chain in enumerate(u.chains) for k in range(len(chain))):
+            chains = [list(c) for c in u.chains]
+            chains[i][k] ^= x
+            tampered = dataclasses.replace(u, chains=tuple(map(tuple, chains)))
+            monkeypatch.setattr(nilpotent, "generator_tuple", lambda g: tampered)
+            with pytest.raises(AssertionError, match="do not carry f to its Jordan form"):
+                chain_frame(f)
+        monkeypatch.undo()
+        assert chain_frame(f)[1] == u.inverse_columns
 
 
 def test_ulm_invariant_under_conjugation(golden):

@@ -21,6 +21,7 @@ from gf2hyper import (
     ulm_form_condition,
     ulm_sequence,
 )
+from gf2hyper.gf2 import _apply_columns
 from gf2hyper.nilpotent import UlmSequence, _tail_mask, chain_frame
 from gf2hyper.shoda import _shoda_pairs
 from gf2hyper.verify import ORACLE_MAX_DIM, jordan_operator, partitions
@@ -163,7 +164,7 @@ def test_linking_vector_projects_onto_its_short_chain_entry(conjugate):
                     r = u.class_indices(rho)[0]
                     chain_r = _tail_mask(u, [0 if i == r else t for i, t in enumerate(u.exponents)])
                     z = linking_vector(f, u, rho, tau)
-                    on_chain = p.apply_bits(p_inv.apply_bits(z.bits) & chain_r)
+                    on_chain = _apply_columns(p, _apply_columns(p_inv, z.bits) & chain_r)
                     assert on_chain == u.chains[r][a_rho - 1], (sizes, a_rho, a_tau)
                     cases += 1
     assert cases == 2 * 30
