@@ -189,7 +189,9 @@ def _witness(f: NilpotentOperator, s: Subspace, at: int, row: int) -> Witness:
     return Witness(g, Gf2Vector(row, f.dim))
 
 
-def _first_exit(f: NilpotentOperator, s: Subspace, chain=None) -> tuple[int, int, int | None]:
+def _first_exit(
+    f: NilpotentOperator, s: Subspace, chain: tuple[Sequence[int], ...]
+) -> tuple[int, int, int | None]:
     """Scan every stability map, in order, over the basis rows of s, in order.
 
     Returns (kind, at, row): the kind and the index in `_stability_maps`
@@ -198,9 +200,9 @@ def _first_exit(f: NilpotentOperator, s: Subspace, chain=None) -> tuple[int, int
     three classes, and `_witness(f, s, at, row)` builds the map for a
     reader that reports it.  The scan runs in chain coordinates, where
     each map is a shift and a mask (`_chain_coordinates`), and builds no
-    matrix.  `chain` is `_in_chains(f, s)` when the caller has it.
+    matrix.  `chain` is `_in_chains(f, s)`, which callers share with `_marked`.
     """
-    xs, basis, pivots = chain or _in_chains(f, s)
+    xs, basis, pivots = chain
     maps = _chain_coordinates(f)[1]
     for at, (kind, _, a, m, b) in enumerate(maps):
         for row, x in zip(s.rows, xs):
@@ -210,7 +212,7 @@ def _first_exit(f: NilpotentOperator, s: Subspace, chain=None) -> tuple[int, int
 
 
 def is_invariant(f: NilpotentOperator, s: Subspace) -> bool:
-    return _first_exit(f, s)[0] != MOVED_BY_F
+    return _first_exit(f, s, _in_chains(f, s))[0] != MOVED_BY_F
 
 
 def is_hyperinvariant(f: NilpotentOperator, s: Subspace) -> tuple[bool, Witness | None]:
@@ -220,7 +222,7 @@ def is_hyperinvariant(f: NilpotentOperator, s: Subspace) -> tuple[bool, Witness 
     as an algebra; sums and products extend the verdict to all of it.
     The witness is the first map of the tuple that moves s.
     """
-    kind, at, row = _first_exit(f, s)
+    kind, at, row = _first_exit(f, s, _in_chains(f, s))
     hyper = kind == STABLE
     return hyper, None if hyper else _witness(f, s, at, row)
 
@@ -234,7 +236,7 @@ def is_characteristic(f: NilpotentOperator, s: Subspace) -> tuple[bool, Witness 
     characteristic exactly when the first map that moves it is a
     projection, or none does.
     """
-    kind, at, row = _first_exit(f, s)
+    kind, at, row = _first_exit(f, s, _in_chains(f, s))
     char = kind > MOVED_BY_UNIT
     return char, None if char else _witness(f, s, at, row)
 

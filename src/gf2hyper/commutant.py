@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import CapExceeded
-from .gf2 import Gf2Matrix, Gf2Vector, Subspace, _apply_columns
+from .gf2 import Gf2Matrix, Subspace, _apply_columns, _transpose
 from .nilpotent import (
     NilpotentOperator,
     _per_operator,
@@ -80,12 +80,12 @@ def _chain_map(f: NilpotentOperator, c: int, i: int, j: int) -> Gf2Matrix:
     p, p_inv = chain_frame(f)
     o = generator_tuple(f).offsets
     a, mask, b = o[c], (1 << (o[i + 1] - o[i] - j)) - 1, o[i] + j
-    m = Gf2Matrix.from_columns(
-        Gf2Vector(_apply_columns(p, ((x >> a) & mask) << b), f.dim) for x in p_inv
-    )
-    if m @ f.mat != f.mat @ m:
+    cols = [_apply_columns(p, ((x >> a) & mask) << b) for x in p_inv]
+    # f m e_k against m f e_k, column by column: no product, no row matrix
+    fc = f.mat._columns
+    if any(_apply_columns(fc, y) != _apply_columns(cols, x) for y, x in zip(cols, fc)):
         raise AssertionError("chain map does not commute with f")
-    return m
+    return Gf2Matrix(_transpose(cols, f.dim), f.dim)
 
 
 @_per_operator

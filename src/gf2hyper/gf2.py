@@ -184,16 +184,6 @@ class Gf2Matrix:
             raise DimensionMismatch("rows have unequal length")
         return cls(tuple(v.bits for v in vecs), width)
 
-    @classmethod
-    def from_columns(cls, columns: Iterable[Gf2Vector]) -> Gf2Matrix:
-        cols = list(columns)
-        if not cols:
-            raise ValueError("from_columns needs at least one column")
-        height = cols[0].dim
-        if any(c.dim != height for c in cols):
-            raise DimensionMismatch("columns have unequal height")
-        return cls(_transpose([c.bits for c in cols], height), len(cols))
-
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 
@@ -212,14 +202,8 @@ class Gf2Matrix:
         return self.n_rows == self.n_cols
 
     def apply_bits(self, bits: int) -> int:
-        """Mv as the sum of the columns at the set bits of v (`_apply_columns`, inlined)."""
-        columns = self._columns
-        out = 0
-        while bits:
-            low = bits & -bits
-            out ^= columns[low.bit_length() - 1]
-            bits ^= low
-        return out
+        """Mv as the sum of the columns at the set bits of v."""
+        return _apply_columns(self._columns, bits)
 
     def apply(self, v: Gf2Vector) -> Gf2Vector:
         if v.dim != self.n_cols:

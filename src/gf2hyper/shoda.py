@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ShodaConditionFails
-from .classify import MOVED_BY_PROJECTION, STABLE, _first_exit
+from .classify import MOVED_BY_PROJECTION, STABLE, _first_exit, _in_chains
 from .gf2 import Gf2Vector, Subspace
 from .nilpotent import (
     GeneratorTuple,
@@ -169,7 +169,7 @@ def counterexample(
     tau = u.class_of_exponent(a_tau)
     z = linking_vector(f, u, rho, tau)
     y_span = _exceptional_span(f, u, rho, tau, z)
-    kind = _first_exit(f, y_span)[0]
+    kind = _first_exit(f, y_span, _in_chains(f, y_span))[0]
     if kind < MOVED_BY_PROJECTION:
         raise AssertionError("constructed span failed the characteristic check")
     if kind == STABLE:

@@ -54,8 +54,11 @@ def monotone_shift_condition(
 
 def chain_matrix(f, u):
     """Oracle for nilpotent.chain_frame: the basis-change matrix P whose
-    columns are the Jordan chains of u."""
-    return Gf2Matrix.from_columns(Gf2Vector(b, f.dim) for c in u.chains for b in c)
+    columns are the Jordan chains of u, read entry by entry."""
+    cols = [b for c in u.chains for b in c]
+    return Gf2Matrix(
+        tuple(sum(((b >> i) & 1) << k for k, b in enumerate(cols)) for i in range(f.dim)), f.dim
+    )
 
 
 def contains_subspace(outer, inner):
@@ -94,10 +97,10 @@ def stability_matrices(f):
     return tuple(maps)
 
 
-def first_exit_by_matrices(f, s, chain=None):
+def first_exit_by_matrices(f, s, chain):
     """Oracle for classify._first_exit: every map of `stability_matrices`
     applied as a matrix to each basis row of s, in order.  The chain rows
-    that `_first_exit` may be handed are not read."""
+    that `_first_exit` is handed are not read."""
     if s.ambient_dim != f.dim:
         raise DimensionMismatch("subspace does not match the operator")
     maps = stability_matrices(f)

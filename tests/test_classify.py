@@ -39,6 +39,7 @@ from gf2hyper.classify import (
     Witness,
     _first_exit,
     _hyperinvariant_lattice,
+    _in_chains,
     _monotone_shifts,
     _stability_maps,
     _stable_lattice,
@@ -433,7 +434,9 @@ def test_scan_matches_the_matrix_oracle(conjugate):
         for sizes in partitions(n):
             for f in (jordan_operator(sizes), conjugate(sizes, rng)):
                 for s in every if every is not None else invariant_subspaces(f):
-                    assert _first_exit(f, s) == first_exit_by_matrices(f, s), (f.mat.rows, s.rows)
+                    chain = _in_chains(f, s)
+                    expected = first_exit_by_matrices(f, s, chain)
+                    assert _first_exit(f, s, chain) == expected, (f.mat.rows, s.rows)
 
 
 def test_only_a_reported_witness_builds_a_chain_map(monkeypatch, conjugate):
@@ -576,7 +579,7 @@ def test_every_witness_commutes_and_moves_its_vector_out(conjugate):
         char, char_witness = is_characteristic(f, s)
         hyper, hyper_witness = is_hyperinvariant(f, s)
         assert char == (char_witness is None) and hyper == (hyper_witness is None)
-        kind, at, row = first_exit_by_matrices(f, s)
+        kind, at, row = first_exit_by_matrices(f, s, None)
         if kind <= MOVED_BY_UNIT:
             expected = Witness(stability_matrices(f)[at][1], Gf2Vector(row, f.dim))
             assert (char, char_witness) == (False, expected), (f.mat.rows, s.rows)
@@ -584,7 +587,8 @@ def test_every_witness_commutes_and_moves_its_vector_out(conjugate):
             assert (char, char_witness) == (True, None), (f.mat.rows, s.rows)
         report = classify(f, s)
         if not report.invariant:
-            assert report.invariance_witness == _witness(f, s, *_first_exit(f, s)[1:])
+            _, at, row = _first_exit(f, s, _in_chains(f, s))
+            assert report.invariance_witness == _witness(f, s, at, row)
             assert report.invariance_witness == char_witness
             _assert_moves_out(f, s, report.invariance_witness)
             continue

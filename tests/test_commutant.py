@@ -16,8 +16,9 @@ from gf2hyper import (
     generator_tuple,
     validate_nilpotent,
 )
+from gf2hyper import commutant
 from gf2hyper.commutant import _chain_map, flatten_matrix, unflatten_matrix
-from gf2hyper.nilpotent import class_span, elementary_divisors, ulm_sequence
+from gf2hyper.nilpotent import chain_frame, class_span, elementary_divisors, ulm_sequence
 from gf2hyper.verify import jordan_operator, partitions
 
 from conftest import automorphism_from_images, complementary_automorphism_pair
@@ -260,6 +261,25 @@ def test_chain_projections_golden(golden):
 def test_chain_projections_of_a_homogeneous_operator_sum_to_identity():
     f = jordan_operator((2, 2))
     assert _chain_map(f, 0, 0, 0) + _chain_map(f, 1, 1, 0) == Gf2Matrix.identity(4)
+
+
+def test_chain_map_refuses_a_tampered_inverse_column(conjugate, monkeypatch):
+    # built from Q = P^-1 + D, the map P E Q commutes with f for each projection
+    # E = N_(c,c,0) only if E (D f - J D) = 0; these sum to I, so a flipped bit
+    # in column j of Q escapes them all only when row j of f is zero
+    rng = random.Random(107)
+    for sizes in ((1, 3), (2, 2, 3), (1, 2, 2, 4)):
+        f = conjugate(sizes, rng)
+        assert all(f.mat.rows)
+        p, p_inv = chain_frame(f)
+        chains = range(len(generator_tuple(f).exponents))
+        for j, k in itertools.product(range(f.dim), repeat=2):
+            q = tuple(x ^ (i == j) << k for i, x in enumerate(p_inv))
+            monkeypatch.setattr(commutant, "chain_frame", lambda g: (p, q))
+            with pytest.raises(AssertionError, match="chain map does not commute with f"):
+                for c in chains:
+                    _chain_map(f, c, c, 0)
+        monkeypatch.undo()
 
 
 def test_class_projections_from_chain_projections(conjugate):
