@@ -6,12 +6,14 @@ span of every unit, then the projections that complete the commutant.
 Each class tests a prefix, so the first map that moves a basis row
 decides all three.  The scan runs in the Jordan chain coordinates of
 `nilpotent`, where each map is a shift and a mask, and returns where it
-stopped: that map's index and the row it moved out.  A reader that
-reports a witness builds that one map as a matrix.  Marked checks only
-the pairs (a, r) of the intersection criterion that can fail, in the
-same coordinates, from one graded echelon of s and one of each f^a s.
-`invariant_subspaces` lifts each invariant subspace once, down the
-image chain.  Each lattice yields its own covers: a walk
+stopped: that map's index and the row it moved out.  It takes a batch
+of subspaces and reads the maps once for all of them; a single verdict
+is a batch of one.  A reader that reports a witness builds that one map
+as a matrix.  Marked checks only the pairs (a, r) of the intersection
+criterion that can fail, in the same coordinates, from one graded
+echelon of s and one of each f^a s.  `invariant_subspaces` lifts each
+invariant subspace once, down the image chain, passing RREF forms from
+level to level.  Each lattice yields its own covers: a walk
 up from zero for the invariant and the characteristic subspaces, the
 shift tuples for the hyperinvariant ones.
 """
@@ -30,7 +32,6 @@ from .gf2 import (
     _apply_columns,
     _echelonize,
     _lowest_bit,
-    _reduce_against,
     _rref_extend,
     _rref_rows,
     _span_table,
@@ -189,26 +190,52 @@ def _witness(f: NilpotentOperator, s: Subspace, at: int, row: int) -> Witness:
     return Witness(g, Gf2Vector(row, f.dim))
 
 
+def _scan(
+    f: NilpotentOperator,
+    items: Iterable[tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int]]],
+) -> Iterator[tuple[int, int, int | None]]:
+    """Scan every stability map, in order, over the basis rows of each subspace, in order.
+
+    Each item is (rows, xs, basis, pivots) for one subspace s: its basis
+    rows, their chain coordinates `_in_chains` and the RREF basis and
+    pivots of those.  Yields, item by item, (kind, at, row): the kind and
+    the index in `_stability_maps` of the first map that moves a basis
+    row of s out of s, and that row; (STABLE, number of maps, None) when
+    none does.  The kind decides all three classes, and
+    `_witness(f, s, at, row)` builds the map for a reader that reports it.
+
+    The scan runs in chain coordinates, where each map is a shift and a
+    mask (`_chain_coordinates`), read once for all the items, and builds
+    no matrix.  An image is in s when reducing it at the pivots, in
+    order, clears it.  A map with mask 0 (f of the zero operator) moves
+    nothing and is skipped, but every index counts all the maps.
+    """
+    maps = _chain_coordinates(f)[1]
+    live = [(at, kind, a, m, b) for at, (kind, _, a, m, b) in enumerate(maps) if m]
+    stable = (STABLE, len(maps), None)
+    for rows, xs, basis, pivots in items:
+        for at, kind, a, m, b in live:
+            for row, x in zip(rows, xs):
+                if y := ((x >> a) & m) << b:
+                    for p, r in zip(pivots, basis):
+                        if (y >> p) & 1:
+                            y ^= r
+                    if y:
+                        break
+            else:
+                continue
+            yield kind, at, row
+            break
+        else:
+            yield stable
+
+
 def _first_exit(
     f: NilpotentOperator, s: Subspace, chain: tuple[Sequence[int], ...]
 ) -> tuple[int, int, int | None]:
-    """Scan every stability map, in order, over the basis rows of s, in order.
-
-    Returns (kind, at, row): the kind and the index in `_stability_maps`
-    of the first map that moves a basis row of s out of s, and that row;
-    (STABLE, number of maps, None) when none does.  The kind decides all
-    three classes, and `_witness(f, s, at, row)` builds the map for a
-    reader that reports it.  The scan runs in chain coordinates, where
-    each map is a shift and a mask (`_chain_coordinates`), and builds no
-    matrix.  `chain` is `_in_chains(f, s)`, which callers share with `_marked`.
-    """
-    xs, basis, pivots = chain
-    maps = _chain_coordinates(f)[1]
-    for at, (kind, _, a, m, b) in enumerate(maps):
-        for row, x in zip(s.rows, xs):
-            if (y := ((x >> a) & m) << b) and _reduce_against(y, basis, pivots):
-                return kind, at, row
-    return STABLE, len(maps), None
+    """`_scan` of the one subspace s, given `chain` = `_in_chains(f, s)`,
+    which callers share with `_marked`."""
+    return next(_scan(f, ((s.rows, *chain),)))
 
 
 def is_invariant(f: NilpotentOperator, s: Subspace) -> bool:
@@ -317,7 +344,9 @@ def _marked(f: NilpotentOperator, rows: Sequence[int]) -> bool:
     return True
 
 
-def _lifts(f: NilpotentOperator, k: int, below: Iterable[Subspace]) -> Iterator[Subspace]:
+def _lifts(
+    f: NilpotentOperator, k: int, below: Iterable[dict[int, int]], last: bool
+) -> Iterator[dict[int, int] | Subspace]:
     """The invariant subspaces X inside U = Im f^k, from those Y = f(X) inside f(U).
 
     K = Ker f ∩ U.  f maps W = f^-1(Y) ∩ U onto Y with kernel K, so the
@@ -334,30 +363,37 @@ def _lifts(f: NilpotentOperator, k: int, below: Iterable[Subspace]) -> Iterator[
     For Y = 0, W = K and D = 0: the X are K's RREF shapes, canonical as
     they come.  K and the preimages in U of the rows of Y are level k of
     `NilpotentOperator.walk`.
+
+    Each Y comes, and each X goes, as its `_rref_extend` form {pivot bit:
+    row}, unsorted; the `last` level yields each X as a Subspace instead.
     """
     preimages, kernel = f.walk[k]
+    n = f.dim
     if _echelonize(kernel.rows) != (list(kernel.rows), list(kernel.pivots)):
         raise AssertionError("the kernel rows are not canonical")  # RREF is unique
     for y in below:
-        if not y.rows:
+        if not y:
             shape = None  # _subspace_rows yields one positions tuple per shape
             for rows, at in _subspace_rows(kernel.rows):
                 if at is not shape:
                     shape, pivots = at, tuple(kernel.pivots[i] for i in at)
-                yield Subspace._canonical(rows, pivots, f.dim)
+                    bits = tuple(1 << p for p in pivots)
+                yield Subspace._canonical(rows, pivots, n) if last else dict(zip(bits, rows))
             continue
-        base = dict(zip((1 << p for p in y.pivots), y.rows))
-        form, mask = dict(base), sum(base)
+        form, mask = dict(y), sum(y)
         with_kernel = _rref_extend(form, mask, kernel.rows)
         e_rows = [x for p, x in form.items() if not p & mask]
-        _rref_extend(form, with_kernel, (_lift(preimages, b) for b in y.rows))
+        _rref_extend(form, with_kernel, (_lift(preimages, b) for b in y.values()))
         d_rows = [x for p, x in form.items() if not p & with_kernel]
         for t, _ in _subspace_rows(d_rows + e_rows, onto=len(d_rows)):
-            child = dict(base)
-            if _rref_extend(child, mask, t).bit_count() != y.dim + len(t):
+            child = dict(y)
+            if _rref_extend(child, mask, t).bit_count() != len(y) + len(t):
                 raise AssertionError("lifted subspace has the wrong dimension")
-            basis, pivots = _rref_rows(child)
-            yield Subspace._canonical(tuple(basis), tuple(pivots), f.dim)
+            if last:
+                basis, pivots = _rref_rows(child)
+                yield Subspace._canonical(tuple(basis), tuple(pivots), n)
+            else:
+                yield child
 
 
 def invariant_subspaces(f: NilpotentOperator) -> Iterator[Subspace]:
@@ -366,12 +402,14 @@ def invariant_subspaces(f: NilpotentOperator) -> Iterator[Subspace]:
     Sorted by (dim, pivots, rows) they come in `enumerate_subspaces`
     order.  Built down the image chain from the zero subspace of
     Im f^index = 0 to U = GF(2)^n; each level lifts the one below it
-    (`_lifts`) as it is read.  The lifting is a bijection, so no
-    subspace is produced twice and none is kept.
+    (`_lifts`) as it is read.  The levels in between pass each subspace
+    up as its RREF form, and only the last builds Subspace objects.
+    The lifting is a bijection, so no subspace is produced twice and
+    none is kept.
     """
-    level = iter((Subspace.zero(f.dim),))
+    level = iter(({},))
     for k in range(f.index - 1, -1, -1):
-        level = _lifts(f, k, level)
+        level = _lifts(f, k, level, k == 0)
     return level
 
 

@@ -24,9 +24,10 @@ from .classify import (
     MOVED_BY_F,
     MOVED_BY_UNIT,
     STABLE,
-    _first_exit,
+    _chain_coordinates,
     _in_chains,
     _marked,
+    _scan,
     classify,
     hyperinvariant_lattice,
     invariant_subspaces,
@@ -83,16 +84,27 @@ def jordan_operator(block_sizes: tuple[int, ...]) -> NilpotentOperator:
 
 @functools.lru_cache(maxsize=None)
 def census(block_sizes: tuple[int, ...]) -> SubspaceCensus:
-    """Classify every invariant subspace, enumerated directly, exactly as `classify` does."""
+    """Classify every invariant subspace, enumerated directly, exactly as `classify` does.
+
+    One `_scan` call takes the whole sorted list, so the scan reads the
+    operator's maps once for the shape, and the frame is checked once:
+    with P the identity, each subspace's rows are its chain coordinates
+    and their RREF.  The marked test runs only at index > 2, below which
+    every invariant subspace is marked.
+    """
     f = jordan_operator(block_sizes)
+    subspaces = sorted(invariant_subspaces(f), key=lambda s: (len(s.rows), s.pivots, s.rows))
+    if _chain_coordinates(f)[0] is None:
+        chains = ((s.rows, s.rows, s.rows, s.pivots) for s in subspaces)
+    else:
+        chains = ((s.rows, *_in_chains(f, s)) for s in subspaces)
+    scanned, chains = itertools.tee(chains)  # read by the scan and by this loop, in step
     invariant, marked, characteristic, hyperinvariant = [], [], [], []
-    for s in sorted(invariant_subspaces(f), key=lambda s: (s.dim, s.pivots, s.rows)):
-        chain = _in_chains(f, s)
-        kind = _first_exit(f, s, chain)[0]
+    for s, (_, xs, _, _), (kind, _, _) in zip(subspaces, chains, _scan(f, scanned)):
         if kind == MOVED_BY_F:
             raise AssertionError("lifted subspace is not invariant")
         invariant.append(s)
-        if _marked(f, chain[0]):
+        if f.index <= 2 or _marked(f, xs):
             marked.append(s)
         if kind > MOVED_BY_UNIT:
             characteristic.append(s)

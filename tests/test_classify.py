@@ -41,6 +41,7 @@ from gf2hyper.classify import (
     _hyperinvariant_lattice,
     _in_chains,
     _monotone_shifts,
+    _scan,
     _stability_maps,
     _stable_lattice,
     _witness,
@@ -124,22 +125,40 @@ def test_the_zero_parents_children_are_enumerate_subspaces():
 
 
 def test_census_scans_only_the_invariant_subspaces(monkeypatch):
-    # one scan per invariant subspace: the marked test does not scan f again
-    scanned = []
-    first_exit = verify._first_exit
+    # one batched scan per shape, over the invariant subspaces alone: the marked
+    # test does not scan f again
+    calls = []
+    scan = verify._scan
 
-    def counting(f, s, *rest, **options):
-        scanned.append(s)
-        return first_exit(f, s, *rest, **options)
+    def counting(f, items):
+        items = list(items)
+        calls.append([rows for rows, *_ in items])
+        return scan(f, items)
 
-    monkeypatch.setattr(verify, "_first_exit", counting)
-    monkeypatch.setattr(sys.modules["gf2hyper.classify"], "_first_exit", counting)
+    monkeypatch.setattr(verify, "_scan", counting)
+    monkeypatch.setattr(sys.modules["gf2hyper.classify"], "_scan", counting)
     census.cache_clear()
     try:
         data = census((3, 3))
     finally:
         census.cache_clear()
-    assert len(scanned) == len(data.invariant) == 37  # of the 2,825 subspaces of GF(2)^6
+    assert len(calls) == 1
+    assert len(calls[0]) == len(data.invariant) == 37  # of the 2,825 subspaces of GF(2)^6
+    assert calls[0] == [s.rows for s in data.invariant]
+
+
+def test_census_classes_are_the_classify_verdicts():
+    # census keeps, in order, the invariant subspaces whose classify report says
+    # so; decreasing blocks give a chain frame other than the identity
+    for n in range(1, 7):
+        for sizes in {p[::k] for p in partitions(n) for k in (1, -1)}:
+            data = census(sizes)
+            f = jordan_operator(sizes)
+            reports = [classify(f, s) for s in data.invariant]
+            assert all(r.invariant for r in reports), sizes
+            for name in ("marked", "characteristic", "hyperinvariant"):
+                kept = tuple(r.subspace for r in reports if getattr(r, name))
+                assert getattr(data, name) == kept, (sizes, name)
 
 
 @pytest.mark.parametrize("which", ["inv", "chinv"])
@@ -427,16 +446,25 @@ def test_unit_prefix_and_projections_generate_the_commutant(conjugate):
 def test_scan_matches_the_matrix_oracle(conjugate):
     # kind, map index and basis row where the matrix scan stops: every subspace
     # up to n = 6, the invariant subspaces at n = 7, each shape as a Jordan
-    # matrix and one seeded conjugate
+    # matrix and one seeded conjugate; one subspace at a time and all of a
+    # shape's in one batch
     rng = random.Random(59)
     for n in range(1, 8):
         every = list(enumerate_subspaces(n)) if n <= 6 else None
         for sizes in partitions(n):
             for f in (jordan_operator(sizes), conjugate(sizes, rng)):
-                for s in every if every is not None else invariant_subspaces(f):
-                    chain = _in_chains(f, s)
-                    expected = first_exit_by_matrices(f, s, chain)
-                    assert _first_exit(f, s, chain) == expected, (f.mat.rows, s.rows)
+                subspaces = every if every is not None else list(invariant_subspaces(f))
+                chains = [_in_chains(f, s) for s in subspaces]
+                expected = [first_exit_by_matrices(f, s, None) for s in subspaces]
+                for s, chain, exit in zip(subspaces, chains, expected):
+                    assert _first_exit(f, s, chain) == exit, (f.mat.rows, s.rows)
+                batch = _scan(f, ((s.rows, *chain) for s, chain in zip(subspaces, chains)))
+                assert list(batch) == expected, f.mat.rows
+                if max(sizes) == 1:
+                    # f is the zero map, whose mask 0 the scan skips: the unit
+                    # exits must still report their index among all the maps
+                    assert _stability_maps(f)[0][3] == 0
+                    assert n == 1 or any(kind == MOVED_BY_UNIT for kind, _, _ in expected)
 
 
 def test_only_a_reported_witness_builds_a_chain_map(monkeypatch, conjugate):
