@@ -39,7 +39,6 @@ from .nilpotent import (
     generator_tuple,
     height,
     jordan_matrix,
-    make_generator_tuple,
     ulm_sequence,
     validate_nilpotent,
 )

@@ -20,6 +20,7 @@ shift tuples for the hyperinvariant ones.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -361,13 +362,14 @@ def _lifts(
     and D: the rows at the pivots each step adds, E copied before the
     second step rewrites it.  Each X extends a copy of Y's RREF by T.
     For Y = 0, W = K and D = 0: the X are K's RREF shapes, canonical as
-    they come.  K and the preimages in U of the rows of Y are level k of
-    `NilpotentOperator.walk`.
+    they come.  K is the socle of level k of `NilpotentOperator.walk`, and
+    `_lift` reads the preimages in U of the rows of Y off that level.
 
     Each Y comes, and each X goes, as its `_rref_extend` form {pivot bit:
     row}, unsorted; the `last` level yields each X as a Subspace instead.
     """
-    preimages, kernel = f.walk[k]
+    level = f.walk[k]
+    _, kernel = level
     n = f.dim
     if _echelonize(kernel.rows) != (list(kernel.rows), list(kernel.pivots)):
         raise AssertionError("the kernel rows are not canonical")  # RREF is unique
@@ -383,7 +385,7 @@ def _lifts(
         form, mask = dict(y), sum(y)
         with_kernel = _rref_extend(form, mask, kernel.rows)
         e_rows = [x for p, x in form.items() if not p & mask]
-        _rref_extend(form, with_kernel, (_lift(preimages, b) for b in y.values()))
+        _rref_extend(form, with_kernel, (_lift(level, b) for b in y.values()))
         d_rows = [x for p, x in form.items() if not p & with_kernel]
         for t, _ in _subspace_rows(d_rows + e_rows, onto=len(d_rows)):
             child = dict(y)
@@ -493,6 +495,20 @@ def _monotone_shifts(exponents: tuple[int, ...]) -> list[tuple[int, ...]]:
     for t, t_next in zip((0,) + exponents, exponents):
         tuples = [r + (s,) for r in tuples for s in range(r[-1], r[-1] + t_next - t + 1)]
     return [r[1:] for r in tuples]
+
+
+def _monotone_shift_count(exponents: tuple[int, ...]) -> int:
+    """len(_monotone_shifts(exponents)), counted without building a tuple.
+
+    The same steps, with the tuples counted by their last shift: after
+    shift r at exponent t the next shift s lies in [r, r + t' - t], so the
+    count at s sums the counts at r in [s - (t' - t), s], read off prefix sums.
+    """
+    counts = [1]  # the virtual shift 0 at exponent 0
+    for t, t_next in zip((0,) + exponents, exponents):
+        prefix = [0, *itertools.accumulate(counts)]
+        counts = [prefix[min(s, t) + 1] - prefix[max(s - t_next + t, 0)] for s in range(t_next + 1)]
+    return sum(counts)
 
 
 @_per_operator

@@ -2,9 +2,10 @@
 
 stdout carries data only; diagnostics go to stderr.  Exit codes are
 stable: 0 success, 2 parse error, 3 invalid operator, 4 dimension
-mismatch, 5 subspace enumeration cap exceeded, 1 failed verification
-suite, 141 stdout closed by its reader.  `verify` writes and flushes
-each check's line as the check completes.  Each command's arguments are
+mismatch, 5 enumeration cap exceeded (the subspaces of the space, or the
+nodes of the hyperinvariant lattice), 1 failed verification suite, 141
+stdout closed by its reader.  `verify` writes and flushes each check's
+line as the check completes.  Each command's arguments are
 defined once, in `_COMMANDS`: a well-formed call is read straight from
 that table and builds no parser, and the full tree of subparsers, built
 from the same table, reads every other call, so help, errors and exit
@@ -27,6 +28,7 @@ from .classify import (
     MOVED_BY_F,
     MOVED_BY_UNIT,
     _hyperinvariant_lattice,
+    _monotone_shift_count,
     _stable_lattice,
     classify,
     hyperinvariant_lattice,
@@ -44,6 +46,7 @@ from .errors import (
 from .gf2 import (
     Gf2Matrix,
     Gf2Vector,
+    SUBSPACE_ENUM_CAP,
     Subspace,
     _bit_row,
     _check_subspace_cap,
@@ -357,6 +360,12 @@ def _node_digest(s: Subspace) -> str:
 def _cmd_lattice(args: argparse.Namespace) -> int:
     f = validate_nilpotent(_read(args.matrix, parse_matrix))
     if args.which == "hinv":
+        # one node per monotone shift tuple of the class exponents, counted before any
+        # is built
+        count = _monotone_shift_count(tuple(r for r, d in enumerate(ulm_sequence(f).d, 1) if d))
+        if count > SUBSPACE_ENUM_CAP:
+            message = f"the hyperinvariant lattice has {count} nodes"
+            raise CapExceeded(f"{message}, above the cap of {SUBSPACE_ENUM_CAP}", required=count)
         nodes, edges = hyperinvariant_lattice(f), _hyperinvariant_lattice(f)[1]
     else:
         # the cap of 2^24 bounds the subspaces of GF(2)^n, checked before the walk starts

@@ -1,14 +1,18 @@
 """Structure theory of a nilpotent operator over GF(2).
 
-Validates nilpotency in one paired walk down the image chain, which
-also yields the generators of a Jordan basis; keeps the image chain,
-the walk, the one source of preimages and of the socles
-Ker f ∩ Im f^j, and those generators.  The generator tuple (cyclic
-decomposition) walks each generator's Jordan chain f^k u_i once, and
-is the one record of the block structure: the exponents, the Ulm
-sequence (block-size multiplicities), the elementary divisors, the
-kernel chain, the chain frame, the equal-exponent summands and every
-chain span elsewhere in the package are read off it.
+Validates nilpotency in one paired walk down the image chain.  Each
+level is kept as a forward echelon form that pairs a basis of
+Im f^(j+1) with preimages in Im f^j, and only the socles
+Ker f ∩ Im f^j are put in RREF: they pick the generators of a Jordan
+basis, and `_lift` reduces against them to make each preimage
+canonical.  The lifts of a socle vector are its Jordan chain read
+backwards, so the walk yields the chains f^k u_i without walking f
+again.  The generator tuple (cyclic decomposition) built from them is
+the one record of the block structure: the exponents, the Ulm sequence
+(block-size multiplicities), the elementary divisors, the kernel chain,
+the chain frame, the equal-exponent summands and every chain span
+elsewhere in the package are read off it.  The canonical image chain
+is built from the walk only when it is read.
 
 It also owns the chain coordinates the package computes in: bit
 offsets[i] + k stands for f^k u_i, `chain_frame` gives the columns of
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .errors import DimensionMismatch, NotAGeneratorTuple, NotNilpotent, NotSquare, SingularMatrix
-from .gf2 import Gf2Matrix, Gf2Vector, Subspace, _rref_extend, _rref_rows
+from .gf2 import Gf2Matrix, Gf2Vector, Subspace, _reduce_against, _rref_extend
 
 
 @functools.total_ordering
@@ -56,22 +60,22 @@ INFINITY = _InfiniteHeight()
 
 @dataclass(frozen=True)
 class NilpotentOperator:
-    """A validated nilpotent matrix with its image chain and Jordan generators.
+    """A validated nilpotent matrix with its image walk and Jordan chains.
 
-    ``image_chain[j]`` is Im f^j, canonical and strictly decreasing down
-    to zero, for j = 0..index.  ``walk[j]``, j < index, is level j of the
-    paired walk: {pivot bit of a row y of Im f^(j+1): a preimage of y in
-    Im f^j} (read by `_lift`) and the canonical Ker f ∩ Im f^j.
-    ``generators`` holds the bits of the generators u_i of the lifted
-    Jordan basis, exponents ascending (`generator_tuple`).  ``_memo``
-    keeps what `_per_operator` derives from f, outside equality.
+    ``walk[j]``, j < index, is level j of the paired walk down the image
+    chain: a forward echelon form {low pivot bit: f(h) | h << n} with no
+    back-substitution, whose low halves are a basis of Im f^(j+1) and
+    whose h lie in Im f^j (read by `_lift` and `height`), and the socle
+    Ker f ∩ Im f^j in RREF.  ``chains[i][k]`` holds the bits of f^k u_i
+    for the generators u_i of the lifted Jordan basis, exponents
+    ascending (`generator_tuple`).  ``_memo`` keeps what `_per_operator`
+    derives from f, outside equality.
     """
 
     mat: Gf2Matrix
     index: int
-    image_chain: tuple[Subspace, ...] = field(compare=False, repr=False)
     walk: tuple[tuple[dict[int, int], Subspace], ...] = field(compare=False, repr=False)
-    generators: tuple[int, ...] = field(compare=False, repr=False)
+    chains: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -79,14 +83,24 @@ class NilpotentOperator:
         return self.mat.n_cols
 
     @functools.cached_property
+    def image_chain(self) -> tuple[Subspace, ...]:
+        """Im f^j for j = 0..index, canonical and strictly decreasing down to
+        zero: the RREF of the low halves of each walk level.  Built on first
+        read and kept out of the fields, like `kernel_chain`."""
+        n = self.dim
+        low_half = (1 << n) - 1
+        whole = Subspace._canonical(tuple(1 << i for i in range(n)), tuple(range(n)), n)
+        levels = ((r & low_half for r in rows.values()) for rows, _ in self.walk)
+        return (whole, *(Subspace.span_bits(level, n) for level in levels))
+
+    @functools.cached_property
     def kernel_chain(self) -> tuple[Subspace, ...]:
         """Ker f^j for j = 0..index, canonical and strictly increasing up to
         the whole space: the span of the last min(j, t_i) entries of each
         Jordan chain.  Built on first read and kept out of the fields, so
         equality, hashing and repr still read the matrix alone."""
-        chains = generator_tuple(self).chains
         return tuple(
-            Subspace.span_bits((b for c in chains for b in c[max(len(c) - j, 0) :]), self.dim)
+            Subspace.span_bits((b for c in self.chains for b in c[max(len(c) - j, 0) :]), self.dim)
             for j in range(self.index + 1)
         )
 
@@ -169,58 +183,87 @@ def _per_operator(fn: Callable) -> Callable:
     return memoized
 
 
-def _lift(preimages: dict[int, int], bits: int) -> int:
-    """A preimage of bits in Im f^(j+1) from level j of the walk.
+def _echelon(rows: Iterable[int]) -> dict[int, int]:
+    """A forward echelon form {lowest bit: row} of rows, with no back-substitution.
 
-    In the RREF basis of Im f^(j+1) the coordinates of bits are its bits
-    at the pivots, so the preimages at those pivots sum to one.
+    Each row is reduced by the row at its lowest bit until that bit is
+    new or the row is zero.  The pivots of the form are the pivots of the
+    RREF of its span, but its rows are not reduced at each other's pivots.
     """
-    out = 0
-    for pivot, b in preimages.items():
-        if bits & pivot:
-            out ^= b
-    return out
+    form: dict[int, int] = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            other = form.get(low)
+            if other is None:
+                form[low] = row
+                break
+            row ^= other
+    return form
+
+
+def _reduce_paired(rows: dict[int, int], bits: int, low_half: int) -> int:
+    """bits reduced through the paired rows f(h) | h << n of a walk level at their
+    low pivots: the low half is zero exactly when bits lies in their span, and
+    then bits >> n is the sum of the h of the rows used, a preimage of bits."""
+    while bits & low_half:
+        row = rows.get(bits & -bits)
+        if row is None:
+            break
+        bits ^= row
+    return bits
+
+
+def _lift(level: tuple[dict[int, int], Subspace], bits: int) -> int:
+    """The preimage of bits in Im f^(j+1) that lies in Im f^j and is zero at
+    the pivots of the socle Ker f ∩ Im f^j, from level j of the walk.
+
+    The preimages of bits in Im f^j form a coset of the socle, and reducing
+    any one of them against the socle's RREF gives the one zero at its
+    pivots, whichever echelon form the level's rows are in.
+    """
+    rows, socle = level
+    n = socle.ambient_dim
+    h = _reduce_paired(rows, bits, (1 << n) - 1) >> n
+    return _reduce_against(h, socle.rows, socle.pivots)
 
 
 def validate_nilpotent(m: Gf2Matrix) -> NilpotentOperator:
-    """Check that m is nilpotent and build its image chain and Jordan generators.
+    """Check that m is nilpotent and build its walk and Jordan chains.
 
-    One paired walk down the image chain: at level j the rows f(b) | b << n,
-    for b in the RREF basis of Im f^j, reduce to rows pivoted below n,
-    whose low halves are the RREF of Im f^(j+1) and whose high halves are
-    preimages in Im f^j, and to rows pivoted at n or above, whose high
-    halves are the RREF of Ker f ∩ Im f^j.  Socle vectors lifted through
-    those preimages are the generators of a Jordan basis: at exponent a
-    they are the rows of Ker f ∩ Im f^(a-1) independent of those already
-    lifted, in row order, so the basis depends only on m.  No chain is
-    walked here; `generator_tuple` walks them and checks them against the
-    image chain.
+    One paired walk down the image chain.  Level j takes the rows
+    f(b) | b << n for b in a basis of Im f^j (at level 0, the columns of f
+    paired with the unit vectors) to a forward echelon form: the rows
+    pivoted below n pair an echelon basis of Im f^(j+1) with preimages in
+    Im f^j, and the high halves of the rows pivoted at n or above span
+    the socle Ker f ∩ Im f^j, kept in RREF.  Socle vectors lifted through
+    the levels (`_lift`) are the generators of a Jordan basis: at exponent
+    a they are the rows of Ker f ∩ Im f^(a-1) independent of those already
+    lifted, in row order, so the basis depends only on m.  The lifts of a
+    socle vector f^(a-1) u are its Jordan chain read backwards, so no
+    chain is walked under f; `generator_tuple` checks them against the
+    level sizes and `chain_frame` checks that f carries each entry to the
+    next.
     """
     if not m.is_square():
         raise NotSquare(f"operator must be square, got {m.n_rows}x{m.n_cols}")
     n = m.n_cols
     low_half = (1 << n) - 1
-    rows = tuple(1 << i for i in range(n))
-    image_chain = [Subspace._canonical(rows, tuple(range(n)), n)]
+    rows = [c | 1 << (n + i) for i, c in enumerate(m._columns)]
     walk = []
     while rows:
-        paired: dict[int, int] = {}
-        _rref_extend(paired, 0, (m.apply_bits(b) | b << n for b in rows))
-        basis, pivots = _rref_rows(paired)
-        k = sum(p < n for p in pivots)
-        if k == len(basis):
+        form = _echelon(rows)
+        image = {p: r for p, r in form.items() if p & low_half}
+        if len(image) == len(rows):
             raise NotNilpotent(f"matrix is not nilpotent: f^{n} != 0")
-        socle = Subspace._canonical(
-            tuple(b >> n for b in basis[k:]), tuple(p - n for p in pivots[k:]), n
-        )
-        walk.append(({b & -b: b >> n for b in basis[:k]}, socle))
-        rows = tuple(b & low_half for b in basis[:k])
-        image_chain.append(Subspace._canonical(rows, tuple(pivots[:k]), n))
+        socle = Subspace.span_bits((r >> n for p, r in form.items() if not p & low_half), n)
+        walk.append((image, socle))
+        rows = [m.apply_bits(b) | b << n for b in (r & low_half for r in image.values())]
     index = len(walk)
     # Ker f ∩ Im f^(a-1) holds the chain ends of the blocks of size at least a
     taken: dict[int, int] = {}
     taken_mask = 0
-    generators: list[int] = []
+    chains: list[tuple[int, ...]] = []
     for a in range(index, 0, -1):
         lifted = []
         for bits in walk[a - 1][1].rows:
@@ -228,11 +271,12 @@ def validate_nilpotent(m: Gf2Matrix) -> NilpotentOperator:
             if grown == taken_mask:
                 continue
             taken_mask = grown
-            for preimages, _ in reversed(walk[: a - 1]):
-                bits = _lift(preimages, bits)
-            lifted.append(bits)
-        generators[:0] = lifted  # exponents ascend in the tuple
-    return NilpotentOperator(m, index, tuple(image_chain), tuple(walk), tuple(generators))
+            chain = [bits]
+            for level in reversed(walk[: a - 1]):
+                chain.append(_lift(level, chain[-1]))
+            lifted.append(tuple(reversed(chain)))
+        chains[:0] = lifted  # exponents ascend in the tuple
+    return NilpotentOperator(m, index, tuple(walk), tuple(chains))
 
 
 def exponent(f: NilpotentOperator, x: Gf2Vector) -> int:
@@ -253,8 +297,9 @@ def height(f: NilpotentOperator, x: Gf2Vector):
         raise DimensionMismatch("vector dimension does not match the operator")
     if x.is_zero():
         return INFINITY
+    low_half = (1 << f.dim) - 1
     for q in range(f.index - 1, 0, -1):
-        if f.image_chain[q].contains_bits(x.bits):
+        if not _reduce_paired(f.walk[q - 1][0], x.bits, low_half) & low_half:
             return q
     return 0
 
@@ -294,33 +339,24 @@ def jordan_matrix(block_sizes: list[int] | tuple[int, ...]) -> Gf2Matrix:
     return Gf2Matrix(tuple(rows), n)
 
 
-def make_generator_tuple(
-    f: NilpotentOperator, generators: list[Gf2Vector] | tuple[Gf2Vector, ...]
-) -> GeneratorTuple:
-    """Validate that the vectors decompose the space into cyclic summands.
+@_per_operator
+def generator_tuple(f: NilpotentOperator) -> GeneratorTuple:
+    """The cyclic decomposition of the space by the Jordan chains that
+    `validate_nilpotent` lifted, which depend only on the matrix; no
+    vector is walked under f here.
 
-    Walks each generator under f once; the walks are the stored chains,
-    and their lengths are the exponents.  One elimination proves the chains
-    independent and inverts P^T, the entries as rows: its rows are P^-1's columns.
+    Checked once per operator against the walk by rank-nullity,
+    dim Im f^j = Σ max(t_i - j, 0) for j = 0..index, read off the level
+    sizes.  One elimination proves the chains independent and inverts
+    P^T, the entries as rows: its rows are P^-1's columns.  `chain_frame`
+    checks that the chains are f-chains.
     """
-    gens = tuple(generators)
-    if not gens:
-        raise NotAGeneratorTuple("a generator tuple cannot be empty")
-    chains = []
-    for g in gens:
-        if g.dim != f.dim:
-            raise DimensionMismatch("generator dimension does not match the operator")
-        chain = []
-        bits = g.bits
-        while bits:
-            chain.append(bits)
-            bits = f.mat.apply_bits(bits)
-        chains.append(tuple(chain))
+    chains = f.chains
     exps = tuple(map(len, chains))
-    if any(a > b for a, b in zip(exps, exps[1:])):
-        raise NotAGeneratorTuple("exponents must be nondecreasing")
-    if sum(exps) != f.dim:
-        raise NotAGeneratorTuple("chain lengths do not sum to the dimension")
+    sizes = (f.dim, *(len(rows) for rows, _ in f.walk))
+    for j, size in enumerate(sizes):
+        if size != sum(max(t - j, 0) for t in exps):
+            raise AssertionError("the Jordan chains do not match the image chain")
     try:
         inverse = Gf2Matrix(tuple(b for c in chains for b in c), f.dim).inverse()
     except SingularMatrix:
@@ -333,28 +369,14 @@ def make_generator_tuple(
             partition.append((a, [i]))
     frozen = tuple((a, tuple(ix)) for a, ix in partition)
     offsets = tuple(itertools.accumulate(exps, initial=0))
-    return GeneratorTuple(gens, exps, frozen, tuple(chains), offsets, inverse.rows)
-
-
-@_per_operator
-def generator_tuple(f: NilpotentOperator) -> GeneratorTuple:
-    """The cyclic decomposition of the space by the generators that
-    `validate_nilpotent` lifted, which depend only on the matrix.
-
-    Checked once per operator against the walked image chain by
-    rank-nullity: dim Im f^j = Σ max(t_i - j, 0) for j = 0..index.
-    """
-    u = make_generator_tuple(f, [Gf2Vector(b, f.dim) for b in f.generators])
-    for j, im in enumerate(f.image_chain):
-        if im.dim != sum(max(t - j, 0) for t in u.exponents):
-            raise AssertionError("the Jordan chains do not match the image chain")
-    return u
+    gens = tuple(Gf2Vector(c[0], f.dim) for c in chains)
+    return GeneratorTuple(gens, exps, frozen, chains, offsets, inverse.rows)
 
 
 @_per_operator
 def chain_frame(f: NilpotentOperator) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The columns of the chain matrix P of the generator tuple (column
-    offsets[i] + k is f^k u_i) and of P^-1, from `make_generator_tuple`.
+    offsets[i] + k is f^k u_i) and of P^-1, from `generator_tuple`.
 
     f P = P J for the Jordan matrix J of the chain lengths; that is
     checked here column by column, once per operator, for every map later

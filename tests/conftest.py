@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 from bisect import bisect
 
 import pytest
@@ -7,13 +8,16 @@ from hypothesis import strategies as st
 
 from gf2hyper import (
     AdmissibleTuple,
+    GeneratorTuple,
     Gf2Matrix,
     Gf2Vector,
     NotAGeneratorTuple,
+    NotNilpotent,
+    NotSquare,
+    SingularMatrix,
     Subspace,
     exponent,
     generator_tuple,
-    make_generator_tuple,
     ulm_sequence,
     validate_nilpotent,
 )
@@ -25,6 +29,7 @@ from gf2hyper.classify import (
 )
 from gf2hyper.commutant import _chain_map
 from gf2hyper.errors import DimensionMismatch, ParseError
+from gf2hyper.gf2 import _rref_extend, _rref_rows
 from gf2hyper.nilpotent import jordan_matrix
 
 
@@ -219,6 +224,98 @@ def power_tower(f):
     for _ in range(f.index):
         powers.append(powers[-1] @ f.mat)
     return tuple(powers)
+
+
+def paired_rref_walk(m):
+    """Oracle for validate_nilpotent: the paired walk with every level in RREF.
+
+    At level j the rows f(b) | b << n, for b in the RREF basis of Im f^j,
+    reduce to RREF: the rows pivoted below n pair the RREF of Im f^(j+1)
+    with preimages in Im f^j, and the rows pivoted at n or above hold the
+    RREF of Ker f ∩ Im f^j.  A preimage of y in Im f^(j+1) is the sum of
+    the preimages at the pivots y holds.  At exponent a, each socle row of
+    Ker f ∩ Im f^(a-1) independent of those taken is lifted level by level
+    to a generator.  Returns the index, the levels as (preimages {pivot
+    bit of a row of Im f^(j+1): preimage}, socle) and the generator bits,
+    exponents ascending.
+    """
+    if not m.is_square():
+        raise NotSquare("operator must be square")
+    n = m.n_cols
+    low_half = (1 << n) - 1
+    rows = tuple(1 << i for i in range(n))
+    walk = []
+    while rows:
+        paired = {}
+        _rref_extend(paired, 0, (m.apply_bits(b) | b << n for b in rows))
+        basis, pivots = _rref_rows(paired)
+        k = sum(p < n for p in pivots)
+        if k == len(basis):
+            raise NotNilpotent(f"matrix is not nilpotent: f^{n} != 0")
+        socle = Subspace(tuple(b >> n for b in basis[k:]), n)
+        walk.append(({b & -b: b >> n for b in basis[:k]}, socle))
+        rows = tuple(b & low_half for b in basis[:k])
+    taken = Subspace.zero(n)
+    generators = []
+    for a in range(len(walk), 0, -1):
+        lifted = []
+        for bits in walk[a - 1][1].rows:
+            if taken.contains_bits(bits):
+                continue
+            taken = taken.sum(Subspace.span_bits([bits], n))
+            for preimages, _ in reversed(walk[: a - 1]):
+                bits = sum_preimages(preimages, bits)
+            lifted.append(bits)
+        generators[:0] = lifted
+    return len(walk), tuple(walk), tuple(generators)
+
+
+def sum_preimages(preimages, bits):
+    """A preimage of bits from a level of `paired_rref_walk`: in the RREF basis of
+    Im f^(j+1) the coordinates of bits are its bits at the pivots."""
+    out = 0
+    for pivot, b in preimages.items():
+        if bits & pivot:
+            out ^= b
+    return out
+
+
+def make_generator_tuple(f, generators):
+    """Oracle for nilpotent.generator_tuple: validate that the vectors decompose
+    the space into cyclic summands, walking each generator under f.
+
+    The walks are the chains and their lengths the exponents; inverting the
+    matrix whose rows are the chain entries proves the chains independent,
+    and its inverse's rows are P^-1's columns.
+    """
+    gens = tuple(generators)
+    if not gens:
+        raise NotAGeneratorTuple("a generator tuple cannot be empty")
+    chains = []
+    for g in gens:
+        if g.dim != f.dim:
+            raise DimensionMismatch("generator dimension does not match the operator")
+        chain = []
+        bits = g.bits
+        while bits:
+            chain.append(bits)
+            bits = f.mat.apply_bits(bits)
+        chains.append(tuple(chain))
+    exps = tuple(map(len, chains))
+    if any(a > b for a, b in zip(exps, exps[1:])):
+        raise NotAGeneratorTuple("exponents must be nondecreasing")
+    if sum(exps) != f.dim:
+        raise NotAGeneratorTuple("chain lengths do not sum to the dimension")
+    try:
+        inverse = Gf2Matrix(tuple(b for c in chains for b in c), f.dim).inverse()
+    except SingularMatrix:
+        raise NotAGeneratorTuple("chains are linearly dependent") from None
+    partition = tuple(
+        (a, tuple(i for i, _ in group))
+        for a, group in itertools.groupby(enumerate(exps), key=lambda item: item[1])
+    )
+    offsets = tuple(itertools.accumulate(exps, initial=0))
+    return GeneratorTuple(gens, exps, partition, tuple(chains), offsets, inverse.rows)
 
 
 def generator_tuple_by_intersection(f):

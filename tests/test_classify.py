@@ -40,6 +40,7 @@ from gf2hyper.classify import (
     _first_exit,
     _hyperinvariant_lattice,
     _in_chains,
+    _monotone_shift_count,
     _monotone_shifts,
     _scan,
     _stability_maps,
@@ -725,6 +726,17 @@ def test_monotone_shifts_match_the_filtered_product():
             product = itertools.product(*(range(t + 1) for t in sizes))
             expected = [r for r in product if monotone_shift_condition(sizes, r)]
             assert _monotone_shifts(sizes) == expected, sizes
+
+
+def test_monotone_shift_count_matches_the_tuples():
+    # the DP that gates `lattice --which hinv` counts what the lattice builds:
+    # on the class exponents of every shape with n <= 12, and on its full
+    # exponent tuple, with repeats
+    for n in range(1, 13):
+        for sizes in partitions(n):
+            for exponents in (tuple(sorted(set(sizes))), tuple(sorted(sizes))):
+                assert _monotone_shift_count(exponents) == len(_monotone_shifts(exponents)), sizes
+    assert _monotone_shift_count(tuple(range(1, 26))) == 1 << 25
 
 
 def test_hyperinvariant_lattice_golden(golden, e):

@@ -471,9 +471,9 @@ PINNED_JSON_STDOUT = {
 }
 
 
-def test_no_command_but_verify_builds_the_kernel_chain(tmp_path, monkeypatch, capsys):
-    # the block structure is read off the generator tuple: with Ker f^j unreadable,
-    # every command but verify still exits 0 with the stdout it gives unpatched
+def _stdout_of_every_command_but_verify(tmp_path, capsys):
+    """A function giving the stdout of every command but verify, on the golden
+    operator and a seeded conjugate of (1,2,4), each asserted to exit 0."""
     p = random_invertible(random.Random(15), 7)
     operators = {"golden": parse_matrix(GOLDEN), "conjugate": p @ jordan_matrix([1, 2, 4]) @ p.inverse()}
     argvs = []
@@ -485,6 +485,7 @@ def test_no_command_but_verify_builds_the_kernel_chain(tmp_path, monkeypatch, ca
         line = tmp_path / f"{name}.line.txt"
         line.write_text(format_subspace(Subspace.span_bits([2], m.n_cols)))
         argvs += [["analyze", path], ["analyze", path, "--json"], ["counterexample", path]]
+        argvs += [["analyze", path, "--census", "--json"]]
         argvs += [["classify", path, s, *json] for s in (y, line) for json in ([], ["--json"])]
         argvs += [["lattice", path, "--which", which] for which in ("hinv", "inv", "chinv")]
 
@@ -495,6 +496,13 @@ def test_no_command_but_verify_builds_the_kernel_chain(tmp_path, monkeypatch, ca
             outs.append(capsys.readouterr().out)
         return outs
 
+    return stdout
+
+
+def test_no_command_but_verify_builds_the_kernel_chain(tmp_path, monkeypatch, capsys):
+    # the block structure is read off the generator tuple: with Ker f^j unreadable,
+    # every command but verify still exits 0 with the stdout it gives unpatched
+    stdout = _stdout_of_every_command_but_verify(tmp_path, capsys)
     unpatched = stdout()
 
     def unreadable(f):
@@ -504,6 +512,38 @@ def test_no_command_but_verify_builds_the_kernel_chain(tmp_path, monkeypatch, ca
     assert stdout() == unpatched
     with pytest.raises(AssertionError, match="outside verify"):
         validate_nilpotent(parse_matrix(GOLDEN)).kernel_chain
+
+
+def test_no_command_but_verify_builds_the_image_chain(tmp_path, monkeypatch, capsys):
+    # the walk's echelon levels answer lifts, heights and level sizes: with the
+    # canonical Im f^j unreadable, every command but verify gives the same stdout
+    stdout = _stdout_of_every_command_but_verify(tmp_path, capsys)
+    unpatched = stdout()
+
+    def unreadable(f):
+        raise AssertionError("the image chain was built outside verify")
+
+    monkeypatch.setattr(NilpotentOperator, "image_chain", property(unreadable))
+    assert stdout() == unpatched
+    with pytest.raises(AssertionError, match="outside verify"):
+        validate_nilpotent(parse_matrix(GOLDEN)).image_chain
+
+
+def test_lattice_hinv_refuses_more_nodes_than_the_cap(tmp_path, monkeypatch, capsys):
+    # Jordan (1,2,...,25) has 2^25 monotone shift tuples, one node each: counted,
+    # refused with exit 5 and one error line, and no node built
+    def unbuilt(f):
+        raise AssertionError("the hyperinvariant lattice was built")
+
+    monkeypatch.setattr(sys.modules["gf2hyper.classify"], "_hyperinvariant_lattice", unbuilt)
+    monkeypatch.setattr(sys.modules["gf2hyper.cli"], "_hyperinvariant_lattice", unbuilt)
+    path = tmp_path / "f.txt"
+    path.write_text(format_matrix(jordan_matrix(range(1, 26))))
+    for argv in ([], ["--json"], ["--dot"]):
+        assert main(["lattice", str(path), "--which", "hinv", *argv]) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: the hyperinvariant lattice has {1 << 25} nodes, above the cap of {SUBSPACE_ENUM_CAP}\n"
 
 
 def test_json_stdout_is_pinned(tmp_path, capsys):
@@ -551,6 +591,35 @@ def test_lattice_json_stdout_is_pinned_at_benchmark_sizes(conjugate, tmp_path, c
         m.write_text(format_matrix(conjugate(sizes, rng).mat))
         assert main(["lattice", str(m), "--which", "hinv", "--json"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, sizes
+
+
+# sha256 of `analyze --json` and `classify --json` on seeded conjugates of the two
+# `large` shapes with the most image levels, index 16 and 13, each classifying the
+# sum of the f-orbits of two random vectors; taken while every level of the image
+# walk was still reduced to RREF
+PINNED_LARGE_STDOUT = {
+    ((1, 2, 4, 8, 16), "analyze"): "940eada2764cd2cebca16cec6ea66b8eae512df2c719e758e485af259d95a02e",
+    ((1, 2, 4, 8, 16), "classify"): "23cd23fca25b7b36a3289a12d2540af4163281add4fa0a2976e372067e580a98",
+    ((1, 1, 2, 3, 5, 8, 13), "analyze"): "eb86575138db230c78be537004295c548c973eb2bf4f0dc6e57613eda1b27913",
+    ((1, 1, 2, 3, 5, 8, 13), "classify"): "3f3e7cf286cf8c9943a870b4100cf7959afdfacec7d921e1a91a74ae3ba5dba5",
+}
+
+
+def test_analyze_and_classify_json_stdout_is_pinned_at_large_sizes(conjugate, tmp_path, capsys):
+    rng = random.Random(36)
+    digests = {}
+    for sizes in dict.fromkeys(sizes for sizes, _ in PINNED_LARGE_STDOUT):
+        f = conjugate(sizes, rng)
+        orbits = Subspace.zero(f.dim)
+        for _ in range(2):
+            orbits = orbits.sum(cyclic_subspace(f, Gf2Vector(rng.getrandbits(f.dim), f.dim)))
+        m, s = tmp_path / "f.txt", tmp_path / "s.txt"
+        m.write_text(format_matrix(f.mat))
+        s.write_text(format_subspace(orbits))
+        for command, argv in (("analyze", [m]), ("classify", [m, s])):
+            assert main([command, *map(str, argv), "--json"]) == 0
+            digests[sizes, command] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == PINNED_LARGE_STDOUT
 
 
 JSON_SCALARS = (

@@ -16,14 +16,15 @@ from gf2hyper import (
     exponent,
     generator_tuple,
     height,
-    make_generator_tuple,
     ulm_sequence,
     validate_nilpotent,
 )
 from gf2hyper import nilpotent
 from gf2hyper.classify import _monotone_shifts, hyperinvariant_lattice
+from gf2hyper.gf2 import _span_table
 from gf2hyper.nilpotent import (
     UlmSequence,
+    _lift,
     _tail_mask,
     chain_frame,
     jordan_matrix,
@@ -35,8 +36,11 @@ from conftest import (
     chain_matrix,
     cyclic_subspace,
     generator_tuple_by_intersection,
+    make_generator_tuple,
+    paired_rref_walk,
     power_tower,
     random_invertible,
+    sum_preimages,
 )
 
 
@@ -223,6 +227,10 @@ def test_make_generator_tuple_rejections(golden, e, conjugate):
     top = Gf2Vector(u.chains[1][2], 4)  # f^2 u_1, the end of the long chain
     with pytest.raises(NotAGeneratorTuple, match="linearly dependent"):
         make_generator_tuple(f, [top, u.generators[1]])
+    # generator_tuple keeps the same check on the chains the walk lifted
+    dependent = dataclasses.replace(f, chains=((top.bits,), u.chains[1]))
+    with pytest.raises(NotAGeneratorTuple, match="linearly dependent"):
+        generator_tuple(dependent)
 
 
 def test_cyclic_subspace(golden, golden_x, e):
@@ -269,28 +277,85 @@ def test_validate_nilpotent_matches_the_power_tower(conjugate):
                 assert f.index == max(sizes) == len(powers) - 1, sizes
                 assert f.kernel_chain == tuple(p.kernel() for p in powers), sizes
                 assert f.image_chain == tuple(p.image() for p in powers), sizes
-                # each stored level: the socle by Zassenhaus, and f b = y with b in
-                # Im f^j for the preimage b kept at the pivot of each row y of Im f^(j+1)
+                # each stored level: the socle by Zassenhaus; each row f(h) | h << n
+                # with h in Im f^j, pivoted at the pivots of Im f^(j+1); and _lift
+                # gives a preimage in Im f^j that is zero at the socle's pivots
+                low_half = (1 << n) - 1
                 assert len(f.walk) == f.index
-                for j, (preimages, socle) in enumerate(f.walk):
-                    assert socle == f.kernel_chain[1].intersect(f.image_chain[j]), sizes
-                    image = f.image_chain[j + 1]
-                    assert sorted(preimages) == [1 << p for p in image.pivots], sizes
+                for j, level in enumerate(f.walk):
+                    rows, socle = level
+                    above, image = powers[j].image(), powers[j + 1].image()
+                    assert socle == f.kernel_chain[1].intersect(above), sizes
+                    assert sorted(rows) == [1 << p for p in image.pivots], sizes
+                    for pivot, r in rows.items():
+                        y, h = r & low_half, r >> n
+                        assert y & -y == pivot and f.mat.apply_bits(h) == y, sizes
+                        assert above.contains_bits(h), sizes
                     for y in image.rows:
-                        b = preimages[y & -y]
-                        assert f.mat.apply_bits(b) == y, sizes
-                        assert f.image_chain[j].contains_bits(b), sizes
+                        b = _lift(level, y)
+                        assert f.mat.apply_bits(b) == y and above.contains_bits(b), sizes
+                        assert not any(b >> p & 1 for p in socle.pivots), sizes
+
+
+def test_validate_nilpotent_matches_the_paired_rref_walk(conjugate):
+    # oracle: the same walk with every level reduced to RREF, and the chains
+    # walked under f from its generators: equal index, socles, generators,
+    # chains and P^-1, and each lift the sum of the RREF walk's preimages
+    rng = random.Random(107)
+    operators = [conjugate(sizes, rng) for sizes in LARGE_SHAPES]
+    for n in range(1, 9):
+        for sizes in partitions(n):
+            operators += [jordan_operator(sizes), conjugate(sizes, rng)]
+    for f in operators:
+        index, walk, generators = paired_rref_walk(f.mat)
+        assert f.index == index
+        assert [socle for _, socle in f.walk] == [socle for _, socle in walk]
+        u = generator_tuple(f)
+        assert tuple(g.bits for g in u.generators) == generators
+        oracle = make_generator_tuple(f, u.generators)
+        assert u == oracle
+        assert u.chains == oracle.chains and u.offsets == oracle.offsets
+        assert u.inverse_columns == oracle.inverse_columns
+        if f.dim <= 8:
+            for j, (level, (preimages, _)) in enumerate(zip(f.walk, walk)):
+                for y in _span_table(f.image_chain[j + 1].rows):
+                    assert _lift(level, y) == sum_preimages(preimages, y)
+
+
+def test_generator_tuple_applies_f_to_no_vector(conjugate, monkeypatch):
+    # per build, f is applied in the walk's levels >= 1, once per basis row of
+    # Im f^j, and in chain_frame's check, once per chain entry; nowhere else
+    rng = random.Random(113)
+    calls = []
+    apply_bits = Gf2Matrix.apply_bits
+
+    def counted(m, bits):
+        calls.append(bits)
+        return apply_bits(m, bits)
+
+    monkeypatch.setattr(Gf2Matrix, "apply_bits", counted)
+    for sizes in ((1, 3), (1, 2, 4), (2, 2, 3), (1, 2, 4, 8, 16)):
+        m = conjugate(sizes, rng).mat
+        del calls[:]
+        f = validate_nilpotent(m)
+        assert len(calls) == sum(sum(max(t - j, 0) for t in sizes) for j in range(1, max(sizes)))
+        del calls[:]
+        generator_tuple(f)
+        assert calls == []
+        chain_frame(f)
+        assert len(calls) == f.dim
 
 
 def test_generator_tuple_checks_the_image_chain(conjugate):
-    # the rank-nullity self-check: an image chain with two levels swapped no
-    # longer has dim Im f^j = Σ max(t_i - j, 0), and generator_tuple says so
+    # the rank-nullity self-check: a walk with two levels swapped no longer
+    # has dim Im f^j = Σ max(t_i - j, 0) for its level sizes, and
+    # generator_tuple says so
     rng = random.Random(97)
     for sizes in ((1, 3), (1, 2, 4), (2, 2, 3)):
         for f in (jordan_operator(sizes), conjugate(sizes, rng)):
-            chain = list(f.image_chain)
-            chain[1], chain[2] = chain[2], chain[1]
-            broken = dataclasses.replace(f, image_chain=tuple(chain))
+            walk = list(f.walk)
+            walk[0], walk[1] = walk[1], walk[0]
+            broken = dataclasses.replace(f, walk=tuple(walk))
             with pytest.raises(AssertionError, match="image chain"):
                 generator_tuple(broken)
             assert generator_tuple(f).exponents == tuple(sorted(sizes))
