@@ -482,27 +482,13 @@ def shifted_chain_span(
     return acc
 
 
-def _monotone_shifts(exponents: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every shift tuple with nondecreasing shifts and nondecreasing co-shifts.
-
-    Exactly these tuples have a chain span that does not depend on the
-    choice of generators; those spans are the hyperinvariant subspaces.
-    After shift r at exponent t, the next shift at exponent t' lies in
-    [r, r + t' - t]: the lower bound keeps the shifts nondecreasing and
-    the upper bound the co-shifts, so no tuple is built and then dropped.
-    """
-    tuples = [(0,)]  # a virtual shift 0 at exponent 0 starts every tuple
-    for t, t_next in zip((0,) + exponents, exponents):
-        tuples = [r + (s,) for r in tuples for s in range(r[-1], r[-1] + t_next - t + 1)]
-    return [r[1:] for r in tuples]
-
-
 def _monotone_shift_count(exponents: tuple[int, ...]) -> int:
-    """len(_monotone_shifts(exponents)), counted without building a tuple.
+    """The number of monotone shift tuples (nondecreasing shifts and
+    nondecreasing co-shifts) over the exponents, counted without building one.
 
-    The same steps, with the tuples counted by their last shift: after
-    shift r at exponent t the next shift s lies in [r, r + t' - t], so the
-    count at s sums the counts at r in [s - (t' - t), s], read off prefix sums.
+    The tuples are counted by their last shift: after shift r at exponent t
+    the next shift s lies in [r, r + t' - t], so the count at s sums the counts
+    at r in [s - (t' - t), s], read off prefix sums.
     """
     counts = [1]  # the virtual shift 0 at exponent 0
     for t, t_next in zip((0,) + exponents, exponents):
@@ -513,44 +499,61 @@ def _monotone_shift_count(exponents: tuple[int, ...]) -> int:
 
 @_per_operator
 def _hyperinvariant_lattice(f: NilpotentOperator) -> _Lattice:
-    """`hyperinvariant_lattice` and its covering pairs: node j covers node i when j's
-    shift tuple is i's with one exponent class's shifts lowered by 1 (checked against
-    `_stable_lattice` through MOVED_BY_PROJECTION in the tests, not proven).
+    """`hyperinvariant_lattice` and its covering pairs: node j covers node i exactly
+    when j's shift tuple is i's with one exponent class's shift lowered by 1.
 
-    Equal exponents force equal shifts, so a node is one shift s_c per exponent
-    class c (`_monotone_shifts` over the class exponents t_c).  The walk starts at
-    zero, s = (t_c), and takes the tuples by decreasing shift sum.  Each node is
-    the RREF of a node it covers, s with one s_c raised by 1, extended by the
-    entries f^(s_c) u_k of class c.  Every nonzero node covers one: take the last
-    class c whose co-shift t_c - s_c exceeds the previous class's (a virtual
-    co-shift 0 before the first).  Raising s_c keeps co-shift c at least the
-    previous one, and the next class has co-shift t_c - s_c and a larger
-    exponent, so its shift exceeds s_c.  Each later class has the co-shift
-    of the one before it, so c is the last class whose shift can rise, and
-    the walk grows s from that node.
+    Equal exponents force equal shifts, so a node is one shift r_c per exponent
+    class c, with class exponents t_1 < ... < t_m.  In chain coordinates a node
+    is the coordinate subspace of the entries f^j u_k with j >= r_c, so span(r)
+    lies in span(r') exactly when r >= r' entrywise, and the lattice is the
+    set of monotone tuples in reverse order.  Those are the integer points of
+    0 <= r_1 <= t_1 and r_c <= r_(c+1) <= r_c + d_c, with d_c = t_(c+1) - t_c >= 1.
+    Lowering one r_c by 1 is a cover, as no tuple lies strictly between.  Every cover is one: take r > r' in the set, and Q
+    the classes where r_c > r'_c.  Lowering r_c by 1 breaks a constraint only if
+    it is tight.  r_1 = 0 cannot hold for 1 in Q, as r'_1 >= 0.  If r_c = r_(c-1),
+    then c - 1 is in Q too; if r_(c+1) = r_c + d_c, then c + 1 is in Q too.
+    Both ties at one pair would need d_c = 0, so tight steps never turn back.
+    Followed from any class of Q, they end at a class of Q with no tight
+    constraint, and lowering it stays in the set and above r'.
+
+    The walk starts at zero, r = (t_c), and lowers one shift at a time.  Each
+    node is built once, from the first node it covers that the walk reaches:
+    that node's RREF form, extended by the entries f^(r_c) u_k of class c, must
+    gain one row per generator of the class, which by induction from zero is
+    the dimension sum((t_c - r_c) |c|) of the node.
     """
     u = generator_tuple(f)
-    exponents = tuple(t for t, _ in u.partition)
-    classes = [ix for _, ix in u.partition]
-    walk = sorted(_monotone_shifts(exponents), key=sum, reverse=True)
-    forms: dict[tuple[int, ...], dict[int, int]] = {walk[0]: {}}  # `_rref_extend` forms
-    covered: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-    for s in walk[1:]:
-        raised = ((c, s[:c] + (r + 1,) + s[c + 1 :]) for c, r in enumerate(s))
-        covered[s] = [(c, p) for c, p in raised if p in forms]
-        c, p = covered[s][-1]
-        form = dict(forms[p])
-        _rref_extend(form, sum(form), (u.chains[k][s[c]] for k in classes[c]))
-        if len(form) != sum((t - r) * len(ix) for t, r, ix in zip(exponents, s, classes)):
-            raise AssertionError("shifted chains failed to stay independent")
-        forms[s] = form
-    spans = {}
-    for s, form in forms.items():
+    exponents = [t for t, _ in u.partition]
+    classes = [[u.chains[k] for k in ix] for _, ix in u.partition]
+    # r_c may drop to r_(c-1), and r_(c+1) - r_c may grow to d_c
+    gaps = [t_next - t for t, t_next in zip(exponents, exponents[1:])]
+    top = tuple(exponents)
+    forms: dict[tuple[int, ...], tuple[dict[int, int], int]] = {top: ({}, 0)}  # form, pivot mask
+    covers: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    walk = [top]
+    for p in walk:  # grows as new nodes are reached
+        form, mask = forms[p]
+        below = 0
+        for c, r in enumerate(p):
+            if r > below and (c + 1 == len(p) or p[c + 1] - r < gaps[c]):
+                s = p[:c] + (r - 1,) + p[c + 1 :]
+                covers.append((p, s))
+                if s not in forms:
+                    grown = dict(form)
+                    grown_mask = _rref_extend(grown, mask, (chain[r - 1] for chain in classes[c]))
+                    if len(grown) != len(form) + len(classes[c]):
+                        raise AssertionError("shifted chains failed to stay independent")
+                    forms[s] = grown, grown_mask
+                    walk.append(s)
+            below = r
+    spans = []
+    for s, (form, _) in forms.items():
         rows, pivots = _rref_rows(form)
-        spans[s] = Subspace._canonical(tuple(rows), tuple(pivots), f.dim)
-    at = {s: i for i, s in enumerate(sorted(spans, key=lambda s: (spans[s].dim, spans[s].rows)))}
-    edges = sorted((at[p], at[s]) for s, ps in covered.items() for _, p in ps)
-    return tuple(spans[s] for s in at), tuple(edges)
+        spans.append((Subspace._canonical(tuple(rows), tuple(pivots), f.dim), s))
+    spans.sort(key=lambda x: (x[0].dim, x[0].rows))
+    at = {s: i for i, (_, s) in enumerate(spans)}
+    edges = sorted((at[p], at[s]) for p, s in covers)
+    return tuple(x for x, _ in spans), tuple(edges)
 
 
 def hyperinvariant_lattice(f: NilpotentOperator) -> tuple[Subspace, ...]:

@@ -79,28 +79,66 @@ def _members(x) -> dict:
     return {f.name: getattr(x, f.name) for f in fields(x)}
 
 
-def _dumps(obj) -> str:
-    """json.dumps(obj, indent=2) of a JSON tree with str keys, byte for byte, with
-    a tuple as a list, a dataclass as its `_members` and a vector as its 0/1
-    coordinates.  Each distinct 0/1 row is written once per document: a row's
-    text depends on its width and its depth, so one memo per call maps (width,
-    indent) to the text of each row int, and a row met again is copied from it.
-    Each list of plain ints (no bools) is written in one join, and so is each list
-    item that is a tuple of plain ints.  An exact int or str, a dict value
-    included, is written here; bools, None, floats and int or str subclasses go
-    to json.dumps."""
+def _decimal(n: int) -> str:
+    """str(n), exact also past the interpreter's limit on the digits of an
+    int-to-str conversion, which is left as it is."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal  # only for an int this long: it costs a ms to import
+
+        return str(Decimal(n))
+
+
+def _int(text: str) -> int:
+    """int(text), exact also past the interpreter's limit on the digits of a
+    str-to-int conversion."""
+    try:
+        return int(text)
+    except ValueError:
+        from decimal import Decimal
+
+        return int(Decimal(text))
+
+
+def _ints(sep: str, ints) -> str:
+    """The decimals of ints, joined by sep."""
+    try:
+        return sep.join(map(str, ints))
+    except ValueError:
+        return sep.join(map(_decimal, ints))
+
+
+def _write(obj, put: Callable[[str], object]) -> None:
+    """Write json.dumps(obj, indent=2) of a JSON tree with str keys, byte for byte,
+    to `put`, with a tuple as a list, a dataclass as its `_members` and a vector as
+    its 0/1 coordinates.
+
+    The text goes out in flat chunks, each byte copied once into its chunk:
+    separators, keys and scalar values wait in `head` and go out with the next
+    chunk, and a chunk ends at each packed row list, list of ints or tuple of
+    ints, and at each closing bracket, so it holds at most one of those lists.
+    Each distinct 0/1 row is written once per document: a row's text depends on
+    its width and its depth, so one memo per call maps (width, indent) to the
+    text of each row int, and a row met again is copied from it.  An exact int
+    or str, a dict value included, is written here, an int of any length;
+    bools, None, floats and int or str subclasses go to json.dumps.
+    """
     memo: dict[tuple[int, str], dict[int, str]] = {}
 
-    def write(obj, pad: str) -> str:
+    def write(obj, pad: str, head: str) -> None:
         kind = type(obj)
         if kind is int:
-            return str(obj)
+            put(head + _decimal(obj))
+            return
         if kind is str:
-            return encode_basestring_ascii(obj)
+            put(head + encode_basestring_ascii(obj))
+            return
         inner = pad + "  "
         if isinstance(obj, _BitRows):
             if not obj.rows:
-                return "[]"
+                put(head + "[]")
+                return
             texts = memo.setdefault((obj.width, pad), {})
             cell = inner + "  "
             spec, sep = f"0{obj.width}b", "," + cell  # as _bit_row, one spec per basis
@@ -109,35 +147,51 @@ def _dumps(obj) -> str:
                 or texts.setdefault(r, "[" + cell + sep.join(format(r, spec)[::-1]) + inner + "]")
                 for r in obj.rows
             ]
-            return "[" + inner + ("," + inner).join(items) + pad + "]"
+            put(head + "[" + inner + ("," + inner).join(items) + pad + "]")
+            return
         if isinstance(obj, dict) and obj:
-            items = (
-                encode_basestring_ascii(k) + ": "
-                + (str(v) if type(v) is int else
-                   encode_basestring_ascii(v) if type(v) is str else write(v, inner))
-                for k, v in obj.items()
-            )
-            return "{" + inner + ("," + inner).join(items) + pad + "}"
+            sep = "{" + inner
+            for k, v in obj.items():
+                head += sep + encode_basestring_ascii(k) + ": "
+                sep = "," + inner
+                if type(v) is int:
+                    head += _decimal(v)
+                elif type(v) is str:
+                    head += encode_basestring_ascii(v)
+                else:
+                    write(v, inner, head)
+                    head = ""
+            put(head + pad + "}")
+            return
         if isinstance(obj, (list, tuple)) and obj:
             if all(type(v) is int for v in obj):
-                items = map(str, obj)
-            else:
-                cell = inner + "  "
-                sep = "," + cell
-                items = (
-                    "[" + cell + sep.join(map(str, v)) + inner + "]"
-                    if type(v) is tuple and v and all(type(i) is int for i in v)
-                    else write(v, inner)
-                    for v in obj
-                )
-            return "[" + inner + ("," + inner).join(items) + pad + "]"
+                put(head + "[" + inner + _ints("," + inner, obj) + pad + "]")
+                return
+            sep, cell = "[" + inner, inner + "  "
+            for v in obj:
+                if type(v) is tuple and v and all(type(i) is int for i in v):
+                    put(head + sep + "[" + cell + _ints("," + cell, v) + inner + "]")
+                else:
+                    write(v, inner, head + sep)
+                head, sep = "", "," + inner
+            put(pad + "]")
+            return
         if isinstance(obj, Gf2Vector):
-            return "[" + inner + _bit_row(obj.bits, obj.dim, "," + inner) + pad + "]"
+            put(head + "[" + inner + _bit_row(obj.bits, obj.dim, "," + inner) + pad + "]")
+            return
         if is_dataclass(obj):
-            return write(_members(obj), pad)
-        return json.dumps(obj)
+            write(_members(obj), pad, head)
+            return
+        put(head + json.dumps(obj))
 
-    return write(obj, "\n")
+    write(obj, "\n", "")
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj, indent=2), as `_write` writes it."""
+    chunks: list[str] = []
+    _write(obj, chunks.append)
+    return "".join(chunks)
 
 
 def _from_obj(kind, obj):
@@ -222,7 +276,7 @@ class AnalysisDocument:
     @classmethod
     def from_json(cls, text: str) -> AnalysisDocument:
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, parse_int=_int)
         except ValueError as exc:
             raise ParseError(f"analysis document is not JSON: {exc}") from exc
         return cls.from_obj(obj)
@@ -270,7 +324,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     print("elementary divisors:", " ".join(map(str, doc.elementary_divisors)))
     print("ulm sequence:", " ".join(map(str, doc.ulm_sequence)))
     print("commutant dimension:", doc.commutant_dimension)
-    print(f"automorphisms: {doc.automorphism_count} (group-order formula)")
+    print(f"automorphisms: {_decimal(doc.automorphism_count)} (group-order formula)")
     if doc.shoda_witness is None:
         print("characteristic non-hyperinvariant subspaces: NONE")
     else:
@@ -384,8 +438,18 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
         print("}")
         return 0
     if args.json:
-        node_objs = [{"id": _node_digest(s), "dim": s.dim, **_members(s)} for s in nodes]
-        print(_dumps({"which": args.which, "nodes": node_objs, "edges": edges}))
+        node_objs = [
+            {
+                "id": _node_digest(s),
+                "dim": s.dim,
+                "ambient_dim": s.ambient_dim,
+                "basis": _BitRows(s.rows, s.ambient_dim),
+            }
+            for s in nodes
+        ]
+        # streamed: stdout holds at most one node's text at a time
+        _write({"which": args.which, "nodes": node_objs, "edges": edges}, sys.stdout.write)
+        sys.stdout.write("\n")
         return 0
     print(f"{len(nodes)} nodes, {len(edges)} covering edges")
     for s in nodes:

@@ -82,7 +82,7 @@ def jordan_operator(block_sizes: tuple[int, ...]) -> NilpotentOperator:
     return validate_nilpotent(jordan_matrix(list(block_sizes)))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def census(block_sizes: tuple[int, ...]) -> SubspaceCensus:
     """Classify every invariant subspace, enumerated directly, exactly as `classify` does.
 
@@ -212,28 +212,38 @@ def _matches_unit_template(g: Gf2Matrix) -> bool:
 
 
 def census_suite(max_dim: int) -> Iterator[tuple[str, bool, str]]:
-    """Exhaustive predicate equivalences over all configurations up to max_dim."""
+    """Exhaustive predicate equivalences over all configurations up to max_dim.
+
+    Each shape's census is dropped after its checks, and `census` keeps only
+    the last one it built, so the suite holds at most two shapes' subspaces,
+    while the next one is built."""
     # the zero operator on GF(2)^n has all of it as its kernel, and the subspace
     # count rises with n: gate every n before the first shape is lifted
     for n in range(1, max_dim + 1):
         _check_subspace_cap(n)
     for n in range(1, max_dim + 1):
         for sizes in partitions(n):
-            f = jordan_operator(sizes)
-            data = census(sizes)
-            label = "-".join(map(str, sizes))
-            marked, char, hyper = map(set, (data.marked, data.characteristic, data.hyperinvariant))
-            strict = char > hyper
-            ulm = ulm_sequence(f)
-            shoda_holds, excluded = shoda.shoda_condition(ulm), shoda.ulm_form_condition(ulm)
-            yield f"shoda-equivalence[{label}]", strict == shoda_holds, f"strict={strict}"
-            yield f"ulm-form-negation[{label}]", shoda_holds != excluded, ""
-            yield f"hyper-iff-char-and-marked[{label}]", hyper == char & marked, ""
-            yield f"lattice-closure-matches-census[{label}]", set(lattice_closure(f)) == hyper, ""
-            lattice = set(hyperinvariant_lattice(f))
-            yield f"lattice-equals-monotone-spans[{label}]", lattice == hyper, ""
-            if excluded:
-                yield f"char-equals-hyper-when-excluded[{label}]", char == hyper, ""
+            yield from _census_checks(sizes)
+
+
+def _census_checks(sizes: tuple[int, ...]) -> Iterator[tuple[str, bool, str]]:
+    """The census suite's checks of one shape, from its own census."""
+    f = jordan_operator(sizes)
+    data = census(sizes)
+    label = "-".join(map(str, sizes))
+    marked, char, hyper = map(set, (data.marked, data.characteristic, data.hyperinvariant))
+    del data
+    strict = char > hyper
+    ulm = ulm_sequence(f)
+    shoda_holds, excluded = shoda.shoda_condition(ulm), shoda.ulm_form_condition(ulm)
+    yield f"shoda-equivalence[{label}]", strict == shoda_holds, f"strict={strict}"
+    yield f"ulm-form-negation[{label}]", shoda_holds != excluded, ""
+    yield f"hyper-iff-char-and-marked[{label}]", hyper == char & marked, ""
+    yield f"lattice-closure-matches-census[{label}]", set(lattice_closure(f)) == hyper, ""
+    lattice = set(hyperinvariant_lattice(f))
+    yield f"lattice-equals-monotone-spans[{label}]", lattice == hyper, ""
+    if excluded:
+        yield f"char-equals-hyper-when-excluded[{label}]", char == hyper, ""
 
 
 def oracle_suite(max_dim: int) -> Iterator[tuple[str, bool, str]]:

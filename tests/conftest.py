@@ -57,6 +57,22 @@ def monotone_shift_condition(
     return all(x <= y for x, y in zip(co, co[1:]))
 
 
+def monotone_shifts(exponents: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Oracle for classify._monotone_shift_count and the hinv walk: every shift
+    tuple with nondecreasing shifts and nondecreasing co-shifts.
+
+    Exactly these tuples have a chain span that does not depend on the
+    choice of generators; those spans are the hyperinvariant subspaces.
+    After shift r at exponent t, the next shift at exponent t' lies in
+    [r, r + t' - t]: the lower bound keeps the shifts nondecreasing and
+    the upper bound the co-shifts, so no tuple is built and then dropped.
+    """
+    tuples = [(0,)]  # a virtual shift 0 at exponent 0 starts every tuple
+    for t, t_next in zip((0,) + exponents, exponents):
+        tuples = [r + (s,) for r in tuples for s in range(r[-1], r[-1] + t_next - t + 1)]
+    return [r[1:] for r in tuples]
+
+
 def chain_matrix(f, u):
     """Oracle for nilpotent.chain_frame: the basis-change matrix P whose
     columns are the Jordan chains of u, read entry by entry."""

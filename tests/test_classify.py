@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import importlib
 import itertools
 import json
 import random
@@ -41,7 +42,6 @@ from gf2hyper.classify import (
     _hyperinvariant_lattice,
     _in_chains,
     _monotone_shift_count,
-    _monotone_shifts,
     _scan,
     _stability_maps,
     _stable_lattice,
@@ -59,6 +59,7 @@ from conftest import (
     cyclic_subspace,
     first_exit_by_matrices,
     monotone_shift_condition,
+    monotone_shifts,
     power_tower,
     random_invertible,
     stability_matrices,
@@ -725,7 +726,7 @@ def test_monotone_shifts_match_the_filtered_product():
         for sizes in partitions(n):
             product = itertools.product(*(range(t + 1) for t in sizes))
             expected = [r for r in product if monotone_shift_condition(sizes, r)]
-            assert _monotone_shifts(sizes) == expected, sizes
+            assert monotone_shifts(sizes) == expected, sizes
 
 
 def test_monotone_shift_count_matches_the_tuples():
@@ -735,7 +736,7 @@ def test_monotone_shift_count_matches_the_tuples():
     for n in range(1, 13):
         for sizes in partitions(n):
             for exponents in (tuple(sorted(set(sizes))), tuple(sorted(sizes))):
-                assert _monotone_shift_count(exponents) == len(_monotone_shifts(exponents)), sizes
+                assert _monotone_shift_count(exponents) == len(monotone_shifts(exponents)), sizes
     assert _monotone_shift_count(tuple(range(1, 26))) == 1 << 25
 
 
@@ -782,13 +783,14 @@ def test_lattice_matches_the_closure_off_the_jordan_basis(conjugate):
 
 def _shifted_chain_spans(f):
     u = generator_tuple(f)
-    return {shifted_chain_span(f, u, AdmissibleTuple(r)) for r in _monotone_shifts(u.exponents)}
+    return {shifted_chain_span(f, u, AdmissibleTuple(r)) for r in monotone_shifts(u.exponents)}
 
 
 def test_hyperinvariant_covers_match_the_projection_walk(conjugate):
-    # the shift-tuple cover rule is checked, not proven: pin it to the cover walk
-    # through the whole scan, which reaches the same subspaces by their closures;
-    # the nodes, each grown from one it covers, are the spans of the full shift tuples
+    # the shift-tuple cover rule is proven in `_hyperinvariant_lattice`; the cover
+    # walk through the whole scan, which reaches the same subspaces by their
+    # closures, guards it; the nodes, each grown from one it covers, are the spans
+    # of the full shift tuples
     rng = random.Random(83)
     for n in range(1, 9):
         for sizes in partitions(n):
@@ -801,6 +803,27 @@ def test_hyperinvariant_covers_match_the_projection_walk(conjugate):
     assert len(nodes) == 243
     assert set(nodes) == _shifted_chain_spans(f)
     assert (nodes, edges) == _stable_lattice(f, MOVED_BY_PROJECTION)
+
+
+def test_hyperinvariant_lattice_extends_one_form_per_nonzero_node(conjugate, monkeypatch):
+    # each node but zero is one RREF extension of a node it covers, and no node
+    # is built twice, whichever of its covers the walk reaches first
+    calls = []
+    classify_mod = importlib.import_module("gf2hyper.classify")  # the package exports the function
+    real = classify_mod._rref_extend
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(classify_mod, "_rref_extend", counted)
+    rng = random.Random(29)
+    shapes = [sizes for n in range(1, 9) for sizes in partitions(n)]
+    for sizes in shapes + [(1, 3, 5, 7), (2, 4, 6, 8, 10), (1, 1, 2, 3, 5, 8, 13)]:
+        f = conjugate(sizes, rng)
+        calls.clear()
+        nodes, _ = _hyperinvariant_lattice(f)
+        assert len(calls) == len(nodes) - 1, sizes
 
 
 def test_stable_lattice_nodes_match_the_census():

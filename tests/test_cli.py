@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from http import HTTPStatus
 from io import StringIO
 from json.encoder import encode_basestring_ascii
@@ -47,6 +48,7 @@ from gf2hyper.cli import (
     main,
 )
 from gf2hyper.classify import MOVED_BY_F, MOVED_BY_UNIT, _hyperinvariant_lattice, _stable_lattice
+from gf2hyper.commutant import automorphism_group_order
 from gf2hyper.errors import ParseError
 from gf2hyper.gf2 import SUBSPACE_ENUM_CAP
 from gf2hyper import shoda, verify
@@ -769,6 +771,63 @@ def test_json_stdout_is_the_stdlib_form_at_benchmark_sizes(conjugate, tmp_path, 
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
+class _Pieces:
+    """A stdout that keeps each piece written to it."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_lattice_json_is_streamed_in_pieces_of_at_most_one_node(conjugate, tmp_path, monkeypatch):
+    # the document is written as it is walked, so stdout never takes more than
+    # one node's text at a time, and the pieces make the stdlib's form
+    rng = random.Random(37)
+    for sizes in LATTICE_WORKLOAD_SHAPES + ((1, 3, 5, 7, 9),):
+        path = tmp_path / "f.txt"
+        path.write_text(format_matrix(conjugate(sizes, rng).mat))
+        out = _Pieces()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["lattice", str(path), "--which", "hinv", "--json"]) == 0
+        monkeypatch.undo()
+        text = "".join(out.pieces)
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", sizes
+        nodes = json.loads(text)["nodes"]
+        # a node's text as it stands in the document, two levels deep
+        longest = max(len(json.dumps(node, indent=2).replace("\n", "\n    ")) for node in nodes)
+        assert max(map(len, out.pieces)) <= longest, sizes
+        assert len(out.pieces) > len(nodes), sizes
+
+
+def test_analyze_writes_and_reads_a_unit_count_past_the_digit_limit(tmp_path, capsys):
+    # |GL(120, 2)| has 4,335 decimal digits, more than the interpreter converts
+    # between int and str by default; the text, the JSON and its round trip keep
+    # every digit, and the limit itself is left as it is
+    n = 120
+    path = tmp_path / "zero.txt"
+    path.write_text(format_matrix(Gf2Matrix.zeros(n, n)))
+    order = automorphism_group_order(jordan_operator((1,) * n))
+    digits = str(Decimal(order))
+    assert len(digits) == 4335
+    limit = sys.get_int_max_str_digits()
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert f"\nautomorphisms: {digits} (group-order formula)\n" in out
+    assert main(["analyze", str(path), "--json"]) == 0
+    text = capsys.readouterr().out
+    assert f'\n  "automorphism_count": {digits},\n' in text
+    doc = AnalysisDocument.from_json(text)
+    assert doc.automorphism_count == order
+    assert doc.to_json() + "\n" == text
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_json_stdout_is_the_stdlib_indent_2_form(conjugate, tmp_path, capsys):

@@ -20,7 +20,7 @@ from gf2hyper import (
     validate_nilpotent,
 )
 from gf2hyper import nilpotent
-from gf2hyper.classify import _monotone_shifts, hyperinvariant_lattice
+from gf2hyper.classify import hyperinvariant_lattice
 from gf2hyper.gf2 import _span_table
 from gf2hyper.nilpotent import (
     UlmSequence,
@@ -37,6 +37,7 @@ from conftest import (
     cyclic_subspace,
     generator_tuple_by_intersection,
     make_generator_tuple,
+    monotone_shifts,
     paired_rref_walk,
     power_tower,
     random_invertible,
@@ -392,7 +393,7 @@ def test_chain_tail_masks_span_the_operators_own_chains(conjugate):
                     assert _columns_span(p, images) == f.image_chain[m], (sizes, m)
                     kernels = _tail_mask(u, [max(t - m, 0) for t in u.exponents])
                     assert _columns_span(p, kernels) == f.kernel_chain[m], (sizes, m)
-                shifts = _monotone_shifts(u.exponents)
+                shifts = monotone_shifts(u.exponents)
                 spans = [_columns_span(p, _tail_mask(u, r)) for r in shifts]
                 assert sorted(spans, key=lambda s: (s.dim, s.rows)) == list(
                     hyperinvariant_lattice(f)
