@@ -10,7 +10,6 @@ from .errors import (
     CapExceeded,
     DimensionMismatch,
     Gf2HyperError,
-    InadmissibleTuple,
     NotAGeneratorTuple,
     NotNilpotent,
     NotSquare,
@@ -43,7 +42,6 @@ from .nilpotent import (
     validate_nilpotent,
 )
 from .commutant import (
-    AutomorphismSet,
     CommutantBasis,
     automorphism_generators,
     automorphism_group_order,
@@ -52,7 +50,6 @@ from .commutant import (
     enumerate_automorphisms,
 )
 from .classify import (
-    AdmissibleTuple,
     ClassificationReport,
     Witness,
     classify,
@@ -63,7 +60,6 @@ from .classify import (
     is_invariant,
     is_marked,
     largest_hyperinvariant_inside,
-    shifted_chain_span,
 )
 from .shoda import (
     ShodaWitness,

@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DimensionMismatch, InadmissibleTuple
+from .errors import DimensionMismatch
 from .commutant import _chain_map
 from .gf2 import (
     Gf2Matrix,
@@ -56,25 +56,6 @@ class Witness:
 
     matrix: Gf2Matrix
     vector: Gf2Vector
-
-
-@dataclass(frozen=True)
-class AdmissibleTuple:
-    """Per-generator shifts, one in [0, t_i] for each chain length t_i."""
-
-    shifts: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "shifts", tuple(self.shifts))
-        if any(r < 0 for r in self.shifts):
-            raise InadmissibleTuple("shifts must be nonnegative")
-
-    def validate_against(self, exponents: tuple[int, ...]) -> None:
-        if len(self.shifts) != len(exponents):
-            raise InadmissibleTuple("one shift per generator is required")
-        for r, t in zip(self.shifts, exponents):
-            if r > t:
-                raise InadmissibleTuple(f"shift {r} exceeds chain length {t}")
 
 
 @dataclass(frozen=True)
@@ -468,18 +449,6 @@ def _stable_lattice(f: NilpotentOperator, through: int) -> _Lattice:
     at = {x: i for i, x in enumerate(sorted(covers, key=lambda x: (std[x].dim, std[x].rows)))}
     edges = sorted((at[x], at[y]) for x, ys in covers.items() for y in ys)
     return tuple(std[x] for x in at), tuple(edges)
-
-
-def shifted_chain_span(
-    f: NilpotentOperator, u: GeneratorTuple, shifts: AdmissibleTuple
-) -> Subspace:
-    """The marked subspace spanned by the shifted chains f^(r_i) u_i."""
-    shifts.validate_against(u.exponents)
-    acc = Subspace.span_bits((b for c, r in zip(u.chains, shifts.shifts) for b in c[r:]), f.dim)
-    expected = sum(t - r for t, r in zip(u.exponents, shifts.shifts))
-    if acc.dim != expected:
-        raise AssertionError("shifted chains failed to stay independent")
-    return acc
 
 
 def _monotone_shift_count(exponents: tuple[int, ...]) -> int:

@@ -58,16 +58,6 @@ class CommutantBasis:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class AutomorphismSet:
-    """Every invertible commuting operator, from exhaustive enumeration."""
-
-    elements: tuple[Gf2Matrix, ...] = field(repr=False)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
 def _chain_map(f: NilpotentOperator, c: int, i: int, j: int) -> Gf2Matrix:
     """The elementary chain map N_(c,i,j), checked to commute with f.
 
@@ -124,7 +114,7 @@ def commutant_basis(f: NilpotentOperator) -> CommutantBasis:
     return CommutantBasis(f, basis)
 
 
-def enumerate_automorphisms(c: CommutantBasis) -> AutomorphismSet:
+def enumerate_automorphisms(c: CommutantBasis) -> tuple[Gf2Matrix, ...]:
     """All invertible commutant elements, sorted by packed-bit value.
 
     Walks the 2^dim linear combinations in Gray-code order (one basis
@@ -147,7 +137,7 @@ def enumerate_automorphisms(c: CommutantBasis) -> AutomorphismSet:
         if candidate.rank() == n:
             units.append(candidate)
     units.sort(key=flatten_matrix)
-    return AutomorphismSet(tuple(units))
+    return tuple(units)
 
 
 @_per_operator

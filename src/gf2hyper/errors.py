@@ -45,7 +45,3 @@ class NotAGeneratorTuple(Gf2HyperError):
 
 class ShodaConditionFails(Gf2HyperError):
     """Block sizes do not admit a characteristic non-hyperinvariant subspace."""
-
-
-class InadmissibleTuple(Gf2HyperError):
-    """A shift tuple is out of range for the elementary divisors."""

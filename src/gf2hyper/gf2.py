@@ -115,10 +115,6 @@ class Gf2Vector:
             raise ValueError("bits set beyond the declared dimension")
 
     @classmethod
-    def zero(cls, dim: int) -> Gf2Vector:
-        return cls(0, dim)
-
-    @classmethod
     def from_coords(cls, coords: Iterable[int]) -> Gf2Vector:
         coords = list(coords)
         bits = 0
@@ -194,9 +190,6 @@ class Gf2Matrix:
         if not self.rows:
             return (0,) * self.n_cols
         return _transpose(self.rows, self.n_cols)
-
-    def is_zero(self) -> bool:
-        return all(r == 0 for r in self.rows)
 
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols

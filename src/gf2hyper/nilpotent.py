@@ -104,9 +104,6 @@ class NilpotentOperator:
             for j in range(self.index + 1)
         )
 
-    def image_of_power(self, k: int) -> Subspace:
-        return self.image_chain[min(k, self.index)]
-
 
 @dataclass(frozen=True)
 class UlmSequence:

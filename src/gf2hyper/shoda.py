@@ -135,7 +135,7 @@ def exceptional_subspace_scan(f: NilpotentOperator, a_rho: int, a_tau: int) -> S
     forces membership there, and refuses above 2**ORACLE_DIM_CAP
     vectors.  Returns the zero subspace when no vector matches.
     """
-    base = f.image_of_power(a_rho - 1)
+    base = f.image_chain[a_rho - 1]
     members = []
     for v in base.enumerate_vectors(cap=ORACLE_DIM_CAP):
         if v.is_zero() or exponent(f, v) != 2:

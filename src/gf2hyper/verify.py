@@ -159,13 +159,13 @@ def paper_suite() -> Iterator[tuple[str, bool, str]]:
     yield "commutant-dim", c.dim == 6, ""
     units = enumerate_automorphisms(c)
     yield "unit-count", len(units) == 16, ""
-    yield "unit-template", all(_matches_unit_template(g) for g in units.elements), ""
+    yield "unit-template", all(_matches_unit_template(g) for g in units), ""
     # g z is z + e4 when the entries (3,0) and (2,1) of g differ, else z
     actions_ok = all(
         g.apply(z) == (gz := z + e4 if g.entry(3, 0) ^ g.entry(2, 1) else z)
         and g.apply(fz) == e4
         and g.apply(z + fz) == gz + e4
-        for g in units.elements
+        for g in units
     )
     yield "unit-action-on-x", actions_ok, ""
 

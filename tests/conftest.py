@@ -7,7 +7,6 @@ import pytest
 from hypothesis import strategies as st
 
 from gf2hyper import (
-    AdmissibleTuple,
     GeneratorTuple,
     Gf2Matrix,
     Gf2Vector,
@@ -46,11 +45,11 @@ LARGE_SHAPES = (
 
 
 def monotone_shift_condition(
-    exponents: tuple[int, ...] | list[int], shifts: AdmissibleTuple | tuple[int, ...]
+    exponents: tuple[int, ...] | list[int], shifts: tuple[int, ...]
 ) -> bool:
     """Oracle for classify._monotone_shifts: nondecreasing shifts with
     nondecreasing co-shifts, tested on one given tuple."""
-    r = shifts.shifts if isinstance(shifts, AdmissibleTuple) else tuple(shifts)
+    r = tuple(shifts)
     if any(x > y for x, y in zip(r, r[1:])):
         return False
     co = [t - x for t, x in zip(exponents, r)]
@@ -71,6 +70,18 @@ def monotone_shifts(exponents: tuple[int, ...]) -> list[tuple[int, ...]]:
     for t, t_next in zip((0,) + exponents, exponents):
         tuples = [r + (s,) for r in tuples for s in range(r[-1], r[-1] + t_next - t + 1)]
     return [r[1:] for r in tuples]
+
+
+def shifted_chain_span(f, u, shifts: tuple[int, ...]) -> Subspace:
+    """Oracle for the hinv lattice: the span of the shifted chains f^(r_i) u_i,
+    one r_i in [0, t_i] per chain of length t_i, built from the full tuple."""
+    t = u.exponents
+    if len(shifts) != len(t) or not all(0 <= r <= t_i for r, t_i in zip(shifts, t)):
+        raise ValueError(f"shifts {shifts} out of range for chain lengths {t}")
+    acc = Subspace.span_bits((b for c, r in zip(u.chains, shifts) for b in c[r:]), f.dim)
+    if acc.dim != sum(t_i - r for t_i, r in zip(t, shifts)):
+        raise AssertionError("shifted chains failed to stay independent")
+    return acc
 
 
 def chain_matrix(f, u):

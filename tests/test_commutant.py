@@ -134,10 +134,10 @@ def test_commutant_elements_commute_and_multiply_into_span(golden):
 def test_enumerate_automorphisms_golden(golden):
     units = enumerate_automorphisms(commutant_basis(golden))
     assert len(units) == 16
-    for g in units.elements:
+    for g in units:
         assert g.is_invertible()
         assert g @ golden.mat == golden.mat @ g
-    keys = [flatten_matrix(g) for g in units.elements]
+    keys = [flatten_matrix(g) for g in units]
     assert keys == sorted(keys)
 
 
@@ -146,7 +146,7 @@ def test_enumerate_automorphisms_small_cases():
     assert len(enumerate_automorphisms(commutant_basis(zero2))) == 6
     n2 = jordan_operator((2,))
     units = enumerate_automorphisms(commutant_basis(n2))
-    assert {g.rows for g in units.elements} == {(1, 2), (1, 3)}  # I and I + f
+    assert {g.rows for g in units} == {(1, 2), (1, 3)}  # I and I + f
 
 
 def test_enumerate_automorphisms_cap():
@@ -161,10 +161,10 @@ def test_unit_group_closed_under_product_and_inverse():
     for sizes in [(1, 3), (2, 2), (1, 1, 2)]:
         f = jordan_operator(sizes)
         units = enumerate_automorphisms(commutant_basis(f))
-        keys = {flatten_matrix(g) for g in units.elements}
-        for g in units.elements:
+        keys = {flatten_matrix(g) for g in units}
+        for g in units:
             assert flatten_matrix(g.inverse()) in keys
-        for g, h in itertools.product(units.elements, repeat=2):
+        for g, h in itertools.product(units, repeat=2):
             assert flatten_matrix(g @ h) in keys
 
 
@@ -173,7 +173,7 @@ def test_images_bijection_golden(golden):
     u = generator_tuple(golden)
     units = enumerate_automorphisms(commutant_basis(golden))
     images_seen = set()
-    for g in units.elements:
+    for g in units:
         images = tuple(g.apply(x) for x in u.generators)
         assert images not in images_seen
         images_seen.add(images)
@@ -222,7 +222,7 @@ def test_generators_generate_the_full_unit_group():
         generated = closure(automorphism_generators(f), f.dim)
         enumerated = {
             flatten_matrix(g)
-            for g in enumerate_automorphisms(commutant_basis(f)).elements
+            for g in enumerate_automorphisms(commutant_basis(f))
         }
         assert generated == enumerated
         assert len(generated) == automorphism_group_order(f)

@@ -69,7 +69,7 @@ def test_validate_zero_and_identity():
 def test_exponent(golden, e):
     z = e[0] + e[2]
     assert exponent(golden, z) == 2
-    assert exponent(golden, Gf2Vector.zero(4)) == 0
+    assert exponent(golden, Gf2Vector(0, 4)) == 0
     # e2 -> e3 -> e4 -> 0
     assert exponent(golden, e[1]) == 3
 
@@ -78,7 +78,7 @@ def test_height(golden, e):
     z = e[0] + e[2]
     assert not golden.image_chain[1].contains(z)  # z outside Im f
     assert height(golden, z) == 0
-    assert height(golden, Gf2Vector.zero(4)) == INFINITY
+    assert height(golden, Gf2Vector(0, 4)) == INFINITY
     assert height(golden, e[3]) == 2
 
 
@@ -237,7 +237,7 @@ def test_make_generator_tuple_rejections(golden, e, conjugate):
 def test_cyclic_subspace(golden, golden_x, e):
     z = e[0] + e[2]
     assert cyclic_subspace(golden, z) == golden_x
-    assert cyclic_subspace(golden, Gf2Vector.zero(4)) == Subspace.zero(4)
+    assert cyclic_subspace(golden, Gf2Vector(0, 4)) == Subspace.zero(4)
     assert cyclic_subspace(golden, e[1]) == Subspace.span([e[1], e[2], e[3]], 4)
     assert cyclic_subspace(golden, z).dim == exponent(golden, z)
 
@@ -274,7 +274,7 @@ def test_validate_nilpotent_matches_the_power_tower(conjugate):
         for sizes in partitions(n):
             for f in (jordan_operator(sizes), conjugate(sizes, rng)):
                 powers = power_tower(f)
-                assert powers[-1].is_zero() and not any(p.is_zero() for p in powers[:-1])
+                assert not any(powers[-1].rows) and all(any(p.rows) for p in powers[:-1])
                 assert f.index == max(sizes) == len(powers) - 1, sizes
                 assert f.kernel_chain == tuple(p.kernel() for p in powers), sizes
                 assert f.image_chain == tuple(p.image() for p in powers), sizes
