@@ -15,7 +15,8 @@ echelon of s and one of each f^a s.  `invariant_subspaces` lifts each
 invariant subspace once, down the image chain, passing RREF forms from
 level to level.  Each lattice yields its own covers: a walk
 up from zero for the invariant and the characteristic subspaces, the
-shift tuples for the hyperinvariant ones.
+shift tuples for the hyperinvariant ones.  `_lattice` picks each family's
+walk and refuses, before building a node, a lattice past the cap.
 """
 
 from __future__ import annotations
@@ -24,13 +25,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DimensionMismatch
+from .errors import CapExceeded, DimensionMismatch
 from .commutant import _chain_map
 from .gf2 import (
+    SUBSPACE_ENUM_CAP,
     Gf2Matrix,
     Gf2Vector,
     Subspace,
     _apply_columns,
+    _check_subspace_cap,
     _echelonize,
     _lowest_bit,
     _rref_extend,
@@ -532,6 +535,24 @@ def hyperinvariant_lattice(f: NilpotentOperator) -> tuple[Subspace, ...]:
     Herrero and Longstaff, LAA 17, 1977), one per monotone shift tuple.
     """
     return _hyperinvariant_lattice(f)[0]
+
+
+def _lattice(f: NilpotentOperator, which: str) -> _Lattice:
+    """The "inv", "chinv" or "hinv" lattice of f: its nodes, sorted by dimension
+    and basis, and its covering pairs; CapExceeded before any node is built.
+
+    hinv has one node per monotone shift tuple of the class exponents, counted
+    first.  inv and chinv are walked only in a space with at most
+    SUBSPACE_ENUM_CAP subspaces, which bounds their nodes.
+    """
+    if which == "hinv":
+        count = _monotone_shift_count(tuple(t for t, _ in generator_tuple(f).partition))
+        if count > SUBSPACE_ENUM_CAP:
+            message = f"the hyperinvariant lattice has {count} nodes"
+            raise CapExceeded(f"{message}, above the cap of {SUBSPACE_ENUM_CAP}")
+        return hyperinvariant_lattice(f), _hyperinvariant_lattice(f)[1]
+    _check_subspace_cap(f.dim)
+    return _stable_lattice(f, {"inv": MOVED_BY_F, "chinv": MOVED_BY_UNIT}[which])
 
 
 def largest_hyperinvariant_inside(

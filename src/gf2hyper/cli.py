@@ -24,16 +24,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 from . import verify as verify_mod
-from .classify import (
-    MOVED_BY_F,
-    MOVED_BY_UNIT,
-    _hyperinvariant_lattice,
-    _monotone_shift_count,
-    _stable_lattice,
-    classify,
-    hyperinvariant_lattice,
-    invariant_subspaces,
-)
+from .classify import _lattice, classify, invariant_subspaces
 from .commutant import automorphism_group_order, commutant_dimension
 from .errors import (
     CapExceeded,
@@ -46,10 +37,8 @@ from .errors import (
 from .gf2 import (
     Gf2Matrix,
     Gf2Vector,
-    SUBSPACE_ENUM_CAP,
     Subspace,
     _bit_row,
-    _check_subspace_cap,
     format_subspace,
     parse_matrix,
     parse_subspace,
@@ -296,10 +285,9 @@ def build_analysis(f: NilpotentOperator, census: bool = False) -> AnalysisDocume
     found = counterexample(f)
     census_doc = None
     if census:
-        _check_subspace_cap(f.dim)
+        char = len(_lattice(f, "chinv")[0])  # refused here, before any subspace is lifted
         invariant = sum(1 for _ in invariant_subspaces(f))  # counted as lifted; none is kept
-        char = len(_stable_lattice(f, MOVED_BY_UNIT)[0])
-        hyper = len(hyperinvariant_lattice(f))
+        hyper = len(_lattice(f, "hinv")[0])
         census_doc = LatticeCensusDocument(invariant, char, hyper, char - hyper)
     return AnalysisDocument(
         matrix=f.mat,
@@ -413,18 +401,7 @@ def _node_digest(s: Subspace) -> str:
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
     f = validate_nilpotent(_read(args.matrix, parse_matrix))
-    if args.which == "hinv":
-        # one node per monotone shift tuple of the class exponents, counted before any
-        # is built
-        count = _monotone_shift_count(tuple(r for r, d in enumerate(ulm_sequence(f).d, 1) if d))
-        if count > SUBSPACE_ENUM_CAP:
-            message = f"the hyperinvariant lattice has {count} nodes"
-            raise CapExceeded(f"{message}, above the cap of {SUBSPACE_ENUM_CAP}", required=count)
-        nodes, edges = hyperinvariant_lattice(f), _hyperinvariant_lattice(f)[1]
-    else:
-        # the cap of 2^24 bounds the subspaces of GF(2)^n, checked before the walk starts
-        _check_subspace_cap(f.dim)
-        nodes, edges = _stable_lattice(f, MOVED_BY_F if args.which == "inv" else MOVED_BY_UNIT)
+    nodes, edges = _lattice(f, args.which)
     if args.dot:
         print("digraph lattice {")
         print("  rankdir=BT;")

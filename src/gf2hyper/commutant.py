@@ -25,7 +25,6 @@ from .nilpotent import (
     NilpotentOperator,
     _per_operator,
     chain_frame,
-    elementary_divisors,
     generator_tuple,
     ulm_sequence,
 )
@@ -89,8 +88,8 @@ def _chain_maps(f: NilpotentOperator) -> tuple[tuple[int, int, int, Gf2Matrix], 
 
 def commutant_dimension(f: NilpotentOperator) -> int:
     """dim of the commutant: sum of min(t_i, t_j) over pairs of chain lengths."""
-    divisors = elementary_divisors(ulm_sequence(f))
-    return sum(min(a, b) for a in divisors for b in divisors)
+    t = generator_tuple(f).exponents
+    return sum(min(a, b) for a in t for b in t)
 
 
 @_per_operator
@@ -123,9 +122,7 @@ def enumerate_automorphisms(c: CommutantBasis) -> tuple[Gf2Matrix, ...]:
     """
     total = 1 << c.dim
     if total > UNIT_ENUM_CAP:
-        raise CapExceeded(
-            f"commutant has {total} elements, above the cap of {UNIT_ENUM_CAP}", required=total
-        )
+        raise CapExceeded(f"commutant has {total} elements, above the cap of {UNIT_ENUM_CAP}")
     n = c.operator.dim
     current = [0] * n
     units = []

@@ -20,15 +20,7 @@ class SingularMatrix(Gf2HyperError):
 
 
 class CapExceeded(Gf2HyperError):
-    """An enumeration would exceed the configured budget.
-
-    ``required`` carries the item count the enumeration would need, or
-    None where only a bound on that count is known.
-    """
-
-    def __init__(self, message: str, required: int | None = None):
-        super().__init__(message)
-        self.required = required
+    """An enumeration would exceed the configured budget."""
 
 
 class NotSquare(Gf2HyperError):

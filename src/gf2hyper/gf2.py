@@ -20,7 +20,7 @@ from .errors import (
     SingularMatrix,
 )
 
-VECTOR_ENUM_CAP = 24            # enumerate_vectors refuses above 2**24 members
+VECTOR_ENUM_CAP = 20            # enumerate_vectors refuses above 2**20 members
 SUBSPACE_ENUM_CAP = 1 << 24     # _subspace_rows refuses longer streams
 
 
@@ -371,12 +371,11 @@ class Subspace:
         basis, _ = _echelonize(stacked)
         return Subspace.span_bits((r >> n for r in basis if (r & mask) == 0), n)
 
-    def enumerate_vectors(self, cap: int = VECTOR_ENUM_CAP) -> list[Gf2Vector]:
+    def enumerate_vectors(self) -> list[Gf2Vector]:
         """All 2**dim members, in subset order of the canonical basis."""
-        if self.dim > cap:
+        if self.dim > VECTOR_ENUM_CAP:
             raise CapExceeded(
-                f"enumerating 2**{self.dim} vectors exceeds the cap of 2**{cap}",
-                required=1 << self.dim,
+                f"enumerating 2**{self.dim} vectors exceeds the cap of 2**{VECTOR_ENUM_CAP}"
             )
         return [Gf2Vector(bits, self.ambient_dim) for bits in _span_table(self.rows)]
 
@@ -411,18 +410,17 @@ _FIRST_PAST_CAP = next(n for n in itertools.count() if subspace_count(n) > SUBSP
 def _check_subspace_cap(n: int) -> None:
     """CapExceeded when GF(2)^n has more than SUBSPACE_ENUM_CAP subspaces.
 
-    Below `_FIRST_PAST_CAP` it counts nothing.  At it, the message and
-    `required` carry the exact count.  Past it, the exact count would take
-    seconds at n in the hundreds and have too many digits to print, so the
-    message gives a lower bound: the subspaces of dimension k = n // 2 alone
-    number at least 2^(k(n-k)).
+    Below `_FIRST_PAST_CAP` it counts nothing.  At it, the message carries
+    the exact count.  Past it, the exact count would take seconds at n in
+    the hundreds and have too many digits to print, so the message gives
+    a lower bound: the subspaces of dimension k = n // 2 alone number at
+    least 2^(k(n-k)).
     """
     if n < _FIRST_PAST_CAP:
         return
     if n == _FIRST_PAST_CAP:
         total = subspace_count(n)
-        message = f"GF(2)^{n} has {total} subspaces, above the cap of {SUBSPACE_ENUM_CAP}"
-        raise CapExceeded(message, required=total)
+        raise CapExceeded(f"GF(2)^{n} has {total} subspaces, above the cap of {SUBSPACE_ENUM_CAP}")
     k = n // 2
     bound = f"more than 2^{k * (n - k)}"
     raise CapExceeded(f"GF(2)^{n} has {bound} subspaces, above the cap of {SUBSPACE_ENUM_CAP}")

@@ -28,8 +28,6 @@ from .nilpotent import (
     ulm_sequence,
 )
 
-ORACLE_DIM_CAP = 20
-
 
 @dataclass(frozen=True)
 class ShodaWitness:
@@ -132,12 +130,13 @@ def exceptional_subspace_scan(f: NilpotentOperator, a_rho: int, a_tau: int) -> S
     """Brute-force oracle: span every vector with the linking height profile.
 
     Scans Im f^(a_rho - 1) only, since the height constraint already
-    forces membership there, and refuses above 2**ORACLE_DIM_CAP
-    vectors.  Returns the zero subspace when no vector matches.
+    forces membership there, and refuses above 2**VECTOR_ENUM_CAP vectors
+    (`Subspace.enumerate_vectors`).  Returns the zero subspace when no
+    vector matches.
     """
     base = f.image_chain[a_rho - 1]
     members = []
-    for v in base.enumerate_vectors(cap=ORACLE_DIM_CAP):
+    for v in base.enumerate_vectors():
         if v.is_zero() or exponent(f, v) != 2:
             continue
         if height(f, v) != a_rho - 1:

@@ -538,7 +538,6 @@ def test_lattice_hinv_refuses_more_nodes_than_the_cap(tmp_path, monkeypatch, cap
         raise AssertionError("the hyperinvariant lattice was built")
 
     monkeypatch.setattr(sys.modules["gf2hyper.classify"], "_hyperinvariant_lattice", unbuilt)
-    monkeypatch.setattr(sys.modules["gf2hyper.cli"], "_hyperinvariant_lattice", unbuilt)
     path = tmp_path / "f.txt"
     path.write_text(format_matrix(jordan_matrix(range(1, 26))))
     for argv in ([], ["--json"], ["--dot"]):
@@ -880,20 +879,27 @@ def test_lattice_cap_exceeded(tmp_path, capsys):
         assert main(["lattice", str(p), "--which", which]) == 5
 
 
-@pytest.mark.parametrize("which", ["chinv", "inv"])
-def test_lattice_refuses_dimension_ten_at_the_largest_cap(which, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [["lattice", "--which", "chinv"], ["lattice", "--which", "inv"], ["analyze", "--census"]],
+    ids=["chinv", "inv", "analyze-census"],
+)
+def test_lattice_refuses_dimension_ten_at_the_largest_cap(argv, tmp_path, monkeypatch, capsys):
     # GF(2)^10 has more than 2^24 subspaces, so the cap refuses it before the
-    # walk starts and before any subspace is lifted
+    # walk starts and before any subspace is lifted; analyze --census counts the
+    # characteristic lattice first, so its refusal too comes before the lift
     def refuse(*args, **kwargs):
         raise AssertionError("nothing may be built past the cap check")
 
-    for name in ("invariant_subspaces", "_stable_lattice"):
-        monkeypatch.setattr(f"gf2hyper.cli.{name}", refuse)
+    monkeypatch.setattr("gf2hyper.cli.invariant_subspaces", refuse)
+    monkeypatch.setattr(sys.modules["gf2hyper.classify"], "_stable_lattice", refuse)
     p = tmp_path / "n10.txt"
     p.write_text(format_matrix(jordan_operator((10,)).mat))
     assert SUBSPACE_ENUM_CAP == 1 << 24
-    assert main(["lattice", str(p), "--which", which]) == 5
-    assert "229755605 subspaces" in capsys.readouterr().err
+    assert main([argv[0], str(p), *argv[1:]]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: GF(2)^10 has 229755605 subspaces, above the cap of 16777216\n"
 
 
 @pytest.mark.parametrize(

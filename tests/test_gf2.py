@@ -254,8 +254,8 @@ def test_enumerate_vectors(golden_x):
     assert got == [0, 0b0101, 0b1000, 0b1101]
     plane = Subspace.span([Gf2Vector(1, 4), Gf2Vector(2, 4)], 4)
     assert sorted(v.bits for v in plane.enumerate_vectors()) == [0, 1, 2, 3]
-    with pytest.raises(CapExceeded):
-        Subspace.span_bits(range(256), 8).enumerate_vectors(cap=7)
+    with pytest.raises(CapExceeded, match=r"^enumerating 2\*\*21 vectors exceeds the cap of 2\*\*20$"):
+        Subspace.span_bits((1 << i for i in range(21)), 21).enumerate_vectors()
 
 
 def test_canonicity():
@@ -332,7 +332,7 @@ def test_enumerate_subspaces_counts():
 def test_enumerate_subspaces_cap():
     with pytest.raises(CapExceeded) as info:
         next(enumerate_subspaces(10))
-    assert info.value.required == subspace_count(10)
+    assert str(info.value) == f"GF(2)^10 has {subspace_count(10)} subspaces, above the cap of 16777216"
 
 
 def test_subspace_cap_counts_only_the_first_space_past_it(monkeypatch):
@@ -351,7 +351,6 @@ def test_subspace_cap_counts_only_the_first_space_past_it(monkeypatch):
         with pytest.raises(CapExceeded) as info:
             _check_subspace_cap(n)
         assert str(info.value) == f"GF(2)^{n} has more than 2^{bound} subspaces, above the cap of 16777216"
-        assert info.value.required is None
 
 
 def test_subspace_rows_onto_the_leading_positions():

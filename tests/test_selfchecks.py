@@ -195,3 +195,28 @@ def test_only_build_parser_makes_an_argument_parser():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.stem}.{owner}" for owner in _calls_by_function(tree, "ArgumentParser")]
     assert found == ["cli.build_parser"]
+
+
+def test_cli_leaves_the_lattice_routes_and_caps_to_classify():
+    # classify._lattice picks each family's walk and its refusal; a route or cap
+    # named again in the cli would be a second place that makes that choice
+    routes_and_caps = {
+        "_stable_lattice",
+        "_hyperinvariant_lattice",
+        "_monotone_shift_count",
+        "hyperinvariant_lattice",
+        "MOVED_BY_F",
+        "MOVED_BY_UNIT",
+        "SUBSPACE_ENUM_CAP",
+        "_check_subspace_cap",
+    }
+    path = Path(gf2hyper.__file__).parent / "cli.py"
+    bound = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.alias):
+            bound |= {node.name, node.asname}
+        elif isinstance(node, ast.Name):
+            bound.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            bound.add(node.attr)
+    assert not sorted(bound & routes_and_caps), sorted(bound & routes_and_caps)

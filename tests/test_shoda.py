@@ -229,7 +229,7 @@ def test_scan_cap_exceeded():
     f = jordan_operator((1, 21))
     with pytest.raises(CapExceeded) as info:
         exceptional_subspace_scan(f, 1, 3)
-    assert info.value.required == 1 << 22
+    assert str(info.value) == "enumerating 2**22 vectors exceeds the cap of 2**20"
 
 
 def test_counterexample_agrees_with_census_up_to_dim_7():
